@@ -32,6 +32,16 @@ class CholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return sla.cho_solve((self.lower, True), b, check_finite=False)
 
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """L^{-1} b: half of solve(), enough for quadratic forms b^H A^{-1} b."""
+        return sla.solve_triangular(self.lower, b, lower=True,
+                                    check_finite=False)
+
+    def backward(self, b: np.ndarray) -> np.ndarray:
+        """L^{-H} b, so that backward(forward(b)) == solve(b)."""
+        return sla.solve_triangular(self.lower, b, trans="C", lower=True,
+                                    check_finite=False)
+
     def inverse(self) -> np.ndarray:
         return self.solve(np.eye(self.dim, dtype=self.lower.dtype))
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import hermitize
 from .geometry import _as_points
 
 __all__ = [
@@ -40,20 +39,23 @@ def nearest_neighbor(mic_positions, y, points) -> np.ndarray:
 
 def tikhonov(y, phi: np.ndarray, noise_variance: float,
              prior_variance: float) -> np.ndarray:
-    """Ridge coefficients from the primal normal equations:
-    (Phi^H Phi / s2 + I / sa2)^{-1} Phi^H y / s2.
+    """Ridge coefficients (Phi^H Phi / s2 + I / sa2)^{-1} Phi^H y / s2.
 
-    Deliberately a separate code path from the posterior pipeline so the two
-    can be checked against each other.
+    Solved through the thin SVD Phi = U diag(s) V^H as
+    V diag(s / (s^2 + s2 / sa2)) U^H y: one code path for M < P and M > P,
+    and no P x P normal matrix. The M x M dual form
+    Phi^H (Phi Phi^H + (s2 / sa2) I)^{-1} y is not used: for M > P the
+    matrix Phi Phi^H has rank P, so at vanishing regularization the dual
+    system is singular to working precision and misses the least-squares
+    limit. Deliberately a separate code path from the posterior pipeline so
+    the two can be checked against each other.
     """
     if noise_variance <= 0 or prior_variance <= 0:
         raise ValueError("variances must be positive")
     y = np.asarray(y, dtype=complex).reshape(-1)
-    p = phi.shape[1]
-    normal = hermitize(phi.conj().T @ phi) / noise_variance
-    normal += np.eye(p) / prior_variance
-    rhs = phi.conj().T @ y / noise_variance
-    return sla.solve(normal, rhs, assume_a="pos")
+    u, s, vh = np.linalg.svd(phi, full_matrices=False)
+    gain = s / (s ** 2 + noise_variance / prior_variance)
+    return vh.conj().T @ (gain * (u.conj().T @ y))
 
 
 @dataclass(frozen=True)

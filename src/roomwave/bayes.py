@@ -9,6 +9,10 @@ The coefficient prior is zero-mean complex Gaussian with covariance
 i.e. fields whose impedance boundary residual is large are penalized. With
 boundary_weight = 0 (or an empty cloud) the prior reduces to the isotropic
 ridge/Tikhonov prior.
+
+Sigma is held in boundary space (Woodbury form, see PriorCovariance): the
+prior, the posterior and the predictions factorize only the B x B matrix
+I + boundary_weight * G G^H and the M x M matrix Q, never a P x P matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import CholeskyFactor, FactorizationError, chol_factor, hermitize
+from ._linalg import CholeskyFactor, FactorizationError, chol_factor
 from .geometry import BoundaryCloud
 from .planewaves import PlaneWaveDictionary, build_phi, build_phi_tilde, build_psi
 
@@ -64,38 +68,56 @@ class Hyperparameters:
 
 
 class PriorCovariance:
-    """Coefficient prior covariance, held through the Cholesky factor of
-    I + mu * G^H G so that products with Sigma are triangular solves."""
+    """Coefficient prior covariance held in boundary space.
 
-    def __init__(self, scale: float, factor: CholeskyFactor):
+    By the Woodbury identity
+
+        Sigma = scale * (I_P - weight * G^H (I_B + weight * G G^H)^{-1} G),
+
+    so only G (B x P) and the Cholesky factor F of the B x B matrix
+    I_B + weight * G G^H are stored: a product with Sigma costs two B x P
+    products and two B x B triangular solves, and no P x P matrix is ever
+    formed or factorized. Without a boundary term (factor None) the prior
+    is the isotropic scale * I_P.
+    """
+
+    def __init__(self, scale: float, weight: float, g: np.ndarray,
+                 factor: CholeskyFactor | None):
         self.scale = scale
+        self.weight = weight
+        self.g = g
         self.factor = factor
 
     @property
     def dim(self) -> int:
-        return self.factor.dim
+        return self.g.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Sigma @ x."""
-        return self.scale * self.factor.solve(x)
+        if self.factor is None:
+            return self.scale * x
+        correction = self.g.conj().T @ self.factor.solve(self.g @ x)
+        return self.scale * (x - self.weight * correction)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense Sigma (P x P); prefer apply() for products."""
-        return self.scale * self.factor.inverse()
+        """Dense Sigma (P x P), apply(I_P); prefer apply() for products."""
+        return self.apply(np.eye(self.dim, dtype=complex))
 
 
 def prior_covariance_from_matrices(psi: np.ndarray, phi_tilde: np.ndarray,
                                    hp: Hyperparameters) -> PriorCovariance:
-    """Prior covariance from prebuilt boundary matrices (B x P each)."""
+    """Prior covariance from prebuilt boundary matrices (B x P each); the
+    only factorization is the B x B Cholesky of I_B + mu G G^H."""
     if psi.shape != phi_tilde.shape:
         raise ValueError("Psi and PhiTilde must have equal shapes")
-    p = psi.shape[1]
-    a = np.eye(p, dtype=complex)
-    if psi.shape[0] and hp.boundary_weight > 0:
-        g = hp.impedance * psi + phi_tilde
-        a += hp.boundary_weight * hermitize(g.conj().T @ g)
-    return PriorCovariance(hp.prior_variance, chol_factor(a))
+    g = hp.impedance * psi + phi_tilde
+    mu = hp.boundary_weight
+    if not (psi.shape[0] and mu > 0):
+        return PriorCovariance(hp.prior_variance, mu, g, None)
+    a = mu * (g @ g.conj().T)
+    a.flat[::psi.shape[0] + 1] += 1.0
+    return PriorCovariance(hp.prior_variance, mu, g, chol_factor(a))
 
 
 def build_sigma_alpha(dictionary: PlaneWaveDictionary, cloud: BoundaryCloud,
@@ -130,7 +152,9 @@ class PosteriorModel:
 def build_posterior(y, phi: np.ndarray, prior: PriorCovariance,
                     hp: Hyperparameters,
                     dictionary: PlaneWaveDictionary) -> PosteriorModel:
-    """Factorize Q and precompute everything prediction needs."""
+    """Factorize Q = sigma^2 I + Phi Sigma Phi^H (M x M) and precompute
+    everything prediction needs; Sigma Phi^H comes from the boundary-space
+    prior, so no P x P matrix is formed."""
     y = np.asarray(y, dtype=complex).reshape(-1)
     if phi.shape != (len(y), prior.dim):
         raise ValueError(f"Phi shape {phi.shape} inconsistent with "
@@ -139,7 +163,8 @@ def build_posterior(y, phi: np.ndarray, prior: PriorCovariance,
     if len(y) == 0:
         return PosteriorModel(dictionary, hp, prior, phi, y, cross, None,
                               np.zeros(0, dtype=complex))
-    q = hp.noise_variance * np.eye(len(y), dtype=complex) + hermitize(phi @ cross)
+    q = phi @ cross
+    q.flat[::len(y) + 1] += hp.noise_variance
     q_factor = chol_factor(q)
     xi = q_factor.solve(y)
     return PosteriorModel(dictionary, hp, prior, phi, y, cross, q_factor, xi)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import LassoConfig, lasso, nearest_neighbor, select_lambda, tikhonov
+from .baselines import (LassoConfig, default_lambda_grid, lasso,
+                        nearest_neighbor, select_lambda, tikhonov)
 from .bayes import build_posterior, predict, prior_covariance_from_matrices
 from .geometry import (BoundaryCloud, MicArray, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
@@ -221,9 +222,7 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
     if method == "lasso":
         penalty = lasso_penalty
         if penalty is None:
-            penalty = select_lambda(data.y, phi, data.noise_variance,
-                                    grid=None, folds=cfg.lasso_folds,
-                                    seed=data.seeds["lasso_cv"])
+            penalty = _select_lasso_penalty(cfg, data, phi)
         fit = lasso(data.y, phi, data.noise_variance, LassoConfig(penalty))
         return evaluate_field(dictionary, fit.coefficients, targets)
     raise ValueError(f"unknown method '{method}'")
@@ -261,11 +260,19 @@ class _Table:
         return [self.cells[key] for key in self._order]
 
 
+def _select_lasso_penalty(cfg: ExperimentConfig, data: _RunData,
+                          phi: np.ndarray) -> float:
+    """Cross-validated lasso penalty over a `lasso_grid_size`-point grid."""
+    grid = default_lambda_grid(data.y, phi, data.noise_variance,
+                               cfg.lasso_grid_size)
+    return select_lambda(data.y, phi, data.noise_variance, grid=grid,
+                         folds=cfg.lasso_folds, seed=data.seeds["lasso_cv"])
+
+
 def _global_lasso_penalty(cfg: ExperimentConfig, data: _RunData,
                           assumed_mics: np.ndarray) -> float:
     phi = build_phi(data.dictionary, assumed_mics)
-    return select_lambda(data.y, phi, data.noise_variance, grid=None,
-                         folds=cfg.lasso_folds, seed=data.seeds["lasso_cv"])
+    return _select_lasso_penalty(cfg, data, phi)
 
 
 def run_boundary_count_sweep(cfg: ExperimentConfig) -> list:

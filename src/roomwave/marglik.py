@@ -15,9 +15,17 @@ derivative with respect to eta* of the (non-holomorphic) real objective, and
 the real-coordinate gradient is (2 Re g, 2 Im g) for that complex derivative.
 
 Evaluation works in measurement space: Q is only M x M, and all
-boundary-dependent quantities reduce to Gram blocks of Psi and PhiTilde that
-are precomputed once per geometry, so the per-evaluation cost is one B x B
-Cholesky plus a few B x B times B x M products.
+boundary-dependent quantities reduce to four B x B Grams, PhiTilde PhiTilde^H,
+Psi Psi^H and the Hermitian and anti-Hermitian parts of Psi PhiTilde^H,
+precomputed once per geometry. With G = beta Psi + PhiTilde, one evaluation
+of J costs
+  - one pass over the Grams for I + mu G G^H,
+  - its B x B Cholesky factor L,
+  - one B x M forward solve V = L^{-1} G Phi^H, giving
+    K = sigma_alpha^2 (Phi Phi^H - mu V^H V), and the M x M Cholesky of Q.
+The gradient adds the back solve w = L^{-H} V, a second Gram pass for
+Psi G^H and one B x B times B x M product; every trace is an inner product
+with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed.
 """
 
 from __future__ import annotations
@@ -141,9 +149,15 @@ class MarginalLikelihood:
             phi_h = phi.conj().T
             self._psi_phi = psi @ phi_h                    # (B, M)
             self._pt_phi = phi_tilde @ phi_h               # (B, M)
-            self._psi_gram = hermitize(psi @ psi.conj().T)     # (B, B)
-            self._psi_pt = psi @ phi_tilde.conj().T            # (B, B)
-            self._pt_gram = hermitize(phi_tilde @ phi_tilde.conj().T)
+            cross = psi @ phi_tilde.conj().T               # (B, B)
+            # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
+            # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S
+            self._grams = np.stack([
+                hermitize(phi_tilde @ phi_tilde.conj().T),
+                hermitize(psi @ psi.conj().T),
+                0.5 * (cross + cross.conj().T),
+                0.5 * (cross - cross.conj().T),
+            ])
 
     # -- evaluation at explicit hyperparameters ---------------------------
 
@@ -161,6 +175,10 @@ class MarginalLikelihood:
     def value_and_gradient(self, theta: ThetaVector) -> tuple[float, np.ndarray]:
         return self.value_and_gradient_at(theta.to_hyperparameters())
 
+    def _combine(self, coefficients) -> np.ndarray:
+        """sum_i c_i * Gram_i as one pass over the stacked Grams."""
+        return np.tensordot(coefficients, self._grams, axes=1)
+
     def _evaluate(self, hp: Hyperparameters, with_gradient: bool):
         s2 = hp.noise_variance
         sa2 = hp.prior_variance
@@ -171,19 +189,22 @@ class MarginalLikelihood:
 
         with np.errstate(over="raise", invalid="raise"):
             try:
+                k = sa2 * self._phi_gram
                 if boundary_active:
-                    ggram = hermitize(
-                        abs(beta) ** 2 * self._psi_gram + beta * self._psi_pt
-                        + np.conj(beta) * self._psi_pt.conj().T + self._pt_gram)
+                    # I + mu G G^H with G G^H = C + |beta|^2 A
+                    # + 2 Re(beta) H + 2i Im(beta) S, every term Hermitian;
+                    # Cholesky reads only the lower triangle, so no
+                    # symmetrization is needed
+                    a = self._combine(mu * np.array(
+                        [1.0, abs(beta) ** 2, 2.0 * beta.real, 2.0j * beta.imag]))
+                    a.flat[::self.num_boundary + 1] += 1.0
+                    b_factor = chol_factor(a)
                     g_phi = beta * self._psi_phi + self._pt_phi        # G Phi^H
-                    eye_b = np.eye(self.num_boundary, dtype=complex)
-                    b_factor = chol_factor(eye_b + mu * ggram)
-                    w = b_factor.solve(g_phi)     # (I + mu G G^H)^{-1} G Phi^H
-                    k = sa2 * (self._phi_gram - mu * g_phi.conj().T @ w)
-                else:
-                    k = sa2 * self._phi_gram
-                k = hermitize(k)
-                q_factor = chol_factor(s2 * np.eye(m, dtype=complex) + k)
+                    v = b_factor.forward(g_phi)                # L^{-1} G Phi^H
+                    k -= (sa2 * mu) * (v.conj().T @ v)
+                q = k.copy()
+                q.flat[::m + 1] += s2
+                q_factor = chol_factor(q)
             except FloatingPointError as exc:
                 raise FactorizationError(f"overflow while assembling Q: {exc}") from exc
 
@@ -192,22 +213,22 @@ class MarginalLikelihood:
         if not with_gradient:
             return value, None
 
-        q_inv = q_factor.inverse()
-        weight = np.outer(xi, xi.conj()) - q_inv       # xi xi^H - Q^{-1}
-
-        def trace_term(d_q: np.ndarray) -> complex:
-            return -0.5 * np.einsum("ij,ji->", weight, d_q)
-
+        # grad_i = -(1/2) tr(W dQ/dtheta_i) with W = xi xi^H - Q^{-1}
+        weight = np.outer(xi, xi.conj()) - q_factor.inverse()
         grad = np.zeros(5)
-        grad[0] = s2 * float(np.real(trace_term(np.eye(m))))
-        grad[1] = float(np.real(trace_term(k)))
+        grad[0] = -0.5 * s2 * float(np.real(np.trace(weight)))
+        grad[1] = -0.5 * float(np.real(np.vdot(k, weight)))
         if boundary_active:
-            d_weight = -sa2 * mu * (w.conj().T @ w)
-            grad[2] = float(np.real(trace_term(d_weight)))
-            psi_g = np.conj(beta) * self._psi_gram + self._psi_pt      # Psi G^H
-            psi_c = self._psi_phi - mu * psi_g @ w
-            d_eta = -sa2 * mu * np.conj(beta) * (psi_c.conj().T @ w)
-            g_eta = trace_term(d_eta)
+            # dQ/dd = -sa2 mu w^H w and dQ/deta* = -sa2 mu conj(beta) psi_c^H w
+            # with w = (I + mu G G^H)^{-1} G Phi^H; the traces are inner
+            # products with w W, so no M x M derivative matrix is formed
+            w = b_factor.backward(v)
+            w_weight = w @ weight
+            grad[2] = 0.5 * sa2 * mu * float(np.real(np.vdot(w, w_weight)))
+            # Psi G^H = conj(beta) A + H + S
+            psi_g = self._combine(np.array([0.0, np.conj(beta), 1.0, 1.0]))
+            psi_c = self._psi_phi - mu * (psi_g @ w)
+            g_eta = 0.5 * sa2 * mu * np.conj(beta) * np.vdot(psi_c, w_weight)
             grad[3] = 2.0 * float(np.real(g_eta))
             grad[4] = 2.0 * float(np.imag(g_eta))
         if not np.all(np.isfinite(grad)) or not math.isfinite(value):

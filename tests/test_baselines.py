@@ -1,10 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roomwave.baselines import (LassoConfig, default_lambda_grid, lasso,
                                 lasso_objective, nearest_neighbor,
                                 null_threshold, select_lambda, tikhonov)
+from roomwave.bayes import (Hyperparameters, build_posterior,
+                            map_coefficients, prior_covariance_from_matrices)
+from roomwave.planewaves import PlaneWaveDictionary, fibonacci_directions
 
 
 def random_system(rng, m, p, noise=0.1, sparse=0):
@@ -56,6 +61,35 @@ class TestTikhonov:
         y, phi, _ = random_system(rng, 5, 4)
         with pytest.raises(ValueError):
             tikhonov(y, phi, 0.0, 1.0)
+
+    @pytest.mark.parametrize("m, p", [(12, 40), (40, 12), (20, 20)])
+    def test_svd_form_matches_normal_equations(self, rng, m, p):
+        y, phi, _ = random_system(rng, m, p)
+        noise_variance, prior_variance = 0.2, 1.7
+        normal = (phi.conj().T @ phi / noise_variance
+                  + np.eye(p) / prior_variance)
+        primal = np.linalg.solve(normal, phi.conj().T @ y / noise_variance)
+        alpha = tikhonov(y, phi, noise_variance, prior_variance)
+        assert np.linalg.norm(alpha - primal) / np.linalg.norm(primal) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 25), p=st.integers(1, 25),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_noise=st.floats(-2.0, 0.0), log_prior=st.floats(-1.0, 1.0))
+def test_posterior_mean_without_boundary_is_tikhonov(m, p, seed, log_noise,
+                                                     log_prior):
+    """At mu = 0 the posterior mean (dual form, through the prior and Q)
+    equals the independently coded SVD ridge, on both sides of M = P."""
+    y, phi, _ = random_system(np.random.default_rng(seed), m, p)
+    hp = Hyperparameters(10.0 ** log_noise, 10.0 ** log_prior, 0.0, 1.0 + 0j)
+    empty = np.zeros((0, p), dtype=complex)
+    prior = prior_covariance_from_matrices(empty, empty, hp)
+    dictionary = PlaneWaveDictionary(1.0, fibonacci_directions(p))
+    posterior = build_posterior(y, phi, prior, hp, dictionary)
+    ridge = tikhonov(y, phi, hp.noise_variance, hp.prior_variance)
+    dual = map_coefficients(posterior)
+    assert np.linalg.norm(dual - ridge) <= 1e-9 * np.linalg.norm(ridge)
 
 
 class TestLasso:

@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roomwave.bayes import (Hyperparameters, build_posterior, build_sigma_alpha,
+from roomwave.bayes import (VARIANCE_CLAMP_ABS, VARIANCE_CLAMP_REL,
+                            Hyperparameters, build_posterior, build_sigma_alpha,
                             map_coefficients, predict,
                             prior_covariance_from_matrices)
 from roomwave.baselines import tikhonov
@@ -226,3 +227,61 @@ class TestBoundaryResidualMonotonicity:
             residuals.append(np.linalg.norm(g @ map_coefficients(posterior)))
         diffs = np.diff(residuals)
         assert np.all(diffs <= 1e-9 * residuals[0])
+
+
+# -- boundary space wider than the dictionary (B > P) ----------------------
+
+BOUNDARY_SCALES = (1e-3, 1.0, 1e4)     # mu * ||G||_2^2
+
+
+def wide_boundary(room, dictionary, scale):
+    """B = 80 boundary points against P = 60 plane waves, with the boundary
+    weight set so that mu * ||G||_2^2 equals `scale`."""
+    cloud = sample_boundary(room, 80, seed=5)
+    psi = build_psi(dictionary, cloud)
+    phi_tilde = build_phi_tilde(dictionary, cloud)
+    beta = 0.7 - 1.3j
+    norm = np.linalg.norm(beta * psi + phi_tilde, 2)
+    hp = Hyperparameters(1e-3, 1.7, scale / norm ** 2, beta)
+    return psi, phi_tilde, hp
+
+
+class TestWideBoundary:
+    @pytest.mark.parametrize("scale", BOUNDARY_SCALES)
+    def test_prior_matches_dense_sigma(self, room, dictionary, scale, rng):
+        psi, phi_tilde, hp = wide_boundary(room, dictionary, scale)
+        assert psi.shape == (80, 60)
+        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
+        dense = dense_sigma(psi, phi_tilde, hp)
+        atol = 1e-12 * hp.prior_variance
+        npt.assert_allclose(prior.matrix, dense, rtol=1e-9, atol=atol)
+        x = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
+        npt.assert_allclose(prior.apply(x), dense @ x, rtol=1e-9,
+                            atol=atol * np.abs(x).max())
+
+    def test_variance_nonnegative_at_largest_weight(self, room, dictionary,
+                                                    rng):
+        """Predictive variance from the boundary-space prior matches the
+        dense posterior covariance to within the clamp tolerance, so the
+        clamp neither raises nor hides a negative excursion."""
+        psi, phi_tilde, hp = wide_boundary(room, dictionary,
+                                           BOUNDARY_SCALES[-1])
+        mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(40, 3))
+        phi = build_phi(dictionary, mics)
+        y = phi @ (rng.standard_normal(60) + 1j * rng.standard_normal(60))
+        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
+        posterior = build_posterior(y, phi, prior, hp, dictionary)
+        pts = np.vstack([mics[:10], rng.uniform([0, 0, 0], [5, 4, 3],
+                                                size=(20, 3))])
+        _, variance = predict(posterior, pts)
+
+        sigma = dense_sigma(psi, phi_tilde, hp)
+        q = hp.noise_variance * np.eye(len(y)) + phi @ sigma @ phi.conj().T
+        cross = sigma @ phi.conj().T
+        post = sigma - cross @ np.linalg.solve(q, cross.conj().T)
+        phi_r = build_phi(dictionary, pts)
+        prior_var = np.einsum("jp,pq,jq->j", phi_r, sigma, phi_r.conj()).real
+        expected = np.einsum("jp,pq,jq->j", phi_r, post, phi_r.conj()).real
+        assert np.all(variance >= 0)
+        tolerance = VARIANCE_CLAMP_REL * prior_var + VARIANCE_CLAMP_ABS
+        assert np.all(np.abs(variance - expected) <= tolerance)

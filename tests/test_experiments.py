@@ -2,12 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from roomwave import baselines, experiments
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
                                   run_boundary_count_sweep,
                                   run_boundary_perturbation_sweep,
                                   run_frequency_sweep,
                                   run_mic_perturbation_sweep, run_seeds,
                                   run_sweeps, to_db)
+from roomwave.fileio import write_aggregate_csv
 from roomwave.geometry import RoomSpec
 
 
@@ -169,3 +171,41 @@ class TestSweeps:
         cfg = tiny_config(room, methods=("nearest",))
         results = run_sweeps(cfg, sweeps=("boundary_count", "frequency"))
         assert set(results) == {"boundary_count", "frequency"}
+
+
+class TestLassoGridSize:
+    def lasso_cfg(self, room, **overrides):
+        return tiny_config(room, methods=("lasso",), mic_perturbations=(0.0,),
+                           monte_carlo_runs=1, **overrides)
+
+    def test_grid_size_sets_penalties_per_fold(self, room, monkeypatch):
+        penalties = []
+        original = baselines.lasso
+
+        def counting_lasso(y, phi, noise_variance, config, initial=None):
+            penalties.append(config.penalty)
+            return original(y, phi, noise_variance, config, initial)
+
+        monkeypatch.setattr(baselines, "lasso", counting_lasso)
+        cfg = self.lasso_cfg(room, lasso_grid_size=5)
+        run_mic_perturbation_sweep(cfg)
+        assert len(penalties) == 5 * cfg.lasso_folds
+        assert len(set(penalties)) == 5
+
+    def test_default_size_keeps_aggregate_bytes(self, room, tmp_path,
+                                                monkeypatch):
+        """grid_size 20 reproduces select_lambda's own default grid, so the
+        aggregate CSV is byte-identical to a run that passes no grid."""
+        cfg = self.lasso_cfg(room, lasso_grid_size=20)
+        configured = tmp_path / "configured.csv"
+        write_aggregate_csv(configured, run_mic_perturbation_sweep(cfg))
+
+        original = experiments.select_lambda
+
+        def without_grid(*args, grid=None, **kwargs):
+            return original(*args, grid=None, **kwargs)
+
+        monkeypatch.setattr(experiments, "select_lambda", without_grid)
+        default = tmp_path / "default.csv"
+        write_aggregate_csv(default, run_mic_perturbation_sweep(cfg))
+        assert configured.read_bytes() == default.read_bytes()

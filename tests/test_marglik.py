@@ -29,6 +29,33 @@ def dense_objective(theta, y, phi, psi, phi_tilde):
         np.sum(np.log(eigvals)))
 
 
+def dense_gradient(theta, y, phi, psi, phi_tilde):
+    """Independent dense evaluation of the five gradient components
+    -(1/2) tr((xi xi^H - Q^{-1}) dQ/dtheta_i) from the P x P prior."""
+    hp = theta.to_hyperparameters()
+    s2, sa2, mu, beta = (hp.noise_variance, hp.prior_variance,
+                         hp.boundary_weight, hp.impedance)
+    p = phi.shape[1]
+    g = beta * psi + phi_tilde
+    s = np.linalg.inv(np.eye(p) + mu * (g.conj().T @ g))
+    q = s2 * np.eye(len(y)) + sa2 * phi @ s @ phi.conj().T
+    q_inv = np.linalg.inv(q)
+    xi = q_inv @ y
+    weight = np.outer(xi, xi.conj()) - q_inv
+
+    def trace_term(d_q):
+        return -0.5 * np.trace(weight @ d_q)
+
+    d_weight = -sa2 * mu * phi @ s @ g.conj().T @ g @ s @ phi.conj().T
+    d_eta = (-sa2 * mu * np.conj(beta)
+             * phi @ s @ psi.conj().T @ g @ s @ phi.conj().T)
+    g_eta = trace_term(d_eta)
+    return np.array([trace_term(s2 * np.eye(len(y))).real,
+                     trace_term(sa2 * phi @ s @ phi.conj().T).real,
+                     trace_term(d_weight).real,
+                     2.0 * g_eta.real, 2.0 * g_eta.imag])
+
+
 class TestThetaVector:
     def test_array_round_trip(self):
         arr = THETA0.to_array()
@@ -150,6 +177,36 @@ class TestGradient:
         expected = 0.5 * hp.noise_variance * np.trace(np.linalg.inv(q)).real
         assert grad[0] == pytest.approx(expected, rel=1e-8)
         assert expected > 0
+
+
+class TestWideBoundary:
+    """B = 80 boundary points against P = 60 plane waves: the boundary
+    space is wider than the coefficient space, which the B x B evaluation
+    must handle at weak, moderate and dominant boundary weights."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])   # mu * ||G||_2^2
+    def test_matches_dense_oracle(self, complex_instance, scale):
+        y, phi, psi, phi_tilde = complex_instance(m=30, p=60, b=80, seed=17)
+        beta = np.exp(0.2 - 0.4j)
+        norm = np.linalg.norm(beta * psi + phi_tilde, 2)
+        theta = ThetaVector(-1.0, 0.5, math.log(scale / norm ** 2),
+                            0.2 - 0.4j)
+        value, grad = MarginalLikelihood(y, phi, psi,
+                                         phi_tilde).value_and_gradient(theta)
+        oracle = dense_gradient(theta, y, phi, psi, phi_tilde)
+        assert value == pytest.approx(
+            dense_objective(theta, y, phi, psi, phi_tilde), rel=1e-9)
+        npt.assert_allclose(grad, oracle, rtol=1e-9,
+                            atol=1e-9 * np.abs(oracle).max())
+
+    def test_dense_gradient_oracle_matches_finite_differences(
+            self, complex_instance):
+        y, phi, psi, phi_tilde = complex_instance(m=12, p=20, b=30, seed=18)
+        numeric = central_differences(
+            lambda x: dense_objective(ThetaVector.from_array(x), y, phi, psi,
+                                      phi_tilde), THETA0.to_array(), 1e-6)
+        npt.assert_allclose(dense_gradient(THETA0, y, phi, psi, phi_tilde),
+                            numeric, rtol=1e-5, atol=1e-8)
 
 
 class TestFiniteDifferences:
