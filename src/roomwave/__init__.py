@@ -24,8 +24,8 @@ _configure_threads()
 
 from ._linalg import FactorizationError
 from .bayes import (Hyperparameters, PosteriorModel, PriorCovariance,
-                    build_posterior, build_sigma_alpha, map_coefficients,
-                    predict, prior_covariance_from_matrices)
+                    build_posterior, map_coefficients, predict,
+                    prior_covariance_from_matrices)
 from .baselines import (LassoConfig, LassoResult, lasso, nearest_neighbor,
                         select_lambda, tikhonov)
 from .experiments import (ExperimentConfig, RunResult, nmse, run_sweeps,
@@ -33,34 +33,30 @@ from .experiments import (ExperimentConfig, RunResult, nmse, run_sweeps,
 from .geometry import (BoundaryCloud, MicArray, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
                        sample_validation_points)
-from .marglik import (MarginalLikelihood, ObjectiveEval, ThetaVector,
-                      finite_difference_gradient, fit_hyperparameters,
-                      gradient, gradient_check, initial_theta, objective)
+from .marglik import (MarginalLikelihood, ThetaVector, fit_hyperparameters,
+                      gradient_check, initial_theta)
 from .optimize import MinimizeResult, minimize
 from .planewaves import (PlaneWaveDictionary, build_phi, build_phi_tilde,
                          build_psi, evaluate_field, fibonacci_directions,
                          wavenumber)
-from .simulator import (ImageSource, SimSnapshot, enumerate_images,
-                        field_at_points, simulate_snapshot, transfer_function)
+from .simulator import SimSnapshot, field_at_points, simulate_snapshot
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FactorizationError",
     "Hyperparameters", "PosteriorModel", "PriorCovariance",
-    "build_posterior", "build_sigma_alpha", "map_coefficients", "predict",
+    "build_posterior", "map_coefficients", "predict",
     "prior_covariance_from_matrices",
     "LassoConfig", "LassoResult", "lasso", "nearest_neighbor",
     "select_lambda", "tikhonov",
     "ExperimentConfig", "RunResult", "nmse", "run_sweeps", "to_db",
     "BoundaryCloud", "MicArray", "RoomSpec", "perturb_positions",
     "sample_boundary", "sample_microphones", "sample_validation_points",
-    "MarginalLikelihood", "ObjectiveEval", "ThetaVector",
-    "finite_difference_gradient", "fit_hyperparameters", "gradient",
-    "gradient_check", "initial_theta", "objective",
+    "MarginalLikelihood", "ThetaVector", "fit_hyperparameters",
+    "gradient_check", "initial_theta",
     "MinimizeResult", "minimize",
     "PlaneWaveDictionary", "build_phi", "build_phi_tilde", "build_psi",
     "evaluate_field", "fibonacci_directions", "wavenumber",
-    "ImageSource", "SimSnapshot", "enumerate_images", "field_at_points",
-    "simulate_snapshot", "transfer_function",
+    "SimSnapshot", "field_at_points", "simulate_snapshot",
 ]

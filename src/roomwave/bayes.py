@@ -22,14 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import CholeskyFactor, FactorizationError, chol_factor
-from .geometry import BoundaryCloud
-from .planewaves import PlaneWaveDictionary, build_phi, build_phi_tilde, build_psi
+from .planewaves import PlaneWaveDictionary, build_phi
 
 __all__ = [
     "Hyperparameters",
     "PriorCovariance",
     "PosteriorModel",
-    "build_sigma_alpha",
     "prior_covariance_from_matrices",
     "build_posterior",
     "map_coefficients",
@@ -99,11 +97,6 @@ class PriorCovariance:
         correction = self.g.conj().T @ self.factor.solve(self.g @ x)
         return self.scale * (x - self.weight * correction)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense Sigma (P x P), apply(I_P); prefer apply() for products."""
-        return self.apply(np.eye(self.dim, dtype=complex))
-
 
 def prior_covariance_from_matrices(psi: np.ndarray, phi_tilde: np.ndarray,
                                    hp: Hyperparameters) -> PriorCovariance:
@@ -118,13 +111,6 @@ def prior_covariance_from_matrices(psi: np.ndarray, phi_tilde: np.ndarray,
     a = mu * (g @ g.conj().T)
     a.flat[::psi.shape[0] + 1] += 1.0
     return PriorCovariance(hp.prior_variance, mu, g, chol_factor(a))
-
-
-def build_sigma_alpha(dictionary: PlaneWaveDictionary, cloud: BoundaryCloud,
-                      hp: Hyperparameters) -> PriorCovariance:
-    """Boundary-informed prior covariance for the dictionary coefficients."""
-    return prior_covariance_from_matrices(
-        build_psi(dictionary, cloud), build_phi_tilde(dictionary, cloud), hp)
 
 
 class PosteriorModel:

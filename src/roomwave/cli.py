@@ -95,33 +95,24 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     from . import fileio
-    from .bayes import build_posterior, predict, prior_covariance_from_matrices
-    from .marglik import fit_hyperparameters
-    from .planewaves import (PlaneWaveDictionary, build_phi, build_phi_tilde,
-                             build_psi, fibonacci_directions, wavenumber)
+    from .experiments import fit_and_predict
+    from .planewaves import (PlaneWaveDictionary, fibonacci_directions,
+                             wavenumber)
 
     config = _load_config(args)
     source = fileio.read_snapshot(args.snapshot)
     cloud = fileio.read_point_cloud(args.cloud)
-    k = wavenumber(source.snapshot.frequency_hz,
-                   config.medium.speed_of_sound)
-    dictionary = PlaneWaveDictionary(
-        k, fibonacci_directions(config.dictionary.plane_wave_count))
-
-    phi = build_phi(dictionary, source.mics.positions)
-    psi = build_psi(dictionary, cloud)
-    phi_tilde = build_phi_tilde(dictionary, cloud)
-    fit = fit_hyperparameters(source.snapshot.noisy, phi, psi, phi_tilde,
-                              max_line_searches=config.optimizer.max_line_searches)
-    prior = prior_covariance_from_matrices(psi, phi_tilde, fit.hyperparameters)
-    posterior = build_posterior(source.snapshot.noisy, phi, prior,
-                                fit.hyperparameters, dictionary)
-
     if config.reconstruct.points:
         points = fileio.read_mic_array(config.reconstruct.points).positions
     else:
         points = source.mics.positions
-    mean, variance = predict(posterior, points)
+    k = wavenumber(source.snapshot.frequency_hz,
+                   config.medium.speed_of_sound)
+    dictionary = PlaneWaveDictionary(
+        k, fibonacci_directions(config.dictionary.plane_wave_count))
+    fit, mean, variance = fit_and_predict(
+        source.snapshot.noisy, dictionary, source.mics.positions, cloud,
+        points, config.optimizer.max_line_searches)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_reconstruction(args.out_dir / "reconstruction.txt", points,

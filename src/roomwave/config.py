@@ -18,8 +18,7 @@ import yaml
 from .experiments import METHODS, SWEEPS, ExperimentConfig
 from .geometry import RoomSpec
 
-__all__ = ["ConfigError", "AppConfig", "load_config", "default_config",
-           "apply_overrides"]
+__all__ = ["ConfigError", "AppConfig", "load_config", "apply_overrides"]
 
 
 class ConfigError(ValueError):
@@ -197,8 +196,16 @@ def parse_config(document) -> AppConfig:
             config.seed = _coerce(value, 0, "seed")
         else:
             _fill_section(getattr(config, key), value, key)
-    config.room_spec()          # validates geometry invariants early
-    config.experiment_config()  # validates counts/methods/sweeps coupling
+    return _validated(config)
+
+
+def _validated(config: AppConfig) -> AppConfig:
+    """Check the invariants that span fields (room geometry, counts, lasso
+    folds, methods, sweeps); any violation is a ConfigError."""
+    try:
+        config.experiment_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     unknown_sweeps = set(config.benchmark.sweeps) - set(SWEEPS)
     if unknown_sweeps:
         raise ConfigError(f"unknown sweeps: {sorted(unknown_sweeps)}")
@@ -215,10 +222,6 @@ def load_config(path) -> AppConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return parse_config(document)
-
-
-def default_config() -> AppConfig:
-    return AppConfig()
 
 
 def apply_overrides(config: AppConfig, overrides) -> AppConfig:
@@ -246,6 +249,4 @@ def apply_overrides(config: AppConfig, overrides) -> AppConfig:
             raise ConfigError(f"override '{item}': only scalar fields can be "
                               "overridden from the command line")
         setattr(section, key, _coerce(value, default, dotted))
-    config.room_spec()
-    config.experiment_config()
-    return config
+    return _validated(config)

@@ -1,6 +1,15 @@
-"""Monte-Carlo benchmark harness: the NMSE metric and the four sweeps
-(boundary-point count, boundary-position perturbation, microphone-position
-perturbation, frequency).
+"""Monte-Carlo benchmark harness: the NMSE metric, the proposed method's
+fit-and-predict chain, and one driver for the four sweeps.
+
+What each sweep varies, and which methods it refits per value:
+  boundary_count         size of the prior cloud (a prefix of one sampled
+                         cloud); only the proposed method is refit
+  boundary_perturbation  displacement of the prior cloud; only the proposed
+                         method is refit
+  mic_perturbation       displacement of the microphone positions the
+                         methods assume; every method is refit
+  frequency              the frequency: wavenumber, dictionary, snapshot and
+                         truth are rebuilt; every method is refit
 
 Within a run, every method sees the same noise realization and geometry, so
 method comparisons are paired; seeds are derived from (master_seed, run)
@@ -36,10 +45,7 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "run_seeds",
-    "run_boundary_count_sweep",
-    "run_boundary_perturbation_sweep",
-    "run_mic_perturbation_sweep",
-    "run_frequency_sweep",
+    "fit_and_predict",
     "run_sweeps",
 ]
 
@@ -48,6 +54,11 @@ logger = logging.getLogger(__name__)
 METHODS = ("proposed", "tikhonov", "lasso", "nearest")
 SWEEPS = ("boundary_count", "boundary_perturbation", "mic_perturbation",
           "frequency")
+# the ExperimentConfig field that holds each sweep's values
+_SWEEP_VALUES = {"boundary_count": "boundary_counts",
+                 "boundary_perturbation": "boundary_perturbations",
+                 "mic_perturbation": "mic_perturbations",
+                 "frequency": "frequencies_hz"}
 
 TRUTH_FLOOR = 1e-15
 
@@ -107,11 +118,16 @@ class ExperimentConfig:
     shared_perturbation: bool = False
 
     def __post_init__(self):
-        if self.monte_carlo_runs < 1:
-            raise ValueError("monte_carlo_runs must be >= 1")
-        for name in ("mic_count", "validation_count", "plane_wave_count"):
+        for name in ("monte_carlo_runs", "mic_count", "validation_count",
+                     "plane_wave_count", "lasso_grid_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 2 <= self.lasso_folds <= self.mic_count:
+            raise ValueError(f"lasso_folds must be in 2..{self.mic_count}")
+        if self.max_image_order < 0:
+            raise ValueError("max_image_order must be >= 0")
+        if min((self.boundary_count, *self.boundary_counts)) < 0:
+            raise ValueError("boundary counts must be >= 0")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -191,6 +207,24 @@ def _make_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
                     snapshot.noise_variance, truth, dictionary)
 
 
+def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
+                    cloud: BoundaryCloud, targets, max_line_searches: int):
+    """The proposed method: fit the hyperparameters by marginal likelihood,
+    then predict the field at `targets` from the boundary-informed posterior.
+
+    Returns (fit, predictive mean, predictive variance).
+    """
+    phi = build_phi(dictionary, mics)
+    psi = build_psi(dictionary, cloud)
+    phi_tilde = build_phi_tilde(dictionary, cloud)
+    fit = fit_hyperparameters(y, phi, psi, phi_tilde,
+                              max_line_searches=max_line_searches)
+    prior = prior_covariance_from_matrices(psi, phi_tilde, fit.hyperparameters)
+    posterior = build_posterior(y, phi, prior, fit.hyperparameters, dictionary)
+    mean, variance = predict(posterior, targets)
+    return fit, mean, variance
+
+
 def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
                  assumed_mics: np.ndarray, prior_cloud: BoundaryCloud,
                  lasso_penalty: float | None = None) -> np.ndarray:
@@ -199,19 +233,11 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
     targets = data.validation.positions
     if method == "nearest":
         return nearest_neighbor(assumed_mics, data.y, targets)
+    if method == "proposed":
+        return fit_and_predict(data.y, dictionary, assumed_mics, prior_cloud,
+                               targets, cfg.max_line_searches)[1]
 
     phi = build_phi(dictionary, assumed_mics)
-    if method == "proposed":
-        psi = build_psi(dictionary, prior_cloud)
-        phi_tilde = build_phi_tilde(dictionary, prior_cloud)
-        fit = fit_hyperparameters(data.y, phi, psi, phi_tilde,
-                                  max_line_searches=cfg.max_line_searches)
-        prior = prior_covariance_from_matrices(psi, phi_tilde,
-                                               fit.hyperparameters)
-        posterior = build_posterior(data.y, phi, prior, fit.hyperparameters,
-                                    dictionary)
-        mean, _ = predict(posterior, targets)
-        return mean
     if method == "tikhonov":
         empty = np.zeros((0, dictionary.size), dtype=complex)
         fit = fit_hyperparameters(data.y, phi, empty, empty,
@@ -269,135 +295,61 @@ def _select_lasso_penalty(cfg: ExperimentConfig, data: _RunData,
                          folds=cfg.lasso_folds, seed=data.seeds["lasso_cv"])
 
 
-def _global_lasso_penalty(cfg: ExperimentConfig, data: _RunData,
-                          assumed_mics: np.ndarray) -> float:
-    phi = build_phi(data.dictionary, assumed_mics)
-    return _select_lasso_penalty(cfg, data, phi)
+def _assumed_geometry(cfg: ExperimentConfig, sweep: str, value,
+                      data: _RunData) -> tuple:
+    """Microphone positions and prior cloud the methods assume at one value
+    of `sweep`; the simulation always keeps the true geometry."""
+    mics, cloud = data.mics.positions, data.cloud
+    if sweep == "boundary_count":
+        cloud = cloud.subset(value)
+    elif sweep == "boundary_perturbation":
+        points = perturb_positions(cloud.points, value,
+                                   data.seeds["boundary_perturbation"],
+                                   cfg.shared_perturbation)
+        cloud = BoundaryCloud(points, cloud.normals)
+    elif sweep == "mic_perturbation":
+        mics = perturb_positions(mics, value, data.seeds["mic_perturbation"],
+                                 cfg.shared_perturbation)
+    return mics, cloud
 
 
-def run_boundary_count_sweep(cfg: ExperimentConfig) -> list:
-    """NMSE as the number of boundary points grows; only the boundary-aware
-    method is refit per count, the baselines are count-independent."""
-    values = tuple(int(b) for b in cfg.boundary_counts)
-    table = _Table("boundary_count", values, cfg.methods, cfg.monte_carlo_runs)
-    b_max = max(values)
-    lasso_penalty = None
-    for run in range(cfg.monte_carlo_runs):
-        data = _make_run(cfg, run, cfg.frequency_hz, b_max)
-        if "lasso" in cfg.methods and cfg.lasso_mode == "global":
-            if lasso_penalty is None:
-                lasso_penalty = _global_lasso_penalty(cfg, data,
-                                                      data.mics.positions)
-        baseline = {}
-        for method in cfg.methods:
-            if method == "proposed":
-                continue
-            baseline[method] = _timed_nmse(method, data, cfg,
-                                           data.mics.positions, data.cloud,
-                                           lasso_penalty)
-        for count in values:
-            for method in cfg.methods:
-                if method == "proposed":
-                    error, seconds = _timed_nmse(
-                        method, data, cfg, data.mics.positions,
-                        data.cloud.subset(count))
-                else:
-                    error, seconds = baseline[method]
-                table.record(count, method, run, error, seconds)
-    return table.rows()
+def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
+    """One sweep: for every run, every value, every method.
 
-
-def run_boundary_perturbation_sweep(cfg: ExperimentConfig) -> list:
-    """Boundary cloud displaced before fitting; the simulation keeps the true
-    geometry. Perturbation directions are shared across magnitudes within a
-    run, so the sweep is paired in the magnitude as well."""
-    values = tuple(float(v) for v in cfg.boundary_perturbations)
-    table = _Table("boundary_perturbation", values, cfg.methods,
-                   cfg.monte_carlo_runs)
-    lasso_penalty = None
-    for run in range(cfg.monte_carlo_runs):
-        data = _make_run(cfg, run, cfg.frequency_hz, cfg.boundary_count)
-        if "lasso" in cfg.methods and cfg.lasso_mode == "global":
-            if lasso_penalty is None:
-                lasso_penalty = _global_lasso_penalty(cfg, data,
-                                                      data.mics.positions)
-        baseline = {}
-        for method in cfg.methods:
-            if method == "proposed":
-                continue
-            baseline[method] = _timed_nmse(method, data, cfg,
-                                           data.mics.positions, data.cloud,
-                                           lasso_penalty)
-        for magnitude in values:
-            points = perturb_positions(data.cloud.points, magnitude,
-                                       data.seeds["boundary_perturbation"],
-                                       cfg.shared_perturbation)
-            perturbed = BoundaryCloud(points, data.cloud.normals)
-            for method in cfg.methods:
-                if method == "proposed":
-                    error, seconds = _timed_nmse(method, data, cfg,
-                                                 data.mics.positions,
-                                                 perturbed)
-                else:
-                    error, seconds = baseline[method]
-                table.record(magnitude, method, run, error, seconds)
-    return table.rows()
-
-
-def run_mic_perturbation_sweep(cfg: ExperimentConfig) -> list:
-    """Reconstruction assumes displaced microphone positions; simulation and
-    validation stay at the true geometry. Every method is refit since the
-    assumed positions enter each of them."""
-    values = tuple(float(v) for v in cfg.mic_perturbations)
-    table = _Table("mic_perturbation", values, cfg.methods,
-                   cfg.monte_carlo_runs)
-    lasso_penalty = None
-    for run in range(cfg.monte_carlo_runs):
-        data = _make_run(cfg, run, cfg.frequency_hz, cfg.boundary_count)
-        if "lasso" in cfg.methods and cfg.lasso_mode == "global":
-            if lasso_penalty is None:
-                lasso_penalty = _global_lasso_penalty(cfg, data,
-                                                      data.mics.positions)
-        for magnitude in values:
-            assumed = perturb_positions(data.mics.positions, magnitude,
-                                        data.seeds["mic_perturbation"],
-                                        cfg.shared_perturbation)
-            for method in cfg.methods:
-                error, seconds = _timed_nmse(method, data, cfg, assumed,
-                                             data.cloud, lasso_penalty)
-                table.record(magnitude, method, run, error, seconds)
-    return table.rows()
-
-
-def run_frequency_sweep(cfg: ExperimentConfig) -> list:
-    """Full pipeline per frequency; the wavenumber, dictionary, snapshot and
-    truth are rebuilt while the room geometry stays fixed per run."""
-    values = tuple(float(f) for f in cfg.frequencies_hz)
-    table = _Table("frequency", values, cfg.methods, cfg.monte_carlo_runs)
+    A frequency value rebuilds the run; any other value only changes the
+    geometry the methods assume. When only the prior cloud changes (the two
+    boundary sweeps), the baselines are fit once per run and their
+    (nmse, seconds) pair is recorded under every value. A global lasso
+    penalty is chosen once per frequency, on run 0, from Phi at the true
+    microphone positions.
+    """
+    values = tuple(int(v) if sweep == "boundary_count" else float(v)
+                   for v in getattr(cfg, _SWEEP_VALUES[sweep]))
+    boundary_count = (max(values) if sweep == "boundary_count"
+                      else cfg.boundary_count)
+    cloud_only = sweep in ("boundary_count", "boundary_perturbation")
+    global_lasso = "lasso" in cfg.methods and cfg.lasso_mode == "global"
+    table = _Table(sweep, values, cfg.methods, cfg.monte_carlo_runs)
     penalties = {}
     for run in range(cfg.monte_carlo_runs):
-        for frequency in values:
-            data = _make_run(cfg, run, frequency, cfg.boundary_count)
-            lasso_penalty = None
-            if "lasso" in cfg.methods and cfg.lasso_mode == "global":
-                if frequency not in penalties:
-                    penalties[frequency] = _global_lasso_penalty(
-                        cfg, data, data.mics.positions)
-                lasso_penalty = penalties[frequency]
+        data = None
+        fitted = {}
+        for value in values:
+            frequency = value if sweep == "frequency" else cfg.frequency_hz
+            if data is None or sweep == "frequency":
+                data = _make_run(cfg, run, frequency, boundary_count)
+            if global_lasso and frequency not in penalties:
+                phi = build_phi(data.dictionary, data.mics.positions)
+                penalties[frequency] = _select_lasso_penalty(cfg, data, phi)
+            mics, cloud = _assumed_geometry(cfg, sweep, value, data)
             for method in cfg.methods:
-                error, seconds = _timed_nmse(method, data, cfg,
-                                             data.mics.positions, data.cloud,
-                                             lasso_penalty)
-                table.record(frequency, method, run, error, seconds)
+                key = (method if cloud_only and method != "proposed"
+                       else (method, value))
+                if key not in fitted:
+                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud,
+                                              penalties.get(frequency))
+                table.record(value, method, run, *fitted[key])
     return table.rows()
-
-
-_SWEEP_RUNNERS = {
-    "boundary_count": run_boundary_count_sweep,
-    "boundary_perturbation": run_boundary_perturbation_sweep,
-    "mic_perturbation": run_mic_perturbation_sweep,
-    "frequency": run_frequency_sweep,
-}
 
 
 def run_sweeps(cfg: ExperimentConfig, sweeps=None) -> dict:
@@ -407,4 +359,4 @@ def run_sweeps(cfg: ExperimentConfig, sweeps=None) -> dict:
     unknown = set(chosen) - set(SWEEPS)
     if unknown:
         raise ValueError(f"unknown sweeps: {sorted(unknown)}")
-    return {name: _SWEEP_RUNNERS[name](cfg) for name in chosen}
+    return {name: _run_sweep(cfg, name) for name in chosen}

@@ -58,19 +58,11 @@ class RoomSpec:
         object.__setattr__(self, "source_position", src)
 
     @property
-    def center(self) -> np.ndarray:
-        return self.dimensions / 2.0
-
-    @property
     def mic_half_center(self) -> np.ndarray:
         """Centroid of the microphone half of the room (x > Lx/2)."""
         c = self.dimensions / 2.0
         c[0] = 0.75 * self.dimensions[0]
         return c
-
-    def contains(self, points) -> np.ndarray:
-        pts = _as_points(points)
-        return np.all((pts >= 0) & (pts <= self.dimensions), axis=1)
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,7 @@ from .optimize import MinimizeResult, minimize
 
 __all__ = [
     "ThetaVector",
-    "ObjectiveEval",
     "MarginalLikelihood",
-    "objective",
-    "gradient",
-    "finite_difference_gradient",
     "central_differences",
     "initial_theta",
     "fit_hyperparameters",
@@ -107,22 +103,6 @@ class ThetaVector:
             raise ValueError("impedance must be nonzero to take its log")
         return cls(math.log(hp.noise_variance), math.log(hp.prior_variance),
                    math.log(hp.boundary_weight), complex(np.log(hp.impedance)))
-
-
-@dataclass(frozen=True)
-class ObjectiveEval:
-    """Objective value with its 5-component real gradient."""
-
-    value: float
-    gradient: np.ndarray
-
-    def __post_init__(self):
-        grad = np.asarray(self.gradient, dtype=float)
-        if grad.shape != (5,):
-            raise ValueError("gradient must have 5 components")
-        if not (math.isfinite(self.value) and np.all(np.isfinite(grad))):
-            raise ValueError("objective evaluation must be finite")
-        object.__setattr__(self, "gradient", grad)
 
 
 class MarginalLikelihood:
@@ -239,17 +219,6 @@ class MarginalLikelihood:
 # -- spec-level operations ------------------------------------------------
 
 
-def objective(theta: ThetaVector, y, phi, psi, phi_tilde) -> float:
-    """J(theta) for one dataset; see MarginalLikelihood for repeated use."""
-    return MarginalLikelihood(y, phi, psi, phi_tilde).value(theta)
-
-
-def gradient(theta: ThetaVector, y, phi, psi, phi_tilde) -> ObjectiveEval:
-    """J(theta) together with its analytic 5-component gradient."""
-    value, grad = MarginalLikelihood(y, phi, psi, phi_tilde).value_and_gradient(theta)
-    return ObjectiveEval(value, grad)
-
-
 def central_differences(fun, x, step: float) -> np.ndarray:
     """Central finite differences of a scalar function on real coordinates."""
     x = np.asarray(x, dtype=float)
@@ -261,14 +230,6 @@ def central_differences(fun, x, step: float) -> np.ndarray:
         backward[i] -= step
         grad[i] = (fun(forward) - fun(backward)) / (2.0 * step)
     return grad
-
-
-def finite_difference_gradient(theta: ThetaVector, y, phi, psi, phi_tilde,
-                               step: float = 1e-6) -> np.ndarray:
-    """Finite-difference oracle for the analytic gradient."""
-    ml = MarginalLikelihood(y, phi, psi, phi_tilde)
-    return central_differences(
-        lambda x: ml.value(ThetaVector.from_array(x)), theta.to_array(), step)
 
 
 def initial_theta(y, num_plane_waves: int, psi=None, phi_tilde=None) -> ThetaVector:

@@ -17,24 +17,13 @@ import numpy as np
 from .geometry import MicArray, RoomSpec, _as_points
 
 __all__ = [
-    "ImageSource",
     "SimSnapshot",
-    "enumerate_images",
-    "transfer_function",
+    "image_lattice",
     "field_at_points",
     "simulate_snapshot",
 ]
 
 MIN_SOURCE_DISTANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class ImageSource:
-    """One mirrored source: position, amplitude rho^order, reflection order."""
-
-    position: np.ndarray
-    amplitude: float
-    order: int
 
 
 def _axis_images(source: float, length: float, max_order: int):
@@ -72,14 +61,6 @@ def image_lattice(room: RoomSpec, max_order: int):
     return positions[key], orders[key].astype(int)
 
 
-def enumerate_images(room: RoomSpec, max_order: int) -> list[ImageSource]:
-    """Image sources with order <= max_order; amplitude = rho^order."""
-    positions, orders = image_lattice(room, max_order)
-    rho = room.reflection_coefficient
-    return [ImageSource(pos, rho ** int(o), int(o))
-            for pos, o in zip(positions, orders)]
-
-
 def field_at_points(room: RoomSpec, receivers, k: float, max_order: int = 80) -> np.ndarray:
     """Complex pressure of the image-source sum at each receiver.
 
@@ -102,12 +83,6 @@ def field_at_points(room: RoomSpec, receivers, k: float, max_order: int = 80) ->
             raise ValueError("receiver coincides with an image source")
         out[start:start + chunk] = (amplitudes * np.exp(1j * k * d) / (4.0 * np.pi * d)).sum(axis=1)
     return out
-
-
-def transfer_function(room: RoomSpec, receiver, k: float, max_order: int = 80) -> complex:
-    """Source-to-receiver transfer function at wavenumber k."""
-    return complex(field_at_points(room, np.asarray(receiver, dtype=float).reshape(1, 3),
-                                   k, max_order)[0])
 
 
 @dataclass(frozen=True)

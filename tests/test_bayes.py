@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from roomwave.bayes import (VARIANCE_CLAMP_ABS, VARIANCE_CLAMP_REL,
-                            Hyperparameters, build_posterior, build_sigma_alpha,
+                            Hyperparameters, build_posterior,
                             map_coefficients, predict,
                             prior_covariance_from_matrices)
 from roomwave.baselines import tikhonov
@@ -23,6 +23,17 @@ def dictionary():
 @pytest.fixture
 def cloud(room):
     return sample_boundary(room, 40, seed=21)
+
+
+def prior_of(dictionary, cloud, hp):
+    """Boundary-informed prior covariance of the dictionary coefficients."""
+    return prior_covariance_from_matrices(
+        build_psi(dictionary, cloud), build_phi_tilde(dictionary, cloud), hp)
+
+
+def sigma_matrix(prior):
+    """Sigma as a P x P matrix: the prior applied to the identity."""
+    return prior.apply(np.eye(prior.dim, dtype=complex))
 
 
 def dense_sigma(psi, phi_tilde, hp):
@@ -45,27 +56,28 @@ class TestHyperparameters:
 class TestPriorCovariance:
     def test_mu_zero_is_isotropic(self, dictionary, cloud):
         hp = Hyperparameters(0.1, 2.5, 0.0, 1.0 + 0j)
-        prior = build_sigma_alpha(dictionary, cloud, hp)
-        npt.assert_allclose(prior.matrix, 2.5 * np.eye(dictionary.size),
-                            atol=1e-10)
+        prior = prior_of(dictionary, cloud, hp)
+        npt.assert_allclose(sigma_matrix(prior),
+                            2.5 * np.eye(dictionary.size), atol=1e-10)
 
     def test_empty_boundary_is_isotropic(self, dictionary, cloud):
         hp = Hyperparameters(0.1, 0.7, 5.0, 2.0 - 1.0j)
-        prior = build_sigma_alpha(dictionary, cloud.subset(0), hp)
-        npt.assert_allclose(prior.matrix, 0.7 * np.eye(dictionary.size),
-                            atol=1e-12)
+        prior = prior_of(dictionary, cloud.subset(0), hp)
+        npt.assert_allclose(sigma_matrix(prior),
+                            0.7 * np.eye(dictionary.size), atol=1e-12)
 
     def test_matches_dense_inverse(self, dictionary, cloud):
         hp = Hyperparameters(0.1, 1.3, 0.02, 1.5 + 0.5j)
         psi = build_psi(dictionary, cloud)
         phi_tilde = build_phi_tilde(dictionary, cloud)
         prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
-        npt.assert_allclose(prior.matrix, dense_sigma(psi, phi_tilde, hp),
-                            rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(sigma_matrix(prior),
+                            dense_sigma(psi, phi_tilde, hp), rtol=1e-9,
+                            atol=1e-12)
 
     def test_hermitian_and_eigenvalues_shrink(self, dictionary, cloud):
         hp = Hyperparameters(0.1, 1.0, 0.5, 1.0 + 2.0j)
-        sigma = build_sigma_alpha(dictionary, cloud, hp).matrix
+        sigma = sigma_matrix(prior_of(dictionary, cloud, hp))
         npt.assert_allclose(sigma, sigma.conj().T, atol=1e-12)
         eigs = np.linalg.eigvalsh(sigma) / hp.prior_variance
         assert np.all(eigs > 0)
@@ -73,10 +85,10 @@ class TestPriorCovariance:
 
     def test_apply_matches_matrix(self, dictionary, cloud, rng):
         hp = Hyperparameters(0.1, 1.0, 0.3, 0.5 - 0.2j)
-        prior = build_sigma_alpha(dictionary, cloud, hp)
+        prior = prior_of(dictionary, cloud, hp)
         x = rng.standard_normal((dictionary.size, 3)) * (1 + 1j)
-        npt.assert_allclose(prior.apply(x), prior.matrix @ x, rtol=1e-9,
-                            atol=1e-12)
+        npt.assert_allclose(prior.apply(x), sigma_matrix(prior) @ x,
+                            rtol=1e-9, atol=1e-12)
 
 
 def make_problem(room, dictionary, cloud, rng, m=25, noise=0.05, mu=0.1):
@@ -86,7 +98,7 @@ def make_problem(room, dictionary, cloud, rng, m=25, noise=0.05, mu=0.1):
     alpha_true = rng.standard_normal(dictionary.size) * 0.1
     y = phi @ alpha_true + noise ** 0.5 * (
         rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-    prior = build_sigma_alpha(dictionary, cloud, hp)
+    prior = prior_of(dictionary, cloud, hp)
     posterior = build_posterior(y, phi, prior, hp, dictionary)
     return hp, mics, phi, y, prior, posterior
 
@@ -95,7 +107,8 @@ class TestPosterior:
     def test_q_solve_residual(self, room, dictionary, cloud, rng):
         hp, _, phi, y, prior, posterior = make_problem(room, dictionary,
                                                        cloud, rng)
-        q = hp.noise_variance * np.eye(len(y)) + phi @ prior.matrix @ phi.conj().T
+        q = (hp.noise_variance * np.eye(len(y))
+             + phi @ sigma_matrix(prior) @ phi.conj().T)
         residual = np.linalg.norm(q @ posterior.xi - y) / np.linalg.norm(y)
         assert residual < 1e-10
 
@@ -103,13 +116,13 @@ class TestPosterior:
         hp = Hyperparameters(0.3, 1e-14, 0.0, 1.0 + 0j)
         phi = build_phi(dictionary, rng.uniform(size=(8, 3)))
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        prior = build_sigma_alpha(dictionary, cloud, hp)
+        prior = prior_of(dictionary, cloud, hp)
         posterior = build_posterior(y, phi, prior, hp, dictionary)
         npt.assert_allclose(posterior.xi, y / hp.noise_variance, rtol=1e-10)
 
     def test_dimension_check(self, dictionary, cloud, rng):
         hp = Hyperparameters(0.1, 1.0, 0.0, 1.0 + 0j)
-        prior = build_sigma_alpha(dictionary, cloud, hp)
+        prior = prior_of(dictionary, cloud, hp)
         with pytest.raises(ValueError):
             build_posterior(np.zeros(4), np.zeros((5, dictionary.size)),
                             prior, hp, dictionary)
@@ -128,7 +141,7 @@ class TestMapCoefficients:
         hp, _, phi, y, prior, posterior = make_problem(room, dictionary,
                                                        cloud, rng)
         dual = map_coefficients(posterior)
-        sigma = prior.matrix
+        sigma = sigma_matrix(prior)
         lhs = phi.conj().T @ phi / hp.noise_variance + np.linalg.inv(sigma)
         primal = np.linalg.solve(lhs, phi.conj().T @ y) / hp.noise_variance
         assert np.linalg.norm(dual - primal) / np.linalg.norm(primal) < 1e-8
@@ -140,7 +153,7 @@ class TestMapCoefficients:
         alpha = np.zeros(dictionary.size, dtype=complex)
         alpha[0] = 1.0
         y = phi @ alpha
-        prior = build_sigma_alpha(dictionary, cloud, hp)
+        prior = prior_of(dictionary, cloud, hp)
         posterior = build_posterior(y, phi, prior, hp, dictionary)
         reconstructed = phi @ map_coefficients(posterior)
         assert np.linalg.norm(reconstructed - y) / np.linalg.norm(y) < 1e-3
@@ -156,7 +169,7 @@ class TestPredict:
 
     def test_no_data_prior_predictive(self, dictionary, cloud, rng):
         hp = Hyperparameters(0.1, 1.0, 0.05, 1.0 + 0j)
-        prior = build_sigma_alpha(dictionary, cloud, hp)
+        prior = prior_of(dictionary, cloud, hp)
         posterior = build_posterior(np.zeros(0), np.zeros((0, dictionary.size)),
                                     prior, hp, dictionary)
         pts = rng.uniform(size=(6, 3))
@@ -164,7 +177,7 @@ class TestPredict:
         npt.assert_allclose(mean, 0.0)
         phi_r = build_phi(dictionary, pts)
         expected = np.einsum("jp,pj->j", phi_r,
-                             prior.matrix @ phi_r.conj().T).real
+                             sigma_matrix(prior) @ phi_r.conj().T).real
         npt.assert_allclose(variance, expected, rtol=1e-9)
 
     def test_mean_equals_field_of_map(self, room, dictionary, cloud, rng):
@@ -184,7 +197,7 @@ class TestPredict:
         assert np.all(variance >= 0)
         phi_r = build_phi(dictionary, pts)
         prior_var = np.einsum("jp,pj->j", phi_r,
-                              prior.matrix @ phi_r.conj().T).real
+                              sigma_matrix(prior) @ phi_r.conj().T).real
         assert np.all(variance <= prior_var + 1e-10)
 
 
@@ -197,7 +210,7 @@ class TestTikhonovReduction:
         mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(30, 3))
         phi = build_phi(dictionary, mics)
         y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        prior = build_sigma_alpha(dictionary, cloud, hp)
+        prior = prior_of(dictionary, cloud, hp)
         posterior = build_posterior(y, phi, prior, hp, dictionary)
         dual = map_coefficients(posterior)
         ridge = tikhonov(y, phi, hp.noise_variance, hp.prior_variance)
@@ -254,7 +267,8 @@ class TestWideBoundary:
         prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
         dense = dense_sigma(psi, phi_tilde, hp)
         atol = 1e-12 * hp.prior_variance
-        npt.assert_allclose(prior.matrix, dense, rtol=1e-9, atol=atol)
+        npt.assert_allclose(sigma_matrix(prior), dense, rtol=1e-9,
+                            atol=atol)
         x = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
         npt.assert_allclose(prior.apply(x), dense @ x, rtol=1e-9,
                             atol=atol * np.abs(x).max())

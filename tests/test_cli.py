@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from roomwave import experiments
 from roomwave.cli import GRADCHECK_TOLERANCE, main
+from roomwave.config import load_config
 
 TINY_CONFIG = """\
 seed: 7
@@ -23,9 +27,15 @@ optimizer:
 
 
 @pytest.fixture
-def simulated(tmp_path):
+def tiny(tmp_path):
     config = tmp_path / "tiny.yaml"
     config.write_text(TINY_CONFIG, encoding="utf-8")
+    return config
+
+
+@pytest.fixture
+def simulated(tiny, tmp_path):
+    config = tiny
     data = tmp_path / "data"
     assert main(["simulate", str(config), str(data)]) == 0
     return config, data
@@ -60,3 +70,70 @@ def test_gradcheck_passes(capsys):
     match = re.search(r"max relative gradient error: (\S+)",
                       capsys.readouterr().out)
     assert float(match.group(1)) < GRADCHECK_TOLERANCE
+
+
+@pytest.mark.parametrize("override", [
+    "benchmark.monte_carlo_runs=0", "array.mic_count=0", "lasso.mode=bogus",
+    "room.reflection_coefficient=1.5", "lasso.folds=1", "lasso.grid_size=0",
+    "simulation.max_image_order=-1", "boundary.count=-1"])
+def test_bad_config_value_exits_2(tiny, tmp_path, capsys, override):
+    code = main(["benchmark", str(tiny), str(tmp_path / "out"),
+                 "--set", override])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reconstruct_missing_snapshot_exits_4(simulated, tmp_path, capsys):
+    config, data = simulated
+    code = main(["reconstruct", str(data / "absent.txt"),
+                 str(data / "boundary.txt"), str(config), str(tmp_path / "o")])
+    assert code == 4
+    assert "i/o failure" in capsys.readouterr().err
+
+
+# every name perfbench/tracer.py patches on `experiments`
+TRACED = ("build_phi", "build_psi", "build_phi_tilde", "fit_hyperparameters",
+          "prior_covariance_from_matrices", "build_posterior", "predict",
+          "tikhonov", "lasso", "select_lambda", "nearest_neighbor",
+          "evaluate_field", "simulate_snapshot", "field_at_points",
+          "sample_microphones", "sample_validation_points", "sample_boundary",
+          "perturb_positions")
+CHAIN = ("fit_hyperparameters", "prior_covariance_from_matrices",
+         "build_posterior", "predict")
+
+
+def test_sweep_and_reconstruct_share_one_traceable_chain(simulated, tmp_path,
+                                                         monkeypatch):
+    """The benchmark and `roomwave reconstruct` run the proposed method
+    through the same chain, looked up on `experiments` where the tracer
+    patches it."""
+    config, data = simulated
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED:
+        monkeypatch.setattr(experiments, name,
+                            counting(name, getattr(experiments, name)))
+
+    cfg = dataclasses.replace(load_config(config).experiment_config(),
+                              monte_carlo_runs=1, boundary_counts=(0, 20))
+    experiments.run_sweeps(cfg, ["boundary_count"])
+    # two proposed fits (one per count) and one Tikhonov fit
+    assert calls["fit_hyperparameters"] == 3
+    for name in CHAIN[1:] + ("build_psi", "build_phi_tilde"):
+        assert calls[name] == 2, name
+    assert all(calls[name] > 0 for name in TRACED
+               if name != "perturb_positions"), calls
+
+    calls.clear()
+    assert main(["reconstruct", str(data / "snapshot.txt"),
+                 str(data / "boundary.txt"), str(config),
+                 str(tmp_path / "out")]) == 0
+    for name in CHAIN + ("build_phi", "build_psi", "build_phi_tilde"):
+        assert calls[name] == 1, name

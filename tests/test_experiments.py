@@ -4,13 +4,10 @@ import pytest
 
 from roomwave import baselines, experiments
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
-                                  run_boundary_count_sweep,
-                                  run_boundary_perturbation_sweep,
-                                  run_frequency_sweep,
-                                  run_mic_perturbation_sweep, run_seeds,
-                                  run_sweeps, to_db)
+                                  run_seeds, run_sweeps, to_db)
 from roomwave.fileio import write_aggregate_csv
-from roomwave.geometry import RoomSpec
+from roomwave.geometry import perturb_positions
+from roomwave.planewaves import build_phi
 
 
 class TestNmse:
@@ -86,12 +83,24 @@ def tiny_config(room, **overrides):
     return ExperimentConfig(**defaults)
 
 
+def sweep(cfg, name):
+    return run_sweeps(cfg, [name])[name]
+
+
 class TestConfigValidation:
     def test_counts_must_be_positive(self, room):
         with pytest.raises(ValueError):
             tiny_config(room, monte_carlo_runs=0)
         with pytest.raises(ValueError):
             tiny_config(room, mic_count=0)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(lasso_grid_size=0), dict(lasso_folds=1), dict(lasso_folds=15),
+        dict(max_image_order=-1), dict(boundary_count=-1),
+        dict(boundary_counts=(0, -1))])
+    def test_lasso_image_order_and_boundary_bounds(self, room, overrides):
+        with pytest.raises(ValueError):
+            tiny_config(room, **overrides)
 
     def test_unknown_method_rejected(self, room):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -106,7 +115,7 @@ class TestSweeps:
     def test_minimal_sweep_shape(self, room):
         cfg = tiny_config(room, methods=("nearest",), boundary_counts=(3,),
                           monte_carlo_runs=1)
-        rows = run_boundary_count_sweep(cfg)
+        rows = sweep(cfg, "boundary_count")
         assert len(rows) == 1
         row = rows[0]
         assert isinstance(row, RunResult)
@@ -117,7 +126,7 @@ class TestSweeps:
 
     def test_boundary_count_rows_ordered_and_finite(self, room):
         cfg = tiny_config(room)
-        rows = run_boundary_count_sweep(cfg)
+        rows = sweep(cfg, "boundary_count")
         assert len(rows) == len(cfg.boundary_counts) * len(cfg.methods)
         keys = [(r.value, r.method) for r in rows]
         expected = [(float(b), m) for b in cfg.boundary_counts
@@ -128,8 +137,8 @@ class TestSweeps:
 
     def test_determinism_across_calls(self, room):
         cfg = tiny_config(room)
-        first = run_boundary_count_sweep(cfg)
-        second = run_boundary_count_sweep(cfg)
+        first = sweep(cfg, "boundary_count")
+        second = sweep(cfg, "boundary_count")
         for a, b in zip(first, second):
             npt.assert_array_equal(a.nmse_per_run, b.nmse_per_run)
 
@@ -138,9 +147,9 @@ class TestSweeps:
         sweep bit for bit at equal seeds (shared per-run randomness)."""
         cfg = tiny_config(room)
         count_rows = {(r.value, r.method): r
-                      for r in run_boundary_count_sweep(cfg)}
+                      for r in sweep(cfg, "boundary_count")}
         perturb_rows = {(r.value, r.method): r
-                        for r in run_boundary_perturbation_sweep(cfg)}
+                        for r in sweep(cfg, "boundary_perturbation")}
         for method in cfg.methods:
             baseline = count_rows[(float(cfg.boundary_count), method)]
             unperturbed = perturb_rows[(0.0, method)]
@@ -150,9 +159,9 @@ class TestSweeps:
     def test_mic_perturbation_zero_matches_baseline(self, room):
         cfg = tiny_config(room)
         count_rows = {(r.value, r.method): r
-                      for r in run_boundary_count_sweep(cfg)}
+                      for r in sweep(cfg, "boundary_count")}
         mic_rows = {(r.value, r.method): r
-                    for r in run_mic_perturbation_sweep(cfg)}
+                    for r in sweep(cfg, "mic_perturbation")}
         for method in cfg.methods:
             baseline = count_rows[(float(cfg.boundary_count), method)]
             unperturbed = mic_rows[(0.0, method)]
@@ -161,7 +170,7 @@ class TestSweeps:
 
     def test_frequency_sweep_runs_all_frequencies(self, room):
         cfg = tiny_config(room, methods=("tikhonov", "nearest"))
-        rows = run_frequency_sweep(cfg)
+        rows = sweep(cfg, "frequency")
         values = sorted({r.value for r in rows})
         assert values == [200.0, 250.0]
         for row in rows:
@@ -188,7 +197,7 @@ class TestLassoGridSize:
 
         monkeypatch.setattr(baselines, "lasso", counting_lasso)
         cfg = self.lasso_cfg(room, lasso_grid_size=5)
-        run_mic_perturbation_sweep(cfg)
+        sweep(cfg, "mic_perturbation")
         assert len(penalties) == 5 * cfg.lasso_folds
         assert len(set(penalties)) == 5
 
@@ -198,7 +207,7 @@ class TestLassoGridSize:
         aggregate CSV is byte-identical to a run that passes no grid."""
         cfg = self.lasso_cfg(room, lasso_grid_size=20)
         configured = tmp_path / "configured.csv"
-        write_aggregate_csv(configured, run_mic_perturbation_sweep(cfg))
+        write_aggregate_csv(configured, sweep(cfg, "mic_perturbation"))
 
         original = experiments.select_lambda
 
@@ -207,5 +216,76 @@ class TestLassoGridSize:
 
         monkeypatch.setattr(experiments, "select_lambda", without_grid)
         default = tmp_path / "default.csv"
-        write_aggregate_csv(default, run_mic_perturbation_sweep(cfg))
+        write_aggregate_csv(default, sweep(cfg, "mic_perturbation"))
         assert configured.read_bytes() == default.read_bytes()
+
+
+class TestDriver:
+    """What the one sweep driver must keep from the four runners it
+    replaced."""
+
+    def lasso_cfg(self, room, **overrides):
+        return tiny_config(room, methods=("lasso",), lasso_mode="global",
+                           **overrides)
+
+    def record_select_lambda(self, monkeypatch):
+        phis = []
+        original = experiments.select_lambda
+
+        def recording(y, phi, *args, **kwargs):
+            phis.append(phi)
+            return original(y, phi, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "select_lambda", recording)
+        return phis
+
+    @staticmethod
+    def true_phi(cfg, frequency):
+        data = experiments._make_run(cfg, 0, frequency, cfg.boundary_count)
+        return build_phi(data.dictionary, data.mics.positions)
+
+    @pytest.mark.parametrize("name", ["boundary_count",
+                                      "boundary_perturbation",
+                                      "mic_perturbation"])
+    def test_global_penalty_once_per_sweep(self, room, monkeypatch, name):
+        phis = self.record_select_lambda(monkeypatch)
+        cfg = self.lasso_cfg(room)
+        sweep(cfg, name)
+        assert len(phis) == 1
+        npt.assert_array_equal(phis[0], self.true_phi(cfg, cfg.frequency_hz))
+
+    def test_global_penalty_once_per_frequency(self, room, monkeypatch):
+        phis = self.record_select_lambda(monkeypatch)
+        cfg = self.lasso_cfg(room)
+        sweep(cfg, "frequency")
+        assert len(phis) == len(cfg.frequencies_hz)
+        for phi, frequency in zip(phis, cfg.frequencies_hz):
+            npt.assert_array_equal(phi, self.true_phi(cfg, frequency))
+
+    def test_global_penalty_ignores_perturbed_mics(self, room, monkeypatch):
+        """The first magnitude is nonzero, yet the penalty comes from Phi at
+        the true microphone positions."""
+        phis = self.record_select_lambda(monkeypatch)
+        cfg = self.lasso_cfg(room, mic_perturbations=(0.05, 0.1))
+        sweep(cfg, "mic_perturbation")
+        assert len(phis) == 1
+        true_phi = self.true_phi(cfg, cfg.frequency_hz)
+        npt.assert_array_equal(phis[0], true_phi)
+        data = experiments._make_run(cfg, 0, cfg.frequency_hz,
+                                     cfg.boundary_count)
+        moved = perturb_positions(data.mics.positions, 0.05,
+                                  data.seeds["mic_perturbation"], False)
+        assert not np.array_equal(build_phi(data.dictionary, moved), true_phi)
+
+    @pytest.mark.parametrize("name", ["boundary_count",
+                                      "boundary_perturbation"])
+    def test_boundary_sweeps_fit_baselines_once_per_run(self, room, name):
+        cfg = tiny_config(room)
+        rows = sweep(cfg, name)
+        for method in ("tikhonov", "lasso", "nearest"):
+            pairs = {tuple(zip(r.nmse_per_run, r.seconds_per_run))
+                     for r in rows if r.method == method}
+            assert len(pairs) == 1, method
+        proposed = {tuple(r.seconds_per_run) for r in rows
+                    if r.method == "proposed"}
+        assert len(proposed) == len(rows) // len(cfg.methods)

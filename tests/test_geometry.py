@@ -9,7 +9,7 @@ from roomwave.geometry import (BoundaryCloud, MicArray, RoomSpec, face_areas,
 
 class TestRoomSpec:
     def test_valid(self, room):
-        npt.assert_allclose(room.center, [2.5, 2.0, 1.5])
+        npt.assert_allclose(room.dimensions / 2.0, [2.5, 2.0, 1.5])
         npt.assert_allclose(room.mic_half_center, [3.75, 2.0, 1.5])
 
     @pytest.mark.parametrize("dims", [(0.0, 4, 3), (5, -1, 3), (5, 4)])
@@ -106,7 +106,7 @@ class TestBoundarySampling:
             cloud.points, room.dimensions)
         assert np.all(on_face.any(axis=1))
         outward = np.einsum("ij,ij->i", cloud.normals,
-                            cloud.points - room.center)
+                            cloud.points - room.dimensions / 2.0)
         assert np.all(outward > 0)
 
     def test_single_point_axis_aligned_normal(self, room):

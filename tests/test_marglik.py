@@ -7,10 +7,9 @@ import pytest
 
 from roomwave._linalg import FactorizationError
 from roomwave.bayes import Hyperparameters
-from roomwave.marglik import (MarginalLikelihood, ObjectiveEval, ThetaVector,
-                              central_differences, finite_difference_gradient,
-                              fit_hyperparameters, gradient, gradient_check,
-                              initial_theta, objective)
+from roomwave.marglik import (MarginalLikelihood, ThetaVector,
+                              central_differences, fit_hyperparameters,
+                              gradient_check, initial_theta)
 
 THETA0 = ThetaVector(-1.0, 0.5, -0.3, 0.2 - 0.4j)
 
@@ -88,14 +87,14 @@ class TestThetaVector:
 class TestObjective:
     def test_matches_dense_eigendecomposition(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=15, p=40, b=25, seed=3)
-        value = objective(THETA0, y, phi, psi, phi_tilde)
+        value = MarginalLikelihood(y, phi, psi, phi_tilde).value(THETA0)
         oracle = dense_objective(THETA0, y, phi, psi, phi_tilde)
         assert value == pytest.approx(oracle, rel=1e-9)
 
     def test_vanishing_prior_limit(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=12, p=30, b=20, seed=4)
         theta = ThetaVector(-0.7, -60.0, 0.0, 0j)
-        value = objective(theta, y, phi, psi, phi_tilde)
+        value = MarginalLikelihood(y, phi, psi, phi_tilde).value(theta)
         s2 = math.exp(-0.7)
         expected = (0.5 * float(np.sum(np.abs(y) ** 2)) / s2
                     + 0.5 * len(y) * math.log(s2))
@@ -129,10 +128,13 @@ class TestObjective:
 class TestGradient:
     def test_matches_finite_differences(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=20, p=50, b=30, seed=8)
-        result = gradient(THETA0, y, phi, psi, phi_tilde)
-        assert isinstance(result, ObjectiveEval)
-        numeric = finite_difference_gradient(THETA0, y, phi, psi, phi_tilde)
-        npt.assert_allclose(result.gradient, numeric, rtol=1e-5, atol=1e-9)
+        ml = MarginalLikelihood(y, phi, psi, phi_tilde)
+        value, grad = ml.value_and_gradient(THETA0)
+        assert math.isfinite(value) and grad.shape == (5,)
+        numeric = central_differences(
+            lambda x: ml.value(ThetaVector.from_array(x)), THETA0.to_array(),
+            1e-6)
+        npt.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-9)
 
     def test_gradient_check_suite(self):
         start = time.perf_counter()

@@ -4,9 +4,8 @@ import pytest
 
 from roomwave.geometry import MicArray, RoomSpec
 from roomwave.planewaves import wavenumber
-from roomwave.simulator import (SimSnapshot, enumerate_images, field_at_points,
-                                image_lattice, simulate_snapshot,
-                                transfer_function)
+from roomwave.simulator import (SimSnapshot, field_at_points, image_lattice,
+                                simulate_snapshot)
 
 
 def bfs_image_positions(room, max_order):
@@ -33,14 +32,18 @@ def bfs_image_positions(room, max_order):
 
 class TestImageEnumeration:
     def test_order_zero_is_source(self, room):
-        images = enumerate_images(room, 0)
-        assert len(images) == 1
-        npt.assert_array_equal(images[0].position, room.source_position)
-        assert images[0].amplitude == 1.0
-        assert images[0].order == 0
+        positions, orders = image_lattice(room, 0)
+        assert len(positions) == 1
+        npt.assert_array_equal(positions[0], room.source_position)
+        assert orders[0] == 0
+        # amplitude one: the order-0 field is the free field of the source
+        receiver = np.array([3.0, 2.5, 1.0])
+        d = np.linalg.norm(receiver - room.source_position)
+        npt.assert_allclose(field_at_points(room, [receiver], 5.0, 0),
+                            np.exp(5j * d) / (4 * np.pi * d), rtol=1e-14)
 
     def test_order_one_has_seven_sources(self, room):
-        assert len(enumerate_images(room, 1)) == 7
+        assert len(image_lattice(room, 1)[0]) == 7
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_counts_and_positions_match_bfs_oracle(self, room, order):
@@ -53,16 +56,27 @@ class TestImageEnumeration:
             assert oracle[key] == o
 
     def test_amplitudes_are_powers_of_reflection(self, room):
-        for image in enumerate_images(room, 4):
-            assert image.amplitude == pytest.approx(
-                room.reflection_coefficient ** image.order, rel=1e-12)
+        """The field sums rho^order e^{ikd} / (4 pi d) over the lattice."""
+        positions, orders = image_lattice(room, 4)
+        receivers = np.array([[4.0, 3.0, 2.0], [3.0, 1.0, 1.0]])
+        k = wavenumber(300.0, 343.0)
+        d = np.linalg.norm(receivers[:, None] - positions[None], axis=2)
+        amplitudes = room.reflection_coefficient ** orders.astype(float)
+        expected = (amplitudes * np.exp(1j * k * d) / (4 * np.pi * d)).sum(1)
+        npt.assert_allclose(field_at_points(room, receivers, k, 4), expected,
+                            rtol=1e-12)
 
     def test_negative_order_rejected(self, room):
         with pytest.raises(ValueError):
-            enumerate_images(room, -1)
+            image_lattice(room, -1)
+        with pytest.raises(ValueError):
+            field_at_points(room, [[4.0, 3.0, 2.0]], 5.0, -1)
 
 
 class TestTransferFunction:
+    """The source-to-receiver transfer function is field_at_points at a
+    single receiver."""
+
     def test_free_field(self):
         room = RoomSpec(np.array([5.0, 4.0, 3.0]), 0.0,
                         np.array([1.0, 2.0, 1.5]))
@@ -70,14 +84,14 @@ class TestTransferFunction:
         k = wavenumber(300.0, 343.0)
         d = np.linalg.norm(receiver - room.source_position)
         expected = np.exp(1j * k * d) / (4 * np.pi * d)
-        value = transfer_function(room, receiver, k, max_order=10)
+        value = field_at_points(room, [receiver], k, max_order=10)[0]
         npt.assert_allclose(value, expected, rtol=1e-14)
 
     def test_free_field_modulus_at_unit_distance(self):
         room = RoomSpec(np.array([5.0, 4.0, 3.0]), 0.0,
                         np.array([1.0, 2.0, 1.5]))
         receiver = room.source_position + np.array([1.0, 0.0, 0.0])
-        value = transfer_function(room, receiver, 5.0, max_order=0)
+        value = field_at_points(room, [receiver], 5.0, max_order=0)[0]
         assert abs(value) == pytest.approx(1.0 / (4 * np.pi), rel=1e-14)
 
     def test_reciprocity(self, room):
@@ -86,21 +100,21 @@ class TestTransferFunction:
         b = np.array([3.7, 1.1, 2.2])
         room_a = RoomSpec(room.dimensions, 0.7, a)
         room_b = RoomSpec(room.dimensions, 0.7, b)
-        forward = transfer_function(room_a, b, k, max_order=8)
-        backward = transfer_function(room_b, a, k, max_order=8)
+        forward = field_at_points(room_a, [b], k, max_order=8)
+        backward = field_at_points(room_b, [a], k, max_order=8)
         npt.assert_allclose(forward, backward, rtol=1e-12)
 
     def test_receiver_at_source_rejected(self, room):
         with pytest.raises(ValueError, match="coincides"):
-            transfer_function(room, room.source_position, 5.0, max_order=2)
+            field_at_points(room, [room.source_position], 5.0, max_order=2)
 
     def test_truncation_tail_bound(self, room):
         """Raising the order changes the field by no more than the summed
         amplitude of the added images."""
         k = wavenumber(300.0, 343.0)
         receiver = np.array([4.0, 3.0, 2.0])
-        u20 = transfer_function(room, receiver, k, max_order=20)
-        u40 = transfer_function(room, receiver, k, max_order=40)
+        u20 = field_at_points(room, [receiver], k, max_order=20)[0]
+        u40 = field_at_points(room, [receiver], k, max_order=40)[0]
         positions, orders = image_lattice(room, 40)
         added = orders > 20
         dist = np.linalg.norm(positions[added] - receiver, axis=1)
