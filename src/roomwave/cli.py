@@ -6,9 +6,9 @@ Subcommands:
   benchmark    run the Monte-Carlo sweeps and write per-run/aggregate CSVs
   gradcheck    compare analytic and finite-difference gradients
 
-Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure,
-4 I/O failure. `ROOMWAVE_NUM_THREADS` caps the BLAS thread count when set
-before launch.
+Exit codes: 0 success, 2 configuration error or malformed input file,
+3 numerical failure, 4 I/O failure. `ROOMWAVE_NUM_THREADS` caps the BLAS
+thread count when set before launch.
 """
 
 from __future__ import annotations
@@ -67,25 +67,14 @@ def _load_config(args):
 
 def _cmd_simulate(args) -> int:
     from . import fileio
-    from .experiments import run_seeds
-    from .geometry import sample_boundary, sample_microphones
-    from .simulator import simulate_snapshot
+    from .experiments import draw_run
 
     config = _load_config(args)
-    room = config.room_spec()
-    seeds = run_seeds(config.seed, 0)
-    mics = sample_microphones(room, config.array.mic_count, None,
-                              config.array.exclusion_radius,
-                              seeds["microphones"])
-    cloud = sample_boundary(room, config.boundary.count, seeds["boundary"])
-    snapshot = simulate_snapshot(room, mics, config.simulation.frequency_hz,
-                                 config.medium.speed_of_sound,
-                                 config.simulation.snr_db,
-                                 config.simulation.max_image_order,
-                                 seeds["noise"])
+    seeds, mics, cloud, snapshot = draw_run(config, 0, config.frequency_hz,
+                                            config.boundary_count)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_snapshot(args.out_dir / "snapshot.txt", room, mics, snapshot,
-                          seeds["noise"])
+    fileio.write_snapshot(args.out_dir / "snapshot.txt", config.room, mics,
+                          snapshot, seeds["noise"])
     fileio.write_mic_array(args.out_dir / "microphones.txt", mics)
     fileio.write_point_cloud(args.out_dir / "boundary.txt", cloud)
     print(f"wrote snapshot ({len(mics)} microphones, "
@@ -102,17 +91,16 @@ def _cmd_reconstruct(args) -> int:
     config = _load_config(args)
     source = fileio.read_snapshot(args.snapshot)
     cloud = fileio.read_point_cloud(args.cloud)
-    if config.reconstruct.points:
-        points = fileio.read_mic_array(config.reconstruct.points).positions
+    if config.reconstruct_points:
+        points = fileio.read_mic_array(config.reconstruct_points).positions
     else:
         points = source.mics.positions
-    k = wavenumber(source.snapshot.frequency_hz,
-                   config.medium.speed_of_sound)
+    k = wavenumber(source.snapshot.frequency_hz, config.speed_of_sound)
     dictionary = PlaneWaveDictionary(
-        k, fibonacci_directions(config.dictionary.plane_wave_count))
+        k, fibonacci_directions(config.plane_wave_count))
     fit, mean, variance = fit_and_predict(
         source.snapshot.noisy, dictionary, source.mics.positions, cloud,
-        points, config.optimizer.max_line_searches)
+        points, config.max_line_searches)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_reconstruction(args.out_dir / "reconstruction.txt", points,
@@ -132,9 +120,8 @@ def _cmd_benchmark(args) -> int:
     from .experiments import run_sweeps
 
     config = _load_config(args)
-    experiment = config.experiment_config()
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_sweeps(experiment, config.benchmark.sweeps)
+    results = run_sweeps(config)
     for sweep, rows in results.items():
         fileio.write_runs_csv(args.out_dir / f"{sweep}_runs.csv", rows)
         fileio.write_aggregate_csv(args.out_dir / f"{sweep}_aggregate.csv", rows)
@@ -164,6 +151,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from ._linalg import FactorizationError
     from .config import ConfigError
+    from .fileio import FormatError
 
     import numpy as np
 
@@ -171,6 +159,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except FormatError as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     except (FactorizationError, np.linalg.LinAlgError,
             FloatingPointError) as exc:

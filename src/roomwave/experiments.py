@@ -45,6 +45,7 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "run_seeds",
+    "draw_run",
     "fit_and_predict",
     "run_sweeps",
 ]
@@ -92,9 +93,11 @@ def to_db(value: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; see configs/default.yaml for the file form."""
+    """Every setting of the CLI and the sweeps, with its one default; see
+    configs/default.yaml for the file form and config._SCHEMA for the key
+    that sets each field."""
 
-    room: RoomSpec
+    room: RoomSpec = field(default_factory=RoomSpec)
     speed_of_sound: float = 343.0
     frequency_hz: float = 300.0
     snr_db: float = 20.0
@@ -110,12 +113,14 @@ class ExperimentConfig:
     frequencies_hz: tuple = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 800.0)
     monte_carlo_runs: int = 10
     methods: tuple = METHODS
+    sweeps: tuple = SWEEPS
     master_seed: int = 20240901
     max_line_searches: int = 100
     lasso_grid_size: int = 20
     lasso_folds: int = 5
     lasso_mode: str = "per_run"
     shared_perturbation: bool = False
+    reconstruct_points: str | None = None   # file of prediction points (x y z)
 
     def __post_init__(self):
         for name in ("monte_carlo_runs", "mic_count", "validation_count",
@@ -128,9 +133,14 @@ class ExperimentConfig:
             raise ValueError("max_image_order must be >= 0")
         if min((self.boundary_count, *self.boundary_counts)) < 0:
             raise ValueError("boundary counts must be >= 0")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+        for name, known in (("methods", METHODS), ("sweeps", SWEEPS)):
+            unknown = set(getattr(self, name)) - set(known)
+            if unknown:
+                raise ValueError(f"unknown {name}: {sorted(unknown)}")
+        empty = [_SWEEP_VALUES[s] for s in self.sweeps
+                 if not getattr(self, _SWEEP_VALUES[s])]
+        if empty:
+            raise ValueError(f"no values to sweep in {empty}")
         if self.lasso_mode not in ("per_run", "global"):
             raise ValueError("lasso_mode must be 'per_run' or 'global'")
 
@@ -186,19 +196,28 @@ class _RunData:
     dictionary: PlaneWaveDictionary
 
 
-def _make_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
-              boundary_count: int) -> _RunData:
+def draw_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
+             boundary_count: int) -> tuple:
+    """The measured side of one run: (seeds, microphones, boundary cloud,
+    snapshot at `frequency_hz`). The cloud is empty for a zero count."""
     seeds = run_seeds(cfg.master_seed, run)
     mics = sample_microphones(cfg.room, cfg.mic_count, None,
                               cfg.exclusion_radius, seeds["microphones"])
-    validation = sample_validation_points(cfg.room, cfg.validation_count, None,
-                                          cfg.exclusion_radius,
-                                          seeds["validation"])
     cloud = (sample_boundary(cfg.room, boundary_count, seeds["boundary"])
              if boundary_count else BoundaryCloud.empty())
     snapshot = simulate_snapshot(cfg.room, mics, frequency_hz,
                                  cfg.speed_of_sound, cfg.snr_db,
                                  cfg.max_image_order, seeds["noise"])
+    return seeds, mics, cloud, snapshot
+
+
+def _make_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
+              boundary_count: int) -> _RunData:
+    seeds, mics, cloud, snapshot = draw_run(cfg, run, frequency_hz,
+                                            boundary_count)
+    validation = sample_validation_points(cfg.room, cfg.validation_count, None,
+                                          cfg.exclusion_radius,
+                                          seeds["validation"])
     k = wavenumber(frequency_hz, cfg.speed_of_sound)
     truth = field_at_points(cfg.room, validation.positions, k,
                             cfg.max_image_order)
@@ -352,11 +371,6 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     return table.rows()
 
 
-def run_sweeps(cfg: ExperimentConfig, sweeps=None) -> dict:
-    """Run the requested sweeps (default: all four) and return
-    {sweep name: list of RunResult}."""
-    chosen = SWEEPS if sweeps is None else tuple(sweeps)
-    unknown = set(chosen) - set(SWEEPS)
-    if unknown:
-        raise ValueError(f"unknown sweeps: {sorted(unknown)}")
-    return {name: _run_sweep(cfg, name) for name in chosen}
+def run_sweeps(cfg: ExperimentConfig) -> dict:
+    """Run `cfg.sweeps` and return {sweep name: list of RunResult}."""
+    return {name: _run_sweep(cfg, name) for name in cfg.sweeps}

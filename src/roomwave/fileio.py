@@ -22,6 +22,7 @@ from .geometry import BoundaryCloud, MicArray, RoomSpec
 from .simulator import SimSnapshot
 
 __all__ = [
+    "FormatError",
     "atomic_write",
     "write_point_cloud",
     "read_point_cloud",
@@ -36,6 +37,10 @@ __all__ = [
     "write_runs_csv",
     "write_aggregate_csv",
 ]
+
+
+class FormatError(ValueError):
+    """An input file does not hold what its reader expects."""
 
 
 def _fmt(value) -> str:
@@ -59,6 +64,24 @@ def atomic_write(path):
         raise
 
 
+@contextmanager
+def _parsing(path):
+    """Re-raise a ValueError from parsing `path` as a FormatError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _rows(lines, columns: int, layout: str) -> np.ndarray:
+    """Whitespace-separated rows of `columns` numbers, as an (n, columns)
+    array."""
+    rows = [[float(token) for token in line.split()] for line in lines]
+    if any(len(row) != columns for row in rows):
+        raise ValueError(f"expected rows of {columns} columns ({layout})")
+    return np.array(rows, dtype=float).reshape(-1, columns)
+
+
 def _data_lines(path) -> list:
     lines = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -77,13 +100,9 @@ def write_point_cloud(path, cloud: BoundaryCloud) -> None:
 
 
 def read_point_cloud(path) -> BoundaryCloud:
-    rows = [[float(token) for token in line.split()] for line in _data_lines(path)]
-    if not rows:
-        return BoundaryCloud.empty()
-    data = np.asarray(rows)
-    if data.shape[1] != 6:
-        raise ValueError(f"{path}: expected 6 columns (x y z nx ny nz)")
-    return BoundaryCloud(data[:, :3], data[:, 3:])
+    with _parsing(path):
+        data = _rows(_data_lines(path), 6, "x y z nx ny nz")
+        return BoundaryCloud(data[:, :3], data[:, 3:])
 
 
 def write_mic_array(path, mics: MicArray) -> None:
@@ -94,11 +113,8 @@ def write_mic_array(path, mics: MicArray) -> None:
 
 
 def read_mic_array(path) -> MicArray:
-    rows = [[float(token) for token in line.split()] for line in _data_lines(path)]
-    data = np.asarray(rows)
-    if data.size == 0 or data.shape[1] != 3:
-        raise ValueError(f"{path}: expected nonempty rows of 3 columns (x y z)")
-    return MicArray(data)
+    with _parsing(path):
+        return MicArray(_rows(_data_lines(path), 3, "x y z"))
 
 
 @dataclass
@@ -137,35 +153,31 @@ def read_snapshot(path) -> SnapshotFile:
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, rest = line[1:].strip().partition(" ")
                 header[key] = rest.strip()
-            else:
-                rows.append([float(token) for token in line.split()])
+            elif line:
+                rows.append(line)
     required = ("frequency_hz", "noise_variance", "seed", "room_dimensions",
                 "room_reflection_coefficient", "room_source_position")
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise ValueError(f"{path}: missing header fields {missing}")
-    data = np.asarray(rows)
-    if data.size == 0 or data.shape[1] != 7:
-        raise ValueError(f"{path}: expected rows of 7 columns")
-    room = RoomSpec(
-        dimensions=np.array([float(v) for v in header["room_dimensions"].split()]),
-        reflection_coefficient=float(header["room_reflection_coefficient"]),
-        source_position=np.array([float(v) for v in
-                                  header["room_source_position"].split()]),
-    )
-    snapshot = SimSnapshot(
-        frequency_hz=float(header["frequency_hz"]),
-        clean=data[:, 3] + 1j * data[:, 4],
-        noisy=data[:, 5] + 1j * data[:, 6],
-        noise_variance=float(header["noise_variance"]),
-    )
-    return SnapshotFile(room, MicArray(data[:, :3]), snapshot,
-                        int(header["seed"]))
+    with _parsing(path):
+        missing = [key for key in required if key not in header]
+        if missing:
+            raise ValueError(f"missing header fields {missing}")
+        data = _rows(rows, 7, "x y z re_clean im_clean re_noisy im_noisy")
+        room = RoomSpec(
+            np.array([float(v) for v in header["room_dimensions"].split()]),
+            float(header["room_reflection_coefficient"]),
+            np.array([float(v) for v in
+                      header["room_source_position"].split()]))
+        snapshot = SimSnapshot(
+            frequency_hz=float(header["frequency_hz"]),
+            clean=data[:, 3] + 1j * data[:, 4],
+            noisy=data[:, 5] + 1j * data[:, 6],
+            noise_variance=float(header["noise_variance"]),
+        )
+        return SnapshotFile(room, MicArray(data[:, :3]), snapshot,
+                            int(header["seed"]))
 
 
 def write_reconstruction(path, points, mean, std) -> None:

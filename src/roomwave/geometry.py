@@ -39,11 +39,12 @@ def _as_points(points, name: str = "points") -> np.ndarray:
 class RoomSpec:
     """Axis-aligned shoebox room [0, Lx] x [0, Ly] x [0, Lz] with a point
     source strictly inside and a single pressure reflection coefficient
-    shared by all six walls."""
+    shared by all six walls. The defaults are the office-scale room that
+    configs/default.yaml lists; any 3-sequence is stored as an array."""
 
-    dimensions: np.ndarray
-    reflection_coefficient: float
-    source_position: np.ndarray
+    dimensions: np.ndarray = (5.0, 4.0, 3.0)
+    reflection_coefficient: float = 0.95
+    source_position: np.ndarray = (1.0, 2.0, 1.5)
 
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=float)

@@ -6,9 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from roomwave import experiments
+from roomwave import experiments, fileio
+from roomwave._linalg import FactorizationError
 from roomwave.cli import GRADCHECK_TOLERANCE, main
 from roomwave.config import load_config
+from roomwave.geometry import sample_boundary, sample_microphones
+from roomwave.simulator import simulate_snapshot
 
 TINY_CONFIG = """\
 seed: 7
@@ -45,6 +48,36 @@ def test_simulate_writes_inputs(simulated):
     _, data = simulated
     for name in ("snapshot.txt", "microphones.txt", "boundary.txt"):
         assert (data / name).stat().st_size > 0
+
+
+def test_simulate_draws_each_seed_into_its_sampler(simulated, tmp_path):
+    """`simulate` writes run 0 of the benchmark: each `run_seeds` key feeds
+    the sampler it names, so a hand-drawn run gives the same bytes."""
+    config, data = simulated
+    cfg = load_config(config)
+    seeds = experiments.run_seeds(cfg.master_seed, 0)
+    mics = sample_microphones(cfg.room, cfg.mic_count, None,
+                              cfg.exclusion_radius, seeds["microphones"])
+    cloud = sample_boundary(cfg.room, cfg.boundary_count, seeds["boundary"])
+    snapshot = simulate_snapshot(cfg.room, mics, cfg.frequency_hz,
+                                 cfg.speed_of_sound, cfg.snr_db,
+                                 cfg.max_image_order, seeds["noise"])
+    fileio.write_snapshot(tmp_path / "snapshot.txt", cfg.room, mics, snapshot,
+                          seeds["noise"])
+    fileio.write_mic_array(tmp_path / "microphones.txt", mics)
+    fileio.write_point_cloud(tmp_path / "boundary.txt", cloud)
+    for name in ("snapshot.txt", "microphones.txt", "boundary.txt"):
+        assert (data / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_simulate_and_reconstruct_without_boundary(tiny, tmp_path):
+    data = tmp_path / "data"
+    assert main(["simulate", str(tiny), str(data),
+                 "--set", "boundary.count=0"]) == 0
+    assert (data / "boundary.txt").read_bytes() == b""
+    assert main(["reconstruct", str(data / "snapshot.txt"),
+                 str(data / "boundary.txt"), str(tiny),
+                 str(tmp_path / "out")]) == 0
 
 
 def test_reconstruct_after_simulate(simulated, tmp_path):
@@ -84,6 +117,58 @@ def test_bad_config_value_exits_2(tiny, tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_sweep_values_exit_2(tmp_path, capsys):
+    config = tmp_path / "empty.yaml"
+    config.write_text(TINY_CONFIG + "benchmark:\n  sweeps: [boundary_count]\n"
+                      "  boundary_counts: []\n", encoding="utf-8")
+    code = main(["benchmark", str(config), str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _no_header(text):
+    return "\n".join(line for line in text.splitlines()
+                     if not line.startswith("#"))
+
+
+def _five_columns(text):
+    return "\n".join(line.rsplit(" ", 1)[0] for line in text.splitlines())
+
+
+def _bad_token(text):
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    return head + "\n" + last.replace(" ", " abc ", 1) + "\n"
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("snapshot.txt", _no_header), ("boundary.txt", _five_columns),
+    ("snapshot.txt", _bad_token)])
+def test_malformed_input_exits_2(simulated, tmp_path, capsys, name, damage):
+    config, data = simulated
+    broken = data / name
+    broken.write_text(damage(broken.read_text(encoding="utf-8")),
+                      encoding="utf-8")
+    code = main(["reconstruct", str(data / "snapshot.txt"),
+                 str(data / "boundary.txt"), str(config), str(tmp_path / "o")])
+    assert code == 2
+    assert str(broken) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_numerical_failure_exits_3(simulated, tmp_path, capsys, monkeypatch):
+    config, data = simulated
+
+    def failing(*args, **kwargs):
+        raise FactorizationError("not positive definite")
+
+    monkeypatch.setattr(experiments, "fit_and_predict", failing)
+    code = main(["reconstruct", str(data / "snapshot.txt"),
+                 str(data / "boundary.txt"), str(config), str(tmp_path / "o")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_reconstruct_missing_snapshot_exits_4(simulated, tmp_path, capsys):
     config, data = simulated
     code = main(["reconstruct", str(data / "absent.txt"),
@@ -121,9 +206,10 @@ def test_sweep_and_reconstruct_share_one_traceable_chain(simulated, tmp_path,
         monkeypatch.setattr(experiments, name,
                             counting(name, getattr(experiments, name)))
 
-    cfg = dataclasses.replace(load_config(config).experiment_config(),
-                              monte_carlo_runs=1, boundary_counts=(0, 20))
-    experiments.run_sweeps(cfg, ["boundary_count"])
+    cfg = dataclasses.replace(load_config(config), monte_carlo_runs=1,
+                              boundary_counts=(0, 20),
+                              sweeps=("boundary_count",))
+    experiments.run_sweeps(cfg)
     # two proposed fits (one per count) and one Tikhonov fit
     assert calls["fit_hyperparameters"] == 3
     for name in CHAIN[1:] + ("build_psi", "build_phi_tilde"):

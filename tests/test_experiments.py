@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -84,7 +86,7 @@ def tiny_config(room, **overrides):
 
 
 def sweep(cfg, name):
-    return run_sweeps(cfg, [name])[name]
+    return run_sweeps(dataclasses.replace(cfg, sweeps=(name,)))[name]
 
 
 class TestConfigValidation:
@@ -108,7 +110,13 @@ class TestConfigValidation:
 
     def test_unknown_sweep_rejected(self, room):
         with pytest.raises(ValueError, match="unknown sweeps"):
-            run_sweeps(tiny_config(room), sweeps=("bogus",))
+            tiny_config(room, sweeps=("bogus",))
+
+    def test_empty_values_rejected_only_for_chosen_sweeps(self, room):
+        with pytest.raises(ValueError, match="boundary_counts"):
+            tiny_config(room, boundary_counts=())
+        cfg = tiny_config(room, boundary_counts=(), sweeps=("frequency",))
+        assert cfg.boundary_counts == ()
 
 
 class TestSweeps:
@@ -177,8 +185,9 @@ class TestSweeps:
             assert np.all(np.isfinite(row.nmse_per_run))
 
     def test_run_sweeps_dispatch(self, room):
-        cfg = tiny_config(room, methods=("nearest",))
-        results = run_sweeps(cfg, sweeps=("boundary_count", "frequency"))
+        cfg = tiny_config(room, methods=("nearest",),
+                          sweeps=("boundary_count", "frequency"))
+        results = run_sweeps(cfg)
         assert set(results) == {"boundary_count", "frequency"}
 
 
