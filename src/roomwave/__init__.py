@@ -33,7 +33,7 @@ from .experiments import (ExperimentConfig, RunResult, nmse, run_sweeps,
 from .geometry import (BoundaryCloud, MicArray, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
                        sample_validation_points)
-from .marglik import (MarginalLikelihood, ThetaVector, fit_hyperparameters,
+from .marglik import (MarginalLikelihood, fit_hyperparameters,
                       gradient_check, initial_theta)
 from .optimize import MinimizeResult, minimize
 from .planewaves import (PlaneWaveDictionary, build_phi, build_phi_tilde,
@@ -53,7 +53,7 @@ __all__ = [
     "ExperimentConfig", "RunResult", "nmse", "run_sweeps", "to_db",
     "BoundaryCloud", "MicArray", "RoomSpec", "perturb_positions",
     "sample_boundary", "sample_microphones", "sample_validation_points",
-    "MarginalLikelihood", "ThetaVector", "fit_hyperparameters",
+    "MarginalLikelihood", "fit_hyperparameters",
     "gradient_check", "initial_theta",
     "MinimizeResult", "minimize",
     "PlaneWaveDictionary", "build_phi", "build_phi_tilde", "build_psi",

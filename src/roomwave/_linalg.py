@@ -8,6 +8,8 @@ import scipy.linalg as sla
 
 __all__ = ["FactorizationError", "CholeskyFactor", "hermitize", "chol_factor"]
 
+MAX_REL_JITTER = 1e-6    # largest diagonal jitter, relative to the mean diagonal
+
 
 class FactorizationError(np.linalg.LinAlgError):
     """Hermitian factorization failed even after maximal diagonal jitter."""
@@ -50,11 +52,11 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(np.real(np.diag(self.lower)))))
 
 
-def chol_factor(a: np.ndarray, max_rel_jitter: float = 1e-6) -> CholeskyFactor:
+def chol_factor(a: np.ndarray) -> CholeskyFactor:
     """Cholesky with escalating diagonal jitter.
 
     Starts at 1e-12 times the mean diagonal and grows by factors of 10 up to
-    `max_rel_jitter` times the mean diagonal before raising
+    MAX_REL_JITTER times the mean diagonal before raising
     FactorizationError. Non-finite input fails immediately.
     """
     a = np.ascontiguousarray(a)
@@ -71,7 +73,7 @@ def chol_factor(a: np.ndarray, max_rel_jitter: float = 1e-6) -> CholeskyFactor:
         scale = 1.0
     rel = 1e-12
     eye = np.eye(a.shape[0], dtype=a.dtype)
-    while rel <= max_rel_jitter:
+    while rel <= MAX_REL_JITTER:
         try:
             factor = sla.cholesky(a + (rel * scale) * eye, lower=True,
                                   check_finite=False)
@@ -79,4 +81,4 @@ def chol_factor(a: np.ndarray, max_rel_jitter: float = 1e-6) -> CholeskyFactor:
         except np.linalg.LinAlgError:
             rel *= 10.0
     raise FactorizationError(
-        f"matrix not positive definite after jitter {max_rel_jitter:.0e} * mean diag")
+        f"matrix not positive definite after jitter {MAX_REL_JITTER:.0e} * mean diag")

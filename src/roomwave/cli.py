@@ -105,11 +105,8 @@ def _cmd_reconstruct(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_reconstruction(args.out_dir / "reconstruction.txt", points,
                                 mean, variance ** 0.5)
-    fileio.write_theta_json(args.out_dir / "theta.json", fit.theta, fit.value,
-                            fit.converged, fit.message)
-    fileio.write_trace_csv(args.out_dir / "trace.csv",
-                           fit.minimize_result.trace,
-                           fit.minimize_result.points)
+    fileio.write_theta_json(args.out_dir / "theta.json", fit)
+    fileio.write_trace_csv(args.out_dir / "trace.csv", fit.trace, fit.points)
     print(f"reconstructed {len(points)} points; final objective "
           f"{fit.value:.6g} ({fit.message})")
     return 0

@@ -31,7 +31,7 @@ from .bayes import build_posterior, predict, prior_covariance_from_matrices
 from .geometry import (BoundaryCloud, MicArray, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
                        sample_validation_points)
-from .marglik import fit_hyperparameters
+from .marglik import fit_hyperparameters, to_hyperparameters
 from .planewaves import (PlaneWaveDictionary, build_phi, build_phi_tilde,
                          build_psi, evaluate_field, fibonacci_directions,
                          wavenumber)
@@ -141,6 +141,8 @@ class ExperimentConfig:
                  if not getattr(self, _SWEEP_VALUES[s])]
         if empty:
             raise ValueError(f"no values to sweep in {empty}")
+        if self.sweeps and not self.methods:
+            raise ValueError("no methods to run in the chosen sweeps")
         if self.lasso_mode not in ("per_run", "global"):
             raise ValueError("lasso_mode must be 'per_run' or 'global'")
 
@@ -238,8 +240,9 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
     phi_tilde = build_phi_tilde(dictionary, cloud)
     fit = fit_hyperparameters(y, phi, psi, phi_tilde,
                               max_line_searches=max_line_searches)
-    prior = prior_covariance_from_matrices(psi, phi_tilde, fit.hyperparameters)
-    posterior = build_posterior(y, phi, prior, fit.hyperparameters, dictionary)
+    hp = to_hyperparameters(fit.x)
+    prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
+    posterior = build_posterior(y, phi, prior, hp, dictionary)
     mean, variance = predict(posterior, targets)
     return fit, mean, variance
 
@@ -261,7 +264,7 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
         empty = np.zeros((0, dictionary.size), dtype=complex)
         fit = fit_hyperparameters(data.y, phi, empty, empty,
                                   max_line_searches=cfg.max_line_searches)
-        hp = fit.hyperparameters
+        hp = to_hyperparameters(fit.x)
         alpha = tikhonov(data.y, phi, hp.noise_variance, hp.prior_variance)
         return evaluate_field(dictionary, alpha, targets)
     if method == "lasso":

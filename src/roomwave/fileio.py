@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import BoundaryCloud, MicArray, RoomSpec
+from .marglik import to_hyperparameters
 from .simulator import SimSnapshot
 
 __all__ = [
@@ -192,24 +193,25 @@ def write_reconstruction(path, points, mean, std) -> None:
             handle.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def write_theta_json(path, theta, value: float, converged: bool,
-                     message: str) -> None:
-    """Fitted hyperparameters in both coordinate systems."""
-    hp = theta.to_hyperparameters()
+def write_theta_json(path, fit) -> None:
+    """Fitted hyperparameters of a `fit_hyperparameters` result in both
+    coordinate systems, with its objective and convergence message."""
+    hp = to_hyperparameters(fit.x)
+    a, b, d, re_eta, im_eta = (float(v) for v in fit.x)
     payload = {
-        "log_noise_variance": theta.log_noise_variance,
-        "log_prior_variance": theta.log_prior_variance,
-        "log_boundary_weight": theta.log_boundary_weight,
-        "log_impedance_re": theta.log_impedance.real,
-        "log_impedance_im": theta.log_impedance.imag,
+        "log_noise_variance": a,
+        "log_prior_variance": b,
+        "log_boundary_weight": d,
+        "log_impedance_re": re_eta,
+        "log_impedance_im": im_eta,
         "noise_variance": hp.noise_variance,
         "prior_variance": hp.prior_variance,
         "boundary_weight": hp.boundary_weight,
         "impedance_re": hp.impedance.real,
         "impedance_im": hp.impedance.imag,
-        "objective": value,
-        "converged": converged,
-        "message": message,
+        "objective": fit.value,
+        "converged": fit.converged,
+        "message": fit.message,
     }
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2)

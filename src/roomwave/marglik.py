@@ -4,12 +4,15 @@ analytic gradient.
 The objective is J = (1/2) y^H Q^{-1} y + (1/2) log|Q| over the
 reparametrized hyperparameters
 
-    theta = (a, b, d, eta),
     noise_variance = e^a, prior_variance = e^b,
     boundary_weight = e^d, impedance = e^eta (eta complex),
 
 so positivity constraints disappear and the parameters can span orders of
-magnitude. Every gradient component is the trace form
+magnitude. Throughout, theta is the optimizer's real 5-array
+[a, b, d, Re eta, Im eta]; `to_hyperparameters` is its one map to the model's
+`Hyperparameters`, which `MarginalLikelihood.value` and `value_and_gradient`
+take, and `fit_hyperparameters` returns the optimizer's `MinimizeResult`,
+whose `x` is the fitted theta. Every gradient component is the trace form
 -(1/2) tr((xi xi^H - Q^{-1}) dQ/dtheta_i); the impedance component is the
 derivative with respect to eta* of the (non-holomorphic) real objective, and
 the real-coordinate gradient is (2 Re g, 2 Im g) for that complex derivative.
@@ -31,7 +34,6 @@ with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,69 +42,40 @@ from .bayes import Hyperparameters
 from .optimize import MinimizeResult, minimize
 
 __all__ = [
-    "ThetaVector",
+    "to_hyperparameters",
     "MarginalLikelihood",
     "central_differences",
     "initial_theta",
     "fit_hyperparameters",
-    "FitResult",
     "gradient_check",
 ]
 
+GRADCHECK_SHAPE = (20, 50, 30)   # M, P, B of each gradient_check instance
+GRADCHECK_STEP = 1e-6            # its central-difference step
 
-@dataclass(frozen=True)
-class ThetaVector:
-    """Unconstrained hyperparameter coordinates (a, b, d, eta)."""
 
-    log_noise_variance: float
-    log_prior_variance: float
-    log_boundary_weight: float
-    log_impedance: complex
+def to_hyperparameters(theta) -> Hyperparameters:
+    """Map theta = [a, b, d, Re eta, Im eta] to the constrained parameters.
 
-    def __post_init__(self):
-        values = (self.log_noise_variance, self.log_prior_variance,
-                  self.log_boundary_weight, self.log_impedance.real,
-                  self.log_impedance.imag)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("theta components must be finite")
-
-    def to_array(self) -> np.ndarray:
-        """Real coordinates [a, b, d, Re eta, Im eta]."""
-        return np.array([self.log_noise_variance, self.log_prior_variance,
-                         self.log_boundary_weight, self.log_impedance.real,
-                         self.log_impedance.imag])
-
-    @classmethod
-    def from_array(cls, x) -> "ThetaVector":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (5,):
-            raise ValueError("theta array must have 5 real components")
-        return cls(float(x[0]), float(x[1]), float(x[2]),
-                   complex(x[3], x[4]))
-
-    def to_hyperparameters(self) -> Hyperparameters:
-        """Map to the constrained parameters; raises FactorizationError when
-        the exponentials leave floating-point range (the point is then not
-        evaluable and a line search must backtrack)."""
-        with np.errstate(over="ignore", under="ignore"):
-            s2 = math.exp(self.log_noise_variance) if self.log_noise_variance < 709 else math.inf
-            sa2 = math.exp(self.log_prior_variance) if self.log_prior_variance < 709 else math.inf
-            mu = math.exp(self.log_boundary_weight) if self.log_boundary_weight < 709 else math.inf
-            beta = (np.exp(self.log_impedance)
-                    if self.log_impedance.real < 709 else complex(math.inf))
-        if not (0.0 < s2 < math.inf and 0.0 < sa2 < math.inf
-                and mu < math.inf and np.isfinite(beta)):
-            raise FactorizationError("hyperparameters overflow floating range")
-        return Hyperparameters(s2, sa2, mu, complex(beta))
-
-    @classmethod
-    def from_hyperparameters(cls, hp: Hyperparameters) -> "ThetaVector":
-        if hp.boundary_weight <= 0:
-            raise ValueError("boundary_weight must be > 0 to take its log")
-        if hp.impedance == 0:
-            raise ValueError("impedance must be nonzero to take its log")
-        return cls(math.log(hp.noise_variance), math.log(hp.prior_variance),
-                   math.log(hp.boundary_weight), complex(np.log(hp.impedance)))
+    Raises ValueError unless theta has five finite components, and
+    FactorizationError when the exponentials leave floating-point range (the
+    point is then not evaluable and a line search must backtrack).
+    """
+    x = np.asarray(theta, dtype=float)
+    if x.shape != (5,):
+        raise ValueError("theta array must have 5 real components")
+    a, b, d, eta = float(x[0]), float(x[1]), float(x[2]), complex(x[3], x[4])
+    if not all(math.isfinite(v) for v in (a, b, d, eta.real, eta.imag)):
+        raise ValueError("theta components must be finite")
+    with np.errstate(over="ignore", under="ignore"):
+        s2 = math.exp(a) if a < 709 else math.inf
+        sa2 = math.exp(b) if b < 709 else math.inf
+        mu = math.exp(d) if d < 709 else math.inf
+        beta = np.exp(eta) if eta.real < 709 else complex(math.inf)
+    if not (0.0 < s2 < math.inf and 0.0 < sa2 < math.inf
+            and mu < math.inf and np.isfinite(beta)):
+        raise FactorizationError("hyperparameters overflow floating range")
+    return Hyperparameters(s2, sa2, mu, complex(beta))
 
 
 class MarginalLikelihood:
@@ -139,21 +112,11 @@ class MarginalLikelihood:
                 0.5 * (cross - cross.conj().T),
             ])
 
-    # -- evaluation at explicit hyperparameters ---------------------------
-
-    def value_at(self, hp: Hyperparameters) -> float:
+    def value(self, hp: Hyperparameters) -> float:
         return self._evaluate(hp, with_gradient=False)[0]
 
-    def value_and_gradient_at(self, hp: Hyperparameters) -> tuple[float, np.ndarray]:
+    def value_and_gradient(self, hp: Hyperparameters) -> tuple[float, np.ndarray]:
         return self._evaluate(hp, with_gradient=True)
-
-    # -- evaluation at theta ----------------------------------------------
-
-    def value(self, theta: ThetaVector) -> float:
-        return self.value_at(theta.to_hyperparameters())
-
-    def value_and_gradient(self, theta: ThetaVector) -> tuple[float, np.ndarray]:
-        return self.value_and_gradient_at(theta.to_hyperparameters())
 
     def _combine(self, coefficients) -> np.ndarray:
         """sum_i c_i * Gram_i as one pass over the stacked Grams."""
@@ -185,7 +148,7 @@ class MarginalLikelihood:
                 q = k.copy()
                 q.flat[::m + 1] += s2
                 q_factor = chol_factor(q)
-            except FloatingPointError as exc:
+            except (FloatingPointError, OverflowError) as exc:
                 raise FactorizationError(f"overflow while assembling Q: {exc}") from exc
 
         xi = q_factor.solve(self.y)
@@ -232,8 +195,8 @@ def central_differences(fun, x, step: float) -> np.ndarray:
     return grad
 
 
-def initial_theta(y, num_plane_waves: int, psi=None, phi_tilde=None) -> ThetaVector:
-    """Data-scaled neutral start.
+def initial_theta(y, num_plane_waves: int, psi=None, phi_tilde=None) -> np.ndarray:
+    """Data-scaled neutral start theta.
 
     Noise starts at a tenth of the signal power and the prior scale makes
     the prior predictive power match the signal power. The boundary weight
@@ -249,64 +212,36 @@ def initial_theta(y, num_plane_waves: int, psi=None, phi_tilde=None) -> ThetaVec
         gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
         if gram_trace > 0:
             log_weight = math.log(psi.shape[0] / gram_trace)
-    return ThetaVector(
-        log_noise_variance=math.log(0.1 * power),
-        log_prior_variance=math.log(power / num_plane_waves),
-        log_boundary_weight=log_weight,
-        log_impedance=0.0 + 0.0j,
-    )
-
-
-@dataclass
-class FitResult:
-    theta: ThetaVector
-    hyperparameters: Hyperparameters
-    value: float
-    trace: list
-    minimize_result: MinimizeResult
-
-    @property
-    def converged(self) -> bool:
-        return self.minimize_result.converged
-
-    @property
-    def message(self) -> str:
-        return self.minimize_result.message
+    return np.array([math.log(0.1 * power), math.log(power / num_plane_waves),
+                     log_weight, 0.0, 0.0])
 
 
 def fit_hyperparameters(y, phi, psi, phi_tilde,
-                        initial: ThetaVector | None = None,
-                        max_line_searches: int = 100,
-                        value_tolerance: float = 1e-9) -> FitResult:
-    """Minimize J over theta with Polak-Ribiere conjugate gradients.
+                        max_line_searches: int = 100) -> MinimizeResult:
+    """Minimize J over theta with Polak-Ribiere conjugate gradients from
+    `initial_theta`; the result's `x` is the fitted theta.
 
     Points where the factorization fails are reported to the optimizer as
     non-evaluable, so its line search backtracks past them.
     """
     ml = MarginalLikelihood(y, phi, psi, phi_tilde)
-    if initial is None:
-        initial = initial_theta(y, phi.shape[1], psi, phi_tilde)
 
     def fun(x):
         try:
-            return ml.value_and_gradient(ThetaVector.from_array(x))
+            return ml.value_and_gradient(to_hyperparameters(x))
         except FactorizationError:
             return math.inf, None
 
-    result = minimize(fun, initial.to_array(),
-                      max_line_searches=max_line_searches,
-                      value_tolerance=value_tolerance)
-    theta = ThetaVector.from_array(result.x)
-    return FitResult(theta, theta.to_hyperparameters(), result.value,
-                     list(result.trace), result)
+    return minimize(fun, initial_theta(y, phi.shape[1], psi, phi_tilde),
+                    max_line_searches=max_line_searches)
 
 
 def gradient_check(num_instances: int = 20, thetas_per_instance: int = 5,
-                   m: int = 20, p: int = 50, b: int = 30,
-                   step: float = 1e-6, seed: int = 0) -> float:
+                   seed: int = 0) -> float:
     """Max relative error between analytic and finite-difference gradients
     over random instances; the library's self-test."""
     rng = np.random.default_rng(seed)
+    m, p, b = GRADCHECK_SHAPE
     worst = 0.0
     for _ in range(num_instances):
         phi = rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))
@@ -315,11 +250,11 @@ def gradient_check(num_instances: int = 20, thetas_per_instance: int = 5,
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         ml = MarginalLikelihood(y, phi, psi, phi_tilde)
         for _ in range(thetas_per_instance):
-            theta = ThetaVector.from_array(rng.uniform(-1.5, 1.5, size=5))
-            _, analytic = ml.value_and_gradient(theta)
+            theta = rng.uniform(-1.5, 1.5, size=5)
+            _, analytic = ml.value_and_gradient(to_hyperparameters(theta))
             numeric = central_differences(
-                lambda x: ml.value(ThetaVector.from_array(x)),
-                theta.to_array(), step)
+                lambda x: ml.value(to_hyperparameters(x)), theta,
+                GRADCHECK_STEP)
             scale = np.maximum(np.abs(numeric), np.abs(analytic))
             scale = np.maximum(scale, 1e-10)
             worst = max(worst, float(np.max(np.abs(analytic - numeric) / scale)))

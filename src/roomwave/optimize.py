@@ -19,6 +19,10 @@ import numpy as np
 
 __all__ = ["MinimizeResult", "minimize"]
 
+VALUE_TOLERANCE = 1e-9   # default relative objective change for convergence
+C1 = 1e-4                # Wolfe sufficient-decrease constant
+C2 = 0.1                 # strong-Wolfe curvature constant
+MAX_EVALUATIONS_PER_SEARCH = 20
 EXTRAPOLATION = 3.0      # max step growth per extrapolation
 INT_MARGIN = 0.1         # keep interpolants this far inside the bracket
 STEP_RATIO = 10.0        # max slope-ratio carried between line searches
@@ -37,9 +41,7 @@ class MinimizeResult:
 
 
 def minimize(fun, x0, max_line_searches: int = 100,
-             value_tolerance: float = 1e-9,
-             c1: float = 1e-4, c2: float = 0.1,
-             max_evaluations_per_search: int = 20) -> MinimizeResult:
+             value_tolerance: float = VALUE_TOLERANCE) -> MinimizeResult:
     """Minimize fun(x) -> (value, gradient) starting from x0.
 
     Runs at most `max_line_searches` line searches; declares convergence
@@ -82,7 +84,7 @@ def minimize(fun, x0, max_line_searches: int = 100,
             message = "zero gradient"
             break
         best_x, best_f, best_g = x, f0, g0   # best point seen this search
-        budget = max_evaluations_per_search
+        budget = MAX_EVALUATIONS_PER_SEARCH
 
         # -- extrapolation: grow the step until the slope or value shows the
         #    1-D minimum has been passed
@@ -101,7 +103,7 @@ def minimize(fun, x0, max_line_searches: int = 100,
             if f3 < best_f:
                 best_x, best_f, best_g = x + a3 * s, f3, g3
             d3 = float(g3 @ s)
-            if d3 > c2 * slope or f3 > f0 + a3 * c1 * slope or budget == 0:
+            if d3 > C2 * slope or f3 > f0 + a3 * C1 * slope or budget == 0:
                 break
             a1, f1, d1 = a2, f2, d2
             a2, f2, d2 = a3, f3, d3
@@ -120,9 +122,9 @@ def minimize(fun, x0, max_line_searches: int = 100,
 
         # -- interpolation: shrink the bracket until strong Wolfe holds
         a4, f4, d4 = a3, f3, d3
-        while ((not math.isfinite(f3)) or abs(d3) > -c2 * slope
-               or f3 > f0 + a3 * c1 * slope) and budget > 0:
-            if (not math.isfinite(f3)) or d3 > 0 or f3 > f0 + a3 * c1 * slope:
+        while ((not math.isfinite(f3)) or abs(d3) > -C2 * slope
+               or f3 > f0 + a3 * C1 * slope) and budget > 0:
+            if (not math.isfinite(f3)) or d3 > 0 or f3 > f0 + a3 * C1 * slope:
                 a4, f4, d4 = a3, f3, d3
             else:
                 a2, f2, d2 = a3, f3, d3
@@ -148,8 +150,8 @@ def minimize(fun, x0, max_line_searches: int = 100,
             if math.isfinite(f3) and f3 < best_f:
                 best_x, best_f, best_g = x + a3 * s, f3, g3
 
-        wolfe_ok = (math.isfinite(f3) and abs(d3) < -c2 * slope
-                    and f3 < f0 + a3 * c1 * slope)
+        wolfe_ok = (math.isfinite(f3) and abs(d3) < -C2 * slope
+                    and f3 < f0 + a3 * C1 * slope)
         if wolfe_ok:
             previous_f = f0
             x = x + a3 * s

@@ -154,6 +154,25 @@ class TestLasso:
         oracle = float(problem.value)
         assert ours.objective == pytest.approx(oracle, rel=1e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_optimality_conditions(self, seed):
+        """KKT conditions of the complex lasso: with the scaled correlation
+        g = Phi^H (y - Phi a) / s2, g_p = penalty * a_p / |a_p| on the support
+        and |g_p| <= penalty off it."""
+        y, phi, _ = random_system(np.random.default_rng(seed), 15, 40,
+                                  sparse=4)
+        noise_variance = 0.2
+        penalty = 0.2 * null_threshold(y, phi, noise_variance)
+        result = lasso(y, phi, noise_variance,
+                       LassoConfig(penalty, 20000, 1e-14))
+        assert result.converged
+        a = result.coefficients
+        g = phi.conj().T @ (y - phi @ a) / noise_variance
+        support = a != 0
+        assert np.all(np.abs(g[support] - penalty * a[support]
+                             / np.abs(a[support])) <= 1e-5 * penalty)
+        assert np.all(np.abs(g[~support]) <= penalty * (1 + 1e-5))
+
     def test_warm_start(self, rng):
         y, phi, _ = random_system(rng, 12, 30, sparse=4)
         penalty = 0.1 * null_threshold(y, phi, 0.2)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from collections import Counter
 
@@ -98,6 +99,31 @@ def test_reconstruct_after_simulate(simulated, tmp_path):
     assert (out / "trace.csv").stat().st_size > 0
 
 
+def test_reconstruct_theta_matches_trace(simulated, tmp_path):
+    """theta.json holds the last trace.csv iterate, its objective, and the
+    constrained parameters as exponentials of the logs."""
+    config, data = simulated
+    out = tmp_path / "out"
+    assert main(["reconstruct", str(data / "snapshot.txt"),
+                 str(data / "boundary.txt"), str(config), str(out)]) == 0
+    theta = json.loads((out / "theta.json").read_text(encoding="utf-8"))
+    header, *rows = (out / "trace.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert header == "iter,J,a,b,d,re_eta,im_eta"
+    last = [float(v) for v in rows[-1].split(",")]
+    logs = [theta[f"log_{name}"] for name in (
+        "noise_variance", "prior_variance", "boundary_weight",
+        "impedance_re", "impedance_im")]
+    assert logs == last[2:]
+    assert theta["objective"] == last[1]
+    for name in ("noise_variance", "prior_variance", "boundary_weight"):
+        assert theta[name] == math.exp(theta[f"log_{name}"])
+    impedance = np.exp(complex(theta["log_impedance_re"],
+                               theta["log_impedance_im"]))
+    assert theta["impedance_re"] == impedance.real
+    assert theta["impedance_im"] == impedance.imag
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--instances", "4", "--thetas", "3"]) == 0
     match = re.search(r"max relative gradient error: (\S+)",
@@ -121,6 +147,16 @@ def test_empty_sweep_values_exit_2(tmp_path, capsys):
     config = tmp_path / "empty.yaml"
     config.write_text(TINY_CONFIG + "benchmark:\n  sweeps: [boundary_count]\n"
                       "  boundary_counts: []\n", encoding="utf-8")
+    code = main(["benchmark", str(config), str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_methods_exit_2(tmp_path, capsys):
+    config = tmp_path / "nomethods.yaml"
+    config.write_text(TINY_CONFIG + "benchmark:\n  sweeps: [mic_perturbation]\n"
+                      "  methods: []\n", encoding="utf-8")
     code = main(["benchmark", str(config), str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err

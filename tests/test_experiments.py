@@ -118,6 +118,11 @@ class TestConfigValidation:
         cfg = tiny_config(room, boundary_counts=(), sweeps=("frequency",))
         assert cfg.boundary_counts == ()
 
+    def test_empty_methods_rejected_only_with_sweeps(self, room):
+        with pytest.raises(ValueError, match="no methods"):
+            tiny_config(room, methods=())
+        assert tiny_config(room, methods=(), sweeps=()).methods == ()
+
 
 class TestSweeps:
     def test_minimal_sweep_shape(self, room):

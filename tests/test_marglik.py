@@ -4,19 +4,21 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roomwave._linalg import FactorizationError
 from roomwave.bayes import Hyperparameters
-from roomwave.marglik import (MarginalLikelihood, ThetaVector,
-                              central_differences, fit_hyperparameters,
-                              gradient_check, initial_theta)
+from roomwave.marglik import (MarginalLikelihood, central_differences,
+                              fit_hyperparameters, gradient_check,
+                              initial_theta, to_hyperparameters)
 
-THETA0 = ThetaVector(-1.0, 0.5, -0.3, 0.2 - 0.4j)
+THETA0 = np.array([-1.0, 0.5, -0.3, 0.2, -0.4])
 
 
 def dense_objective(theta, y, phi, psi, phi_tilde):
     """Independent dense-eigendecomposition evaluation of the objective."""
-    hp = theta.to_hyperparameters()
+    hp = to_hyperparameters(theta)
     p = phi.shape[1]
     g = hp.impedance * psi + phi_tilde
     sigma = hp.prior_variance * np.linalg.inv(
@@ -31,7 +33,7 @@ def dense_objective(theta, y, phi, psi, phi_tilde):
 def dense_gradient(theta, y, phi, psi, phi_tilde):
     """Independent dense evaluation of the five gradient components
     -(1/2) tr((xi xi^H - Q^{-1}) dQ/dtheta_i) from the P x P prior."""
-    hp = theta.to_hyperparameters()
+    hp = to_hyperparameters(theta)
     s2, sa2, mu, beta = (hp.noise_variance, hp.prior_variance,
                          hp.boundary_weight, hp.impedance)
     p = phi.shape[1]
@@ -56,45 +58,51 @@ def dense_gradient(theta, y, phi, psi, phi_tilde):
 
 
 class TestThetaVector:
-    def test_array_round_trip(self):
-        arr = THETA0.to_array()
-        npt.assert_array_equal(ThetaVector.from_array(arr).to_array(), arr)
+    """theta, the optimizer's 5-array, and its map to_hyperparameters."""
 
     def test_hyperparameter_round_trip(self):
-        hp = THETA0.to_hyperparameters()
+        hp = to_hyperparameters(THETA0)
         assert hp.noise_variance == pytest.approx(math.exp(-1.0))
         assert hp.prior_variance == pytest.approx(math.exp(0.5))
         assert hp.boundary_weight == pytest.approx(math.exp(-0.3))
         assert hp.impedance == pytest.approx(np.exp(0.2 - 0.4j))
-        back = ThetaVector.from_hyperparameters(hp)
-        npt.assert_allclose(back.to_array(), THETA0.to_array(), atol=1e-12)
+        log_impedance = complex(np.log(hp.impedance))
+        back = [math.log(hp.noise_variance), math.log(hp.prior_variance),
+                math.log(hp.boundary_weight), log_impedance.real,
+                log_impedance.imag]
+        npt.assert_allclose(back, THETA0, atol=1e-12)
 
     def test_overflow_is_non_evaluable(self):
         with pytest.raises(FactorizationError):
-            ThetaVector(800.0, 0.0, 0.0, 0j).to_hyperparameters()
+            to_hyperparameters([800.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(FactorizationError):
-            ThetaVector(0.0, -800.0, 0.0, 0j).to_hyperparameters()
+            to_hyperparameters([0.0, -800.0, 0.0, 0.0, 0.0])
 
     def test_underflowing_weight_is_zero(self):
-        hp = ThetaVector(0.0, 0.0, -800.0, 0j).to_hyperparameters()
+        hp = to_hyperparameters([0.0, 0.0, -800.0, 0.0, 0.0])
         assert hp.boundary_weight == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            ThetaVector(math.nan, 0.0, 0.0, 0j)
+            to_hyperparameters([math.nan, 0.0, 0.0, 0.0, 0.0])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            to_hyperparameters(THETA0[:4])
 
 
 class TestObjective:
     def test_matches_dense_eigendecomposition(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=15, p=40, b=25, seed=3)
-        value = MarginalLikelihood(y, phi, psi, phi_tilde).value(THETA0)
+        value = MarginalLikelihood(y, phi, psi, phi_tilde).value(
+            to_hyperparameters(THETA0))
         oracle = dense_objective(THETA0, y, phi, psi, phi_tilde)
         assert value == pytest.approx(oracle, rel=1e-9)
 
     def test_vanishing_prior_limit(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=12, p=30, b=20, seed=4)
-        theta = ThetaVector(-0.7, -60.0, 0.0, 0j)
-        value = MarginalLikelihood(y, phi, psi, phi_tilde).value(theta)
+        hp = to_hyperparameters([-0.7, -60.0, 0.0, 0.0, 0.0])
+        value = MarginalLikelihood(y, phi, psi, phi_tilde).value(hp)
         s2 = math.exp(-0.7)
         expected = (0.5 * float(np.sum(np.abs(y) ** 2)) / s2
                     + 0.5 * len(y) * math.log(s2))
@@ -103,7 +111,7 @@ class TestObjective:
     def test_zero_data_is_half_logdet(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=10, p=25, b=15, seed=5)
         ml = MarginalLikelihood(np.zeros_like(y), phi, psi, phi_tilde)
-        value = ml.value(THETA0)
+        value = ml.value(to_hyperparameters(THETA0))
         assert math.isfinite(value)
         oracle = dense_objective(THETA0, np.zeros_like(y), phi, psi, phi_tilde)
         assert value == pytest.approx(oracle, rel=1e-9)
@@ -112,8 +120,9 @@ class TestObjective:
         y, phi, psi, phi_tilde = complex_instance(m=14, p=30, b=18, seed=6)
         ml1 = MarginalLikelihood(y, phi, psi, phi_tilde)
         ml2 = MarginalLikelihood(np.exp(0.73j) * y, phi, psi, phi_tilde)
-        v1, g1 = ml1.value_and_gradient(THETA0)
-        v2, g2 = ml2.value_and_gradient(THETA0)
+        hp = to_hyperparameters(THETA0)
+        v1, g1 = ml1.value_and_gradient(hp)
+        v2, g2 = ml2.value_and_gradient(hp)
         assert v1 == pytest.approx(v2, rel=1e-12)
         npt.assert_allclose(g1, g2, rtol=1e-10)
 
@@ -125,15 +134,61 @@ class TestObjective:
             MarginalLikelihood(y[:-1], phi, psi, phi_tilde)
 
 
+# (M, P, B): square-ish, no boundary, B > P, a single measurement, M > P
+EXTREME_SHAPES = [(8, 12, 6), (8, 12, 0), (6, 8, 14), (1, 3, 2), (10, 5, 4)]
+
+
+def random_evaluator(m, p, b, seed):
+    gen = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+    return MarginalLikelihood(draw(m), draw(m, p), draw(b, p), draw(b, p))
+
+
+EXTREME_EVALUATORS = [random_evaluator(*shape, seed=40 + i)
+                      for i, shape in enumerate(EXTREME_SHAPES)]
+# exp overflows above 709.78 and reaches zero below -745.13
+THETA_COMPONENT = st.one_of(
+    st.sampled_from([-760.0, -745.2, -745.0, -709.0, 0.0, 354.0, 356.0,
+                     709.0, 709.8, 760.0]),
+    st.floats(-760.0, 760.0))
+
+
+class TestExtremeTheta:
+    def test_large_impedance_is_non_evaluable(self, complex_instance):
+        """|beta|^2 = e^800 overflows while assembling I + mu G G^H."""
+        ml = MarginalLikelihood(*complex_instance(m=8, p=12, b=6, seed=19))
+        hp = to_hyperparameters([0.0, 0.0, 0.0, 400.0, 0.0])
+        with pytest.raises(FactorizationError):
+            ml.value_and_gradient(hp)
+        with pytest.raises(FactorizationError):
+            ml.value(hp)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(ml=st.sampled_from(EXTREME_EVALUATORS),
+           theta=st.lists(THETA_COMPONENT, min_size=5, max_size=5))
+    def test_finite_or_non_evaluable(self, ml, theta):
+        """Anywhere in [-760, 760]^5 an evaluation is either finite or
+        reported as not evaluable, so a line search can back off."""
+        try:
+            value, grad = ml.value_and_gradient(to_hyperparameters(theta))
+        except FactorizationError:
+            return
+        assert math.isfinite(value)
+        assert np.all(np.isfinite(grad))
+
+
 class TestGradient:
     def test_matches_finite_differences(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=20, p=50, b=30, seed=8)
         ml = MarginalLikelihood(y, phi, psi, phi_tilde)
-        value, grad = ml.value_and_gradient(THETA0)
+        value, grad = ml.value_and_gradient(to_hyperparameters(THETA0))
         assert math.isfinite(value) and grad.shape == (5,)
         numeric = central_differences(
-            lambda x: ml.value(ThetaVector.from_array(x)), THETA0.to_array(),
-            1e-6)
+            lambda x: ml.value(to_hyperparameters(x)), THETA0, 1e-6)
         npt.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-9)
 
     def test_gradient_check_suite(self):
@@ -147,19 +202,19 @@ class TestGradient:
         y, phi, psi, phi_tilde = complex_instance(m=12, p=30, b=20, seed=9)
         ml = MarginalLikelihood(y, phi, psi, phi_tilde)
         hp = Hyperparameters(0.5, 1.2, 0.0, np.exp(0.3 + 0.1j))
-        _, grad = ml.value_and_gradient_at(hp)
+        _, grad = ml.value_and_gradient(hp)
         assert grad[2] == 0.0
         assert grad[3] == 0.0 and grad[4] == 0.0
 
     def test_empty_boundary_matches_mu_zero(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=12, p=30, b=20, seed=10)
         ml_empty = MarginalLikelihood(y, phi, psi[:0], phi_tilde[:0])
-        v_empty, g_empty = ml_empty.value_and_gradient(THETA0)
+        hp = to_hyperparameters(THETA0)
+        v_empty, g_empty = ml_empty.value_and_gradient(hp)
         ml_full = MarginalLikelihood(y, phi, psi, phi_tilde)
-        hp = THETA0.to_hyperparameters()
         hp0 = Hyperparameters(hp.noise_variance, hp.prior_variance, 0.0,
                               hp.impedance)
-        v_mu0, g_mu0 = ml_full.value_and_gradient_at(hp0)
+        v_mu0, g_mu0 = ml_full.value_and_gradient(hp0)
         assert v_empty == pytest.approx(v_mu0, rel=1e-12)
         npt.assert_allclose(g_empty[:2], g_mu0[:2], rtol=1e-10)
 
@@ -169,8 +224,8 @@ class TestGradient:
         y, phi, psi, phi_tilde = complex_instance(m=10, p=25, b=15, seed=11)
         zero = np.zeros_like(y)
         ml = MarginalLikelihood(zero, phi, psi, phi_tilde)
-        value, grad = ml.value_and_gradient(THETA0)
-        hp = THETA0.to_hyperparameters()
+        hp = to_hyperparameters(THETA0)
+        value, grad = ml.value_and_gradient(hp)
         p = phi.shape[1]
         g = hp.impedance * psi + phi_tilde
         sigma = hp.prior_variance * np.linalg.inv(
@@ -191,10 +246,9 @@ class TestWideBoundary:
         y, phi, psi, phi_tilde = complex_instance(m=30, p=60, b=80, seed=17)
         beta = np.exp(0.2 - 0.4j)
         norm = np.linalg.norm(beta * psi + phi_tilde, 2)
-        theta = ThetaVector(-1.0, 0.5, math.log(scale / norm ** 2),
-                            0.2 - 0.4j)
-        value, grad = MarginalLikelihood(y, phi, psi,
-                                         phi_tilde).value_and_gradient(theta)
+        theta = np.array([-1.0, 0.5, math.log(scale / norm ** 2), 0.2, -0.4])
+        value, grad = MarginalLikelihood(
+            y, phi, psi, phi_tilde).value_and_gradient(to_hyperparameters(theta))
         oracle = dense_gradient(theta, y, phi, psi, phi_tilde)
         assert value == pytest.approx(
             dense_objective(theta, y, phi, psi, phi_tilde), rel=1e-9)
@@ -205,8 +259,8 @@ class TestWideBoundary:
             self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=12, p=20, b=30, seed=18)
         numeric = central_differences(
-            lambda x: dense_objective(ThetaVector.from_array(x), y, phi, psi,
-                                      phi_tilde), THETA0.to_array(), 1e-6)
+            lambda x: dense_objective(x, y, phi, psi, phi_tilde), THETA0,
+            1e-6)
         npt.assert_allclose(dense_gradient(THETA0, y, phi, psi, phi_tilde),
                             numeric, rtol=1e-5, atol=1e-8)
 
@@ -225,12 +279,11 @@ class TestFiniteDifferences:
     def test_quadratic_convergence_in_step(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=12, p=30, b=20, seed=12)
         ml = MarginalLikelihood(y, phi, psi, phi_tilde)
-        _, analytic = ml.value_and_gradient(THETA0)
+        _, analytic = ml.value_and_gradient(to_hyperparameters(THETA0))
 
         def err(step):
             numeric = central_differences(
-                lambda x: ml.value(ThetaVector.from_array(x)),
-                THETA0.to_array(), step)
+                lambda x: ml.value(to_hyperparameters(x)), THETA0, step)
             return np.max(np.abs(numeric - analytic))
 
         ratio = err(1e-2) / err(1e-3)
@@ -242,16 +295,17 @@ class TestInitialTheta:
         y, phi, psi, phi_tilde = complex_instance(m=10, p=25, b=15, seed=13)
         theta = initial_theta(y, phi.shape[1], psi, phi_tilde)
         gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
-        assert math.exp(theta.log_boundary_weight) * gram_trace == pytest.approx(
+        assert theta.shape == (5,)
+        assert math.exp(theta[2]) * gram_trace == pytest.approx(
             psi.shape[0], rel=1e-12)
-        assert theta.log_impedance == 0j
+        assert theta[3] == 0.0 and theta[4] == 0.0
 
     def test_without_boundary(self, complex_instance):
         y, phi, _, _ = complex_instance(seed=14)
         theta = initial_theta(y, phi.shape[1])
         power = float(np.mean(np.abs(y) ** 2))
-        assert theta.log_noise_variance == pytest.approx(math.log(0.1 * power))
-        assert theta.log_boundary_weight == 0.0
+        assert theta[0] == pytest.approx(math.log(0.1 * power))
+        assert theta[2] == 0.0
 
 
 class TestFit:
@@ -265,8 +319,7 @@ class TestFit:
 
     def test_zero_line_searches_returns_initial(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=10, p=20, b=12, seed=16)
-        initial = initial_theta(y, phi.shape[1], psi, phi_tilde)
-        fit = fit_hyperparameters(y, phi, psi, phi_tilde, initial=initial,
-                                  max_line_searches=0)
-        npt.assert_array_equal(fit.theta.to_array(), initial.to_array())
+        fit = fit_hyperparameters(y, phi, psi, phi_tilde, max_line_searches=0)
+        npt.assert_array_equal(fit.x, initial_theta(y, phi.shape[1], psi,
+                                                    phi_tilde))
         assert len(fit.trace) == 1
