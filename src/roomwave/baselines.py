@@ -99,16 +99,25 @@ def null_threshold(y, phi, noise_variance) -> float:
                  / noise_variance)
 
 
+def _lipschitz(phi, noise_variance) -> float:
+    """||Phi||_2^2 / s2, the Lipschitz constant of the lasso's data-term
+    gradient."""
+    return float(sla.svdvals(phi)[0] ** 2) / noise_variance
+
+
 def lasso(y, phi: np.ndarray, noise_variance: float,
-          config: LassoConfig, initial=None) -> LassoResult:
+          config: LassoConfig, initial=None, *,
+          lipschitz: float | None = None) -> LassoResult:
     """Minimize ||y - Phi a||^2 / (2 s2) + penalty * sum_p |a_p|.
 
-    FISTA with the fixed step s2 / lambda_max(Phi^H Phi); the momentum is
-    restarted whenever an accelerated step would increase the objective, so
-    the reported objective sequence is non-increasing. Starts from zeros or
-    from `initial` (warm start along a penalty path). Returns the best
-    iterate with converged=False when the tolerance is not reached within
-    the iteration budget.
+    FISTA with the fixed step 1 / lipschitz, where lipschitz =
+    ||Phi||_2^2 / s2 = lambda_max(Phi^H Phi) / s2; the momentum is restarted
+    whenever an accelerated step would increase the objective, so the
+    reported objective sequence is non-increasing. Starts from zeros or from
+    `initial` (warm start along a penalty path). A caller that fits one Phi
+    many times passes its `lipschitz`, ||Phi||_2^2 / s2, to skip the SVD;
+    None computes it here. Returns the best iterate with converged=False
+    when the tolerance is not reached within the iteration budget.
     """
     if noise_variance <= 0:
         raise ValueError("noise_variance must be positive")
@@ -117,7 +126,8 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     if len(y) != m:
         raise ValueError("y length must match Phi rows")
 
-    lipschitz = float(sla.svdvals(phi)[0] ** 2) / noise_variance
+    if lipschitz is None:
+        lipschitz = _lipschitz(phi, noise_variance)
     if lipschitz == 0.0:
         return LassoResult(np.zeros(p, dtype=complex), lasso_objective(
             y, phi, noise_variance, config.penalty, np.zeros(p)), 0, True)
@@ -132,20 +142,25 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     f_x = lasso_objective(y, phi, noise_variance, config.penalty, x)
     converged = False
     iterations = 0
+    # the adjoint is formed once, not per iteration; ndarray.sum is np.sum
+    # without its dispatch (the same pairwise np.add.reduce, the same bits)
+    phi_h = phi.conj().T
+
+    def objective(phi_a, a):
+        return (float((np.abs(y - phi_a) ** 2).sum()) / (2 * noise_variance)
+                + config.penalty * float(np.abs(a).sum()))
 
     for iterations in range(1, config.max_iterations + 1):
-        grad = phi.conj().T @ (phi_z - y) / noise_variance
+        grad = phi_h @ (phi_z - y) / noise_variance
         x_new = _soft_threshold(z - step * grad, step * config.penalty)
         phi_x_new = phi @ x_new
-        f_new = (float(np.sum(np.abs(y - phi_x_new) ** 2)) / (2 * noise_variance)
-                 + config.penalty * float(np.sum(np.abs(x_new))))
+        f_new = objective(phi_x_new, x_new)
         if f_new > f_x:
             # accelerated step overshot: restart the momentum from x
-            grad = phi.conj().T @ (phi_x - y) / noise_variance
+            grad = phi_h @ (phi_x - y) / noise_variance
             x_new = _soft_threshold(x - step * grad, step * config.penalty)
             phi_x_new = phi @ x_new
-            f_new = (float(np.sum(np.abs(y - phi_x_new) ** 2)) / (2 * noise_variance)
-                     + config.penalty * float(np.sum(np.abs(x_new))))
+            f_new = objective(phi_x_new, x_new)
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_new
@@ -171,7 +186,12 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float,
                   max_iterations: int = 2000,
                   tolerance: float = 1e-8) -> float:
     """Penalty minimizing K-fold cross-validated squared prediction error
-    over microphones; ties favor the larger penalty."""
+    over microphones; ties favor the larger penalty.
+
+    `lasso` runs once per (fold, penalty), warm-started down the descending
+    grid; each fold's Lipschitz constant is computed once and passed to all
+    of that fold's fits.
+    """
     y = np.asarray(y, dtype=complex).reshape(-1)
     m = len(y)
     if not 2 <= folds <= m:
@@ -191,12 +211,13 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float,
         train = np.setdiff1d(order, test_idx, assume_unique=True)
         phi_train = phi[train]
         y_train = y[train]
+        lipschitz = _lipschitz(phi_train, noise_variance)
         coefficients = None
         for j, penalty in enumerate(penalties):
             # warm start down the penalty path
             config = LassoConfig(penalty, max_iterations, tolerance)
             fit = lasso(y_train, phi_train, noise_variance, config,
-                        initial=coefficients)
+                        initial=coefficients, lipschitz=lipschitz)
             coefficients = fit.coefficients
             residual = y[test_idx] - phi[test_idx] @ coefficients
             errors[j] += float(np.sum(np.abs(residual) ** 2))

@@ -131,7 +131,7 @@ def _cmd_gradcheck(args) -> int:
 
     worst = gradient_check(num_instances=args.instances,
                            thetas_per_instance=args.thetas, seed=args.seed)
-    print(f"max relative gradient error: {worst:.3e} "
+    print(f"max norm-wise relative gradient error: {worst:.3e} "
           f"(tolerance {GRADCHECK_TOLERANCE:.0e})")
     return 0 if worst < GRADCHECK_TOLERANCE else 3
 

@@ -1,9 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roomwave import baselines
 from roomwave.baselines import (LassoConfig, default_lambda_grid, lasso,
                                 lasso_objective, nearest_neighbor,
                                 null_threshold, select_lambda, tikhonov)
@@ -191,7 +193,100 @@ class TestLasso:
         assert value == pytest.approx(expected, rel=1e-12)
 
 
+class TestLipschitzArgument:
+    """A caller-supplied Lipschitz constant, computed as `lasso` computes
+    it, changes nothing: same coefficients, objective and iteration count,
+    bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_result_as_internal(self, seed):
+        gen = np.random.default_rng(300 + seed)
+        y, phi, _ = random_system(gen, 15, 40, sparse=4)
+        noise_variance = 0.2
+        penalty = 0.1 * null_threshold(y, phi, noise_variance)
+        initial = (None if seed % 2 else
+                   gen.standard_normal(40) + 1j * gen.standard_normal(40))
+        config = LassoConfig(penalty, max_iterations=3000, tolerance=1e-12)
+        lipschitz = float(sla.svdvals(phi)[0] ** 2) / noise_variance
+        ours = lasso(y, phi, noise_variance, config, initial,
+                     lipschitz=lipschitz)
+        reference = lasso(y, phi, noise_variance, config, initial)
+        assert np.array_equal(ours.coefficients, reference.coefficients)
+        assert ours.objective == reference.objective
+        assert ours.n_iterations == reference.n_iterations
+        assert ours.converged == reference.converged
+
+
+def reference_select_lambda(y, phi, noise_variance, grid, folds, seed,
+                            max_iterations=2000, tolerance=1e-8):
+    """K-fold CV in which every fit computes its own Lipschitz constant;
+    returns the chosen penalty and every fit, in call order."""
+    order = np.random.default_rng(seed).permutation(len(y))
+    penalties = np.asarray(sorted(grid, reverse=True), dtype=float)
+    errors = np.zeros(len(penalties))
+    fits = []
+    for test_idx in np.array_split(order, folds):
+        train = np.setdiff1d(order, test_idx, assume_unique=True)
+        coefficients = None
+        for j, penalty in enumerate(penalties):
+            fits.append(lasso(y[train], phi[train], noise_variance,
+                              LassoConfig(penalty, max_iterations, tolerance),
+                              initial=coefficients))
+            coefficients = fits[-1].coefficients
+            residual = y[test_idx] - phi[test_idx] @ coefficients
+            errors[j] += float(np.sum(np.abs(residual) ** 2))
+    return float(penalties[int(np.argmin(errors))]), fits
+
+
 class TestSelectLambda:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_fit_lipschitz_reference(self, seed, monkeypatch):
+        """The per-fold Lipschitz constant gives exactly the penalty and the
+        fits of a loop whose fits each take their own SVD."""
+        gen = np.random.default_rng(400 + seed)
+        y, phi, _ = random_system(gen, 24, 40, sparse=5)
+        noise_variance = 0.2
+        grid = default_lambda_grid(y, phi, noise_variance, size=6)
+        fits = []
+
+        def recording_lasso(*args, **kwargs):
+            fits.append(lasso(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(baselines, "lasso", recording_lasso)
+        chosen = select_lambda(y, phi, noise_variance, grid=grid, folds=4,
+                               seed=seed)
+        expected, expected_fits = reference_select_lambda(
+            y, phi, noise_variance, grid, folds=4, seed=seed)
+        assert chosen == expected
+        assert len(fits) == len(expected_fits) == 4 * 6
+        for fit, reference in zip(fits, expected_fits):
+            assert np.array_equal(fit.coefficients, reference.coefficients)
+            assert fit.objective == reference.objective
+            assert fit.n_iterations == reference.n_iterations
+
+    def test_one_svd_per_fold(self, rng, monkeypatch):
+        y, phi, _ = random_system(rng, 18, 30, sparse=3)
+        svds = []
+        fits = []
+        original_svdvals = baselines.sla.svdvals
+        original_lasso = baselines.lasso
+
+        def counting_svdvals(a, *args, **kwargs):
+            svds.append(a.shape)
+            return original_svdvals(a, *args, **kwargs)
+
+        def counting_lasso(*args, **kwargs):
+            fits.append(kwargs.get("lipschitz"))
+            return original_lasso(*args, **kwargs)
+
+        monkeypatch.setattr(baselines.sla, "svdvals", counting_svdvals)
+        monkeypatch.setattr(baselines, "lasso", counting_lasso)
+        select_lambda(y, phi, 0.2, grid=[0.5, 1.0, 2.0, 4.0], folds=3, seed=2)
+        assert len(svds) == 3
+        assert len(fits) == 3 * 4
+        assert None not in fits and len(set(fits)) == 3
+
     def test_single_grid_point(self, rng):
         y, phi, _ = random_system(rng, 12, 20)
         assert select_lambda(y, phi, 0.2, grid=[0.37], folds=3, seed=0) == 0.37

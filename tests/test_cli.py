@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from roomwave import experiments, fileio
+from roomwave import experiments, fileio, marglik
 from roomwave._linalg import FactorizationError
 from roomwave.cli import GRADCHECK_TOLERANCE, main
 from roomwave.config import load_config
@@ -126,9 +126,39 @@ def test_reconstruct_theta_matches_trace(simulated, tmp_path):
 
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--instances", "4", "--thetas", "3"]) == 0
-    match = re.search(r"max relative gradient error: (\S+)",
+    match = re.search(r"max norm-wise relative gradient error: (\S+)",
                       capsys.readouterr().out)
     assert float(match.group(1)) < GRADCHECK_TOLERANCE
+
+
+def test_gradcheck_passes_with_small_component(capsys):
+    """Seed 5 draws a gradient with a -3.5e-4 component next to O(1) ones;
+    its central-difference roundoff is small against the whole gradient."""
+    assert main(["gradcheck", "--instances", "4", "--thetas", "3",
+                 "--seed", "5"]) == 0
+    match = re.search(r"max norm-wise relative gradient error: (\S+)",
+                      capsys.readouterr().out)
+    assert float(match.group(1)) < GRADCHECK_TOLERANCE
+
+
+def test_gradcheck_fails_on_perturbed_gradient(capsys, monkeypatch):
+    """The norm-wise score still rejects a gradient whose largest component
+    is off by a relative 1e-3."""
+    original = marglik.MarginalLikelihood.value_and_gradient
+
+    def perturbed(self, hp):
+        value, grad = original(self, hp)
+        grad = grad.copy()
+        grad[np.argmax(np.abs(grad))] *= 1 + 1e-3
+        return value, grad
+
+    monkeypatch.setattr(marglik.MarginalLikelihood, "value_and_gradient",
+                        perturbed)
+    assert main(["gradcheck", "--instances", "4", "--thetas", "3",
+                 "--seed", "5"]) == 3
+    match = re.search(r"max norm-wise relative gradient error: (\S+)",
+                      capsys.readouterr().out)
+    assert float(match.group(1)) > 10 * GRADCHECK_TOLERANCE
 
 
 @pytest.mark.parametrize("override", [

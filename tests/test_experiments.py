@@ -205,9 +205,10 @@ class TestLassoGridSize:
         penalties = []
         original = baselines.lasso
 
-        def counting_lasso(y, phi, noise_variance, config, initial=None):
+        def counting_lasso(y, phi, noise_variance, config, initial=None,
+                           **kwargs):
             penalties.append(config.penalty)
-            return original(y, phi, noise_variance, config, initial)
+            return original(y, phi, noise_variance, config, initial, **kwargs)
 
         monkeypatch.setattr(baselines, "lasso", counting_lasso)
         cfg = self.lasso_cfg(room, lasso_grid_size=5)

@@ -166,7 +166,6 @@ class TestExtremeTheta:
         with pytest.raises(FactorizationError):
             ml.value(hp)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(ml=st.sampled_from(EXTREME_EVALUATORS),
            theta=st.lists(THETA_COMPONENT, min_size=5, max_size=5))
