@@ -60,10 +60,8 @@ def chol_factor(a: np.ndarray) -> CholeskyFactor:
     FactorizationError. Non-finite input fails immediately.
     """
     a = np.ascontiguousarray(a)
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise FactorizationError("matrix contains non-finite entries")
-    if a.shape[0] == 0:
-        return CholeskyFactor(a.astype(complex).reshape(0, 0))
     try:
         return CholeskyFactor(sla.cholesky(a, lower=True, check_finite=False))
     except np.linalg.LinAlgError:

@@ -18,11 +18,14 @@ __all__ = [
     "LassoConfig",
     "LassoResult",
     "lasso",
-    "lasso_objective",
     "null_threshold",
     "default_lambda_grid",
     "select_lambda",
 ]
+
+# iteration budget and relative tolerance of every cross-validation fit
+CV_MAX_ITERATIONS = 2000
+CV_TOLERANCE = 1e-8
 
 
 def nearest_neighbor(mic_positions, y, points) -> np.ndarray:
@@ -79,12 +82,6 @@ class LassoResult:
     converged: bool
 
 
-def lasso_objective(y, phi, noise_variance, penalty, coefficients) -> float:
-    residual = y - phi @ coefficients
-    return (float(np.sum(np.abs(residual) ** 2)) / (2.0 * noise_variance)
-            + penalty * float(np.sum(np.abs(coefficients))))
-
-
 def _soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
     """Complex soft-thresholding: shrink the modulus, keep the phase."""
     mags = np.abs(v)
@@ -126,11 +123,17 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     if len(y) != m:
         raise ValueError("y length must match Phi rows")
 
+    # the objective at a with phi_a = Phi a; ndarray.sum is np.sum without
+    # its dispatch (the same pairwise np.add.reduce, the same bits)
+    def objective(phi_a, a):
+        return (float((np.abs(y - phi_a) ** 2).sum()) / (2 * noise_variance)
+                + config.penalty * float(np.abs(a).sum()))
+
     if lipschitz is None:
         lipschitz = _lipschitz(phi, noise_variance)
     if lipschitz == 0.0:
-        return LassoResult(np.zeros(p, dtype=complex), lasso_objective(
-            y, phi, noise_variance, config.penalty, np.zeros(p)), 0, True)
+        zeros = np.zeros(p, dtype=complex)
+        return LassoResult(zeros, objective(phi @ zeros, zeros), 0, True)
     step = 1.0 / lipschitz
 
     x = (np.zeros(p, dtype=complex) if initial is None
@@ -139,16 +142,10 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     z = x
     phi_z = phi_x
     t = 1.0
-    f_x = lasso_objective(y, phi, noise_variance, config.penalty, x)
+    f_x = objective(phi_x, x)
     converged = False
     iterations = 0
-    # the adjoint is formed once, not per iteration; ndarray.sum is np.sum
-    # without its dispatch (the same pairwise np.add.reduce, the same bits)
-    phi_h = phi.conj().T
-
-    def objective(phi_a, a):
-        return (float((np.abs(y - phi_a) ** 2).sum()) / (2 * noise_variance)
-                + config.penalty * float(np.abs(a).sum()))
+    phi_h = phi.conj().T    # the adjoint is formed once, not per iteration
 
     for iterations in range(1, config.max_iterations + 1):
         grad = phi_h @ (phi_z - y) / noise_variance
@@ -175,29 +172,27 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     return LassoResult(x, f_x, iterations, converged)
 
 
-def default_lambda_grid(y, phi, noise_variance, size: int = 20) -> np.ndarray:
+def default_lambda_grid(y, phi, noise_variance, size: int) -> np.ndarray:
     """Logarithmic grid over [1e-4, 1] times the null threshold."""
     top = null_threshold(y, phi, noise_variance)
     return top * np.logspace(-4.0, 0.0, size)
 
 
-def select_lambda(y, phi: np.ndarray, noise_variance: float,
-                  grid=None, folds: int = 5, seed: int = 0,
-                  max_iterations: int = 2000,
-                  tolerance: float = 1e-8) -> float:
-    """Penalty minimizing K-fold cross-validated squared prediction error
-    over microphones; ties favor the larger penalty.
+def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
+                  folds: int, seed: int) -> float:
+    """Penalty of `grid` minimizing `folds`-fold cross-validated squared
+    prediction error over microphones; ties favor the larger penalty. The
+    folds are a `seed`-seeded random partition.
 
     `lasso` runs once per (fold, penalty), warm-started down the descending
-    grid; each fold's Lipschitz constant is computed once and passed to all
-    of that fold's fits.
+    grid, with CV_MAX_ITERATIONS and CV_TOLERANCE; each fold's Lipschitz
+    constant is computed once and passed to all of that fold's fits.
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     m = len(y)
     if not 2 <= folds <= m:
         raise ValueError(f"folds must be in 2..{m}")
-    grid = (default_lambda_grid(y, phi, noise_variance) if grid is None
-            else np.asarray(grid, dtype=float))
+    grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
 
@@ -215,7 +210,7 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float,
         coefficients = None
         for j, penalty in enumerate(penalties):
             # warm start down the penalty path
-            config = LassoConfig(penalty, max_iterations, tolerance)
+            config = LassoConfig(penalty, CV_MAX_ITERATIONS, CV_TOLERANCE)
             fit = lasso(y_train, phi_train, noise_variance, config,
                         initial=coefficients, lipschitz=lipschitz)
             coefficients = fit.coefficients

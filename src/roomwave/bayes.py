@@ -113,26 +113,16 @@ def prior_covariance_from_matrices(psi: np.ndarray, phi_tilde: np.ndarray,
     return PriorCovariance(hp.prior_variance, mu, g, chol_factor(a))
 
 
+@dataclass(frozen=True)
 class PosteriorModel:
     """Posterior state: factorized Q = sigma^2 I + Phi Sigma Phi^H together
     with xi = Q^{-1} y and the cached cross-covariance Sigma Phi^H."""
 
-    def __init__(self, dictionary: PlaneWaveDictionary, hp: Hyperparameters,
-                 prior: PriorCovariance, phi: np.ndarray, y: np.ndarray,
-                 cross: np.ndarray, q_factor: CholeskyFactor | None,
-                 xi: np.ndarray):
-        self.dictionary = dictionary
-        self.hyperparameters = hp
-        self.prior = prior
-        self.phi = phi
-        self.y = y
-        self.cross = cross          # Sigma Phi^H, (P, M)
-        self.q_factor = q_factor    # None only for M = 0
-        self.xi = xi
-
-    @property
-    def num_measurements(self) -> int:
-        return len(self.y)
+    dictionary: PlaneWaveDictionary
+    prior: PriorCovariance
+    cross: np.ndarray           # Sigma Phi^H, (P, M)
+    q_factor: CholeskyFactor
+    xi: np.ndarray
 
 
 def build_posterior(y, phi: np.ndarray, prior: PriorCovariance,
@@ -140,20 +130,18 @@ def build_posterior(y, phi: np.ndarray, prior: PriorCovariance,
                     dictionary: PlaneWaveDictionary) -> PosteriorModel:
     """Factorize Q = sigma^2 I + Phi Sigma Phi^H (M x M) and precompute
     everything prediction needs; Sigma Phi^H comes from the boundary-space
-    prior, so no P x P matrix is formed."""
+    prior, so no P x P matrix is formed. Needs M >= 1 measurements."""
     y = np.asarray(y, dtype=complex).reshape(-1)
+    if len(y) < 1:
+        raise ValueError("need at least one measurement")
     if phi.shape != (len(y), prior.dim):
         raise ValueError(f"Phi shape {phi.shape} inconsistent with "
                          f"M={len(y)}, P={prior.dim}")
     cross = prior.apply(phi.conj().T)
-    if len(y) == 0:
-        return PosteriorModel(dictionary, hp, prior, phi, y, cross, None,
-                              np.zeros(0, dtype=complex))
     q = phi @ cross
     q.flat[::len(y) + 1] += hp.noise_variance
     q_factor = chol_factor(q)
-    xi = q_factor.solve(y)
-    return PosteriorModel(dictionary, hp, prior, phi, y, cross, q_factor, xi)
+    return PosteriorModel(dictionary, prior, cross, q_factor, q_factor.solve(y))
 
 
 def map_coefficients(posterior: PosteriorModel) -> np.ndarray:
@@ -174,9 +162,6 @@ def predict(posterior: PosteriorModel, points) -> tuple[np.ndarray, np.ndarray]:
 
     sig_phi = posterior.prior.apply(phi_r.conj().T)        # Sigma phi*, (P, J)
     prior_var = np.einsum("jp,pj->j", phi_r, sig_phi).real
-    if posterior.num_measurements == 0:
-        return mean, prior_var
-
     t = phi_r @ posterior.cross                            # phi^T Sigma Phi^H, (J, M)
     reduction = np.einsum("jm,mj->j", t, posterior.q_factor.solve(t.conj().T)).real
     variance = prior_var - reduction

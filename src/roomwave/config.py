@@ -8,6 +8,8 @@ is coerced to. Unknown keys are rejected by name so a typo cannot silently
 fall back to a default. Scalars can be overridden from the command line with
 repeated `--set section.key=value` flags. Values are validated once, after
 every key has been read, so the result does not depend on key order.
+`_RETIRED` keys set no field: each is accepted only at the one value the
+code implements, and any other value is a ConfigError.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ _SCHEMA = {
     "optimizer.max_line_searches": "max_line_searches",
     "lasso.grid_size": "lasso_grid_size",
     "lasso.folds": "lasso_folds",
-    "lasso.mode": "lasso_mode",
     "benchmark.sweeps": "sweeps",
     "benchmark.monte_carlo_runs": "monte_carlo_runs",
     "benchmark.methods": "methods",
@@ -54,9 +55,10 @@ _SCHEMA = {
     "benchmark.boundary_perturbations_m": "boundary_perturbations",
     "benchmark.mic_perturbations_m": "mic_perturbations",
     "benchmark.frequencies_hz": "frequencies_hz",
-    "benchmark.shared_perturbation": "shared_perturbation",
     "reconstruct.points": "reconstruct_points",
 }
+# retired keys, accepted at their one implemented value so older files load
+_RETIRED = {"lasso.mode": "per_run", "benchmark.shared_perturbation": False}
 _SECTIONS = {key.split(".")[0] for key in _SCHEMA if "." in key}
 _DEFAULTS = {
     **{f.name: f.default for f in dataclasses.fields(ExperimentConfig)},
@@ -102,6 +104,12 @@ def _build(config: ExperimentConfig, settings) -> ExperimentConfig:
     """
     values = {}
     for key, value in settings:
+        if key in _RETIRED:
+            fixed = _RETIRED[key]
+            if type(value) is not type(fixed) or value != fixed:
+                raise ConfigError(f"{key}: only {fixed!r} is implemented, "
+                                  f"got {value!r}")
+            continue
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key '{key}' (expected seed or "
                               "section.key)")

@@ -11,6 +11,10 @@ What each sweep varies, and which methods it refits per value:
   frequency              the frequency: wavenumber, dictionary, snapshot and
                          truth are rebuilt; every method is refit
 
+The perturbation sweeps displace each point by the swept magnitude along its
+own random direction. Every lasso fit cross-validates its own penalty over
+the microphones it assumes.
+
 Within a run, every method sees the same noise realization and geometry, so
 method comparisons are paired; seeds are derived from (master_seed, run)
 only, which makes each run identical across sweeps and sweep values.
@@ -19,6 +23,7 @@ only, which makes each run identical across sweeps and sweep values.
 from __future__ import annotations
 
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -118,8 +123,6 @@ class ExperimentConfig:
     max_line_searches: int = 100
     lasso_grid_size: int = 20
     lasso_folds: int = 5
-    lasso_mode: str = "per_run"
-    shared_perturbation: bool = False
     reconstruct_points: str | None = None   # file of prediction points (x y z)
 
     def __post_init__(self):
@@ -143,8 +146,18 @@ class ExperimentConfig:
             raise ValueError(f"no values to sweep in {empty}")
         if self.sweeps and not self.methods:
             raise ValueError("no methods to run in the chosen sweeps")
-        if self.lasso_mode not in ("per_run", "global"):
-            raise ValueError("lasso_mode must be 'per_run' or 'global'")
+        # written as `not a < x < b` so that NaN fails too
+        for name, values in (("speed_of_sound", (self.speed_of_sound,)),
+                             ("frequency_hz", (self.frequency_hz,)),
+                             ("frequencies_hz", self.frequencies_hz),
+                             ("exclusion_radius", (self.exclusion_radius,))):
+            if not all(0.0 < v < math.inf for v in values):
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("boundary_perturbations", "mic_perturbations"):
+            if not all(0.0 <= v < math.inf for v in getattr(self, name)):
+                raise ValueError(f"{name} must be >= 0 and finite")
+        if not self.snr_db > -math.inf:     # +inf is a noiseless snapshot
+            raise ValueError("snr_db must be a number or inf")
 
 
 @dataclass
@@ -167,10 +180,6 @@ class RunResult:
     @property
     def nmse_db(self) -> float:
         return to_db(self.nmse_linear)
-
-    @property
-    def seconds(self) -> float:
-        return float(np.sum(self.seconds_per_run))
 
 
 _SEED_KEYS = ("microphones", "validation", "boundary", "noise",
@@ -203,8 +212,8 @@ def draw_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
     """The measured side of one run: (seeds, microphones, boundary cloud,
     snapshot at `frequency_hz`). The cloud is empty for a zero count."""
     seeds = run_seeds(cfg.master_seed, run)
-    mics = sample_microphones(cfg.room, cfg.mic_count, None,
-                              cfg.exclusion_radius, seeds["microphones"])
+    mics = sample_microphones(cfg.room, cfg.mic_count, cfg.exclusion_radius,
+                              seeds["microphones"])
     cloud = (sample_boundary(cfg.room, boundary_count, seeds["boundary"])
              if boundary_count else BoundaryCloud.empty())
     snapshot = simulate_snapshot(cfg.room, mics, frequency_hz,
@@ -217,7 +226,7 @@ def _make_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
               boundary_count: int) -> _RunData:
     seeds, mics, cloud, snapshot = draw_run(cfg, run, frequency_hz,
                                             boundary_count)
-    validation = sample_validation_points(cfg.room, cfg.validation_count, None,
+    validation = sample_validation_points(cfg.room, cfg.validation_count,
                                           cfg.exclusion_radius,
                                           seeds["validation"])
     k = wavenumber(frequency_hz, cfg.speed_of_sound)
@@ -248,8 +257,8 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
 
 
 def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
-                 assumed_mics: np.ndarray, prior_cloud: BoundaryCloud,
-                 lasso_penalty: float | None = None) -> np.ndarray:
+                 assumed_mics: np.ndarray,
+                 prior_cloud: BoundaryCloud) -> np.ndarray:
     """Field prediction of one method at the validation points."""
     dictionary = data.dictionary
     targets = data.validation.positions
@@ -268,20 +277,20 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
         alpha = tikhonov(data.y, phi, hp.noise_variance, hp.prior_variance)
         return evaluate_field(dictionary, alpha, targets)
     if method == "lasso":
-        penalty = lasso_penalty
-        if penalty is None:
-            penalty = _select_lasso_penalty(cfg, data, phi)
+        # penalty cross-validated over a `lasso_grid_size`-point grid
+        grid = default_lambda_grid(data.y, phi, data.noise_variance,
+                                   cfg.lasso_grid_size)
+        penalty = select_lambda(data.y, phi, data.noise_variance, grid,
+                                cfg.lasso_folds, data.seeds["lasso_cv"])
         fit = lasso(data.y, phi, data.noise_variance, LassoConfig(penalty))
         return evaluate_field(dictionary, fit.coefficients, targets)
     raise ValueError(f"unknown method '{method}'")
 
 
-def _timed_nmse(method, data, cfg, assumed_mics, prior_cloud,
-                lasso_penalty=None):
+def _timed_nmse(method, data, cfg, assumed_mics, prior_cloud):
     start = time.perf_counter()
     try:
-        prediction = _reconstruct(method, data, cfg, assumed_mics,
-                                  prior_cloud, lasso_penalty)
+        prediction = _reconstruct(method, data, cfg, assumed_mics, prior_cloud)
         error = nmse(prediction, data.truth)
     except Exception:
         logger.warning("run %d: method '%s' failed", data.run, method,
@@ -308,15 +317,6 @@ class _Table:
         return [self.cells[key] for key in self._order]
 
 
-def _select_lasso_penalty(cfg: ExperimentConfig, data: _RunData,
-                          phi: np.ndarray) -> float:
-    """Cross-validated lasso penalty over a `lasso_grid_size`-point grid."""
-    grid = default_lambda_grid(data.y, phi, data.noise_variance,
-                               cfg.lasso_grid_size)
-    return select_lambda(data.y, phi, data.noise_variance, grid=grid,
-                         folds=cfg.lasso_folds, seed=data.seeds["lasso_cv"])
-
-
 def _assumed_geometry(cfg: ExperimentConfig, sweep: str, value,
                       data: _RunData) -> tuple:
     """Microphone positions and prior cloud the methods assume at one value
@@ -326,12 +326,10 @@ def _assumed_geometry(cfg: ExperimentConfig, sweep: str, value,
         cloud = cloud.subset(value)
     elif sweep == "boundary_perturbation":
         points = perturb_positions(cloud.points, value,
-                                   data.seeds["boundary_perturbation"],
-                                   cfg.shared_perturbation)
+                                   data.seeds["boundary_perturbation"])
         cloud = BoundaryCloud(points, cloud.normals)
     elif sweep == "mic_perturbation":
-        mics = perturb_positions(mics, value, data.seeds["mic_perturbation"],
-                                 cfg.shared_perturbation)
+        mics = perturb_positions(mics, value, data.seeds["mic_perturbation"])
     return mics, cloud
 
 
@@ -341,18 +339,16 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     A frequency value rebuilds the run; any other value only changes the
     geometry the methods assume. When only the prior cloud changes (the two
     boundary sweeps), the baselines are fit once per run and their
-    (nmse, seconds) pair is recorded under every value. A global lasso
-    penalty is chosen once per frequency, on run 0, from Phi at the true
-    microphone positions.
+    (nmse, seconds) pair is recorded under every value. The lasso penalty
+    is cross-validated in every fit, from Phi at the microphone positions
+    that fit assumes.
     """
     values = tuple(int(v) if sweep == "boundary_count" else float(v)
                    for v in getattr(cfg, _SWEEP_VALUES[sweep]))
     boundary_count = (max(values) if sweep == "boundary_count"
                       else cfg.boundary_count)
     cloud_only = sweep in ("boundary_count", "boundary_perturbation")
-    global_lasso = "lasso" in cfg.methods and cfg.lasso_mode == "global"
     table = _Table(sweep, values, cfg.methods, cfg.monte_carlo_runs)
-    penalties = {}
     for run in range(cfg.monte_carlo_runs):
         data = None
         fitted = {}
@@ -360,16 +356,12 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
             frequency = value if sweep == "frequency" else cfg.frequency_hz
             if data is None or sweep == "frequency":
                 data = _make_run(cfg, run, frequency, boundary_count)
-            if global_lasso and frequency not in penalties:
-                phi = build_phi(data.dictionary, data.mics.positions)
-                penalties[frequency] = _select_lasso_penalty(cfg, data, phi)
             mics, cloud = _assumed_geometry(cfg, sweep, value, data)
             for method in cfg.methods:
                 key = (method if cloud_only and method != "proposed"
                        else (method, value))
                 if key not in fitted:
-                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud,
-                                              penalties.get(frequency))
+                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud)
                 table.record(value, method, run, *fitted[key])
     return table.rows()
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .experiments import to_db
 from .geometry import BoundaryCloud, MicArray, RoomSpec
 from .marglik import to_hyperparameters
 from .simulator import SimSnapshot
@@ -236,11 +237,9 @@ def write_runs_csv(path, results) -> None:
         for result in results:
             for run, (error, seconds) in enumerate(
                     zip(result.nmse_per_run, result.seconds_per_run)):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    db = 10 * np.log10(error)
                 writer.writerow([
                     result.sweep, result.method, _fmt(result.value), run,
-                    _fmt(error), _fmt(db), _fmt(seconds),
+                    _fmt(error), _fmt(to_db(error)), _fmt(seconds),
                 ])
 
 

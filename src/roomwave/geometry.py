@@ -9,7 +9,6 @@ points, and every call uses its own local generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -132,24 +131,19 @@ def _random_unit_vectors(count: int, rng: np.random.Generator) -> np.ndarray:
     return v / norms[:, None]
 
 
-def sample_microphones(
-    room: RoomSpec,
-    count: int,
-    exclusion_center: Sequence[float] | None = None,
-    exclusion_radius: float = 0.5,
-    seed: int = 0,
-) -> MicArray:
+def sample_microphones(room: RoomSpec, count: int,
+                       exclusion_radius: float = 0.5,
+                       seed: int = 0) -> MicArray:
     """Uniform microphone positions in the half-room x > Lx/2, excluding the
-    open ball of `exclusion_radius` around `exclusion_center` (default: the
-    centroid of that half). Rejection sampling; raises RuntimeError when the
-    admissible region is negligibly small (acceptance rate below 1e-6).
+    open ball of `exclusion_radius` around the centroid of that half.
+    Rejection sampling; raises RuntimeError when the admissible region is
+    negligibly small (acceptance rate below 1e-6).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if exclusion_radius < 0:
         raise ValueError("exclusion radius must be >= 0")
-    center = (room.mic_half_center if exclusion_center is None
-              else np.asarray(exclusion_center, dtype=float))
+    center = room.mic_half_center
     rng = np.random.default_rng(seed)
     lo = np.array([room.dimensions[0] / 2.0, 0.0, 0.0])
     hi = room.dimensions
@@ -174,20 +168,16 @@ def sample_microphones(
     return MicArray(np.concatenate(accepted, axis=0))
 
 
-def sample_validation_points(
-    room: RoomSpec,
-    count: int,
-    center: Sequence[float] | None = None,
-    radius: float = 0.5,
-    seed: int = 0,
-) -> MicArray:
-    """Uniform positions in the open ball of `radius` around `center`
-    (default: the microphone-half centroid)."""
+def sample_validation_points(room: RoomSpec, count: int,
+                             radius: float = 0.5,
+                             seed: int = 0) -> MicArray:
+    """Uniform positions in the open ball of `radius` around the
+    microphone-half centroid, the ball that `sample_microphones` excludes."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    c = room.mic_half_center if center is None else np.asarray(center, dtype=float)
+    c = room.mic_half_center
     rng = np.random.default_rng(seed)
 
     accepted: list[np.ndarray] = []
@@ -234,26 +224,13 @@ def sample_boundary(room: RoomSpec, count: int, seed: int = 0) -> BoundaryCloud:
     return BoundaryCloud(points, normals)
 
 
-def perturb_positions(
-    points,
-    magnitude: float,
-    seed: int = 0,
-    shared_direction: bool = False,
-) -> np.ndarray:
-    """Displace each point by exactly `magnitude` along a random direction.
-
-    Directions are independent per point by default; with
-    `shared_direction=True` a single random direction displaces every point
-    (the alternative reading of a "constant perturbation").
-    """
+def perturb_positions(points, magnitude: float, seed: int = 0) -> np.ndarray:
+    """Displace each point by exactly `magnitude` along its own isotropic
+    random direction, drawn independently per point."""
     if magnitude < 0:
         raise ValueError("magnitude must be >= 0")
     pts = _as_points(points)
     if magnitude == 0.0:
         return pts.copy()
     rng = np.random.default_rng(seed)
-    if shared_direction:
-        direction = np.broadcast_to(_random_unit_vectors(1, rng), pts.shape)
-    else:
-        direction = _random_unit_vectors(len(pts), rng)
-    return pts + magnitude * direction
+    return pts + magnitude * _random_unit_vectors(len(pts), rng)

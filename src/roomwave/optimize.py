@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = ["MinimizeResult", "minimize"]
 
-VALUE_TOLERANCE = 1e-9   # default relative objective change for convergence
+VALUE_TOLERANCE = 1e-9   # relative objective change that ends the search
 C1 = 1e-4                # Wolfe sufficient-decrease constant
 C2 = 0.1                 # strong-Wolfe curvature constant
 MAX_EVALUATIONS_PER_SEARCH = 20
@@ -40,13 +40,13 @@ class MinimizeResult:
     message: str = ""
 
 
-def minimize(fun, x0, max_line_searches: int = 100,
-             value_tolerance: float = VALUE_TOLERANCE) -> MinimizeResult:
+def minimize(fun, x0, max_line_searches: int = 100) -> MinimizeResult:
     """Minimize fun(x) -> (value, gradient) starting from x0.
 
     Runs at most `max_line_searches` line searches; declares convergence
     when an accepted step changes the objective by less than
-    `value_tolerance * (1 + |value|)`. Returns the best point found with
+    `VALUE_TOLERANCE * (1 + |value|)`, with the module constant read at each
+    check. Returns the best point found with
     converged=False and a message when the search stops early.
     """
     x = np.array(x0, dtype=float)
@@ -170,7 +170,7 @@ def minimize(fun, x0, max_line_searches: int = 100,
                 slope = -float(g0 @ g0)
             step = a3 * min(STEP_RATIO, old_slope / (slope - TINY))
             search_failed = False
-            if abs(previous_f - f0) < value_tolerance * (1.0 + abs(f0)):
+            if abs(previous_f - f0) < VALUE_TOLERANCE * (1.0 + abs(f0)):
                 converged = True
                 message = "objective change below tolerance"
                 break

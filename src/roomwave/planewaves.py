@@ -67,12 +67,6 @@ class PlaneWaveDictionary:
             raise ValueError("directions must be unit vectors")
         object.__setattr__(self, "directions", dirs)
 
-    @classmethod
-    def for_frequency(cls, frequency_hz: float, count: int,
-                      speed_of_sound: float = 343.0) -> "PlaneWaveDictionary":
-        return cls(wavenumber(frequency_hz, speed_of_sound),
-                   fibonacci_directions(count))
-
     @property
     def size(self) -> int:
         return len(self.directions)
@@ -81,9 +75,6 @@ class PlaneWaveDictionary:
     def wave_vectors(self) -> np.ndarray:
         """k_p = k * direction_p, shape (P, 3)."""
         return self.wavenumber * self.directions
-
-    def __len__(self) -> int:
-        return self.size
 
 
 def build_phi(dictionary: PlaneWaveDictionary, points) -> np.ndarray:

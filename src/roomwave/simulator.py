@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import MicArray, RoomSpec, _as_points
+from .planewaves import wavenumber
 
 __all__ = [
     "SimSnapshot",
@@ -121,9 +122,7 @@ def simulate_snapshot(
     symmetric complex Gaussian (variance sigma^2/2 per real component).
     `snr_db=inf` yields a noiseless snapshot.
     """
-    if frequency_hz <= 0 or speed_of_sound <= 0:
-        raise ValueError("frequency and speed of sound must be positive")
-    k = 2.0 * np.pi * frequency_hz / speed_of_sound
+    k = wavenumber(frequency_hz, speed_of_sound)
     clean = field_at_points(room, mics.positions, k, max_order)
     if math.isinf(snr_db):
         return SimSnapshot(frequency_hz, clean, clean.copy(), 0.0)

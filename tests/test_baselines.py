@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from roomwave import baselines
 from roomwave.baselines import (LassoConfig, default_lambda_grid, lasso,
-                                lasso_objective, nearest_neighbor,
-                                null_threshold, select_lambda, tikhonov)
+                                nearest_neighbor, null_threshold,
+                                select_lambda, tikhonov)
 from roomwave.bayes import (Hyperparameters, build_posterior,
                             map_coefficients, prior_covariance_from_matrices)
 from roomwave.planewaves import PlaneWaveDictionary, fibonacci_directions
@@ -185,12 +185,26 @@ class TestLasso:
         assert warm.n_iterations <= cold.n_iterations
 
     def test_objective_helper(self, rng):
+        """The reported objective is the lasso objective at the returned
+        coefficients, from a warm start and after any iteration count."""
         y, phi, _ = random_system(rng, 8, 12)
-        alpha = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        value = lasso_objective(y, phi, 0.5, 0.3, alpha)
-        expected = (np.linalg.norm(y - phi @ alpha) ** 2 / (2 * 0.5)
-                    + 0.3 * np.sum(np.abs(alpha)))
-        assert value == pytest.approx(expected, rel=1e-12)
+        initial = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        for iterations in (1, 3, 50):
+            result = lasso(y, phi, 0.5, LassoConfig(0.3, iterations, 0.0),
+                           initial=initial)
+            alpha = result.coefficients
+            expected = (np.linalg.norm(y - phi @ alpha) ** 2 / (2 * 0.5)
+                        + 0.3 * np.sum(np.abs(alpha)))
+            assert result.objective == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_matrix_returns_zero_at_its_objective(self, rng):
+        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        result = lasso(y, np.zeros((6, 9), dtype=complex), 0.5,
+                       LassoConfig(0.3))
+        npt.assert_array_equal(result.coefficients, 0.0)
+        assert result.converged and result.n_iterations == 0
+        assert result.objective == pytest.approx(
+            np.linalg.norm(y) ** 2 / (2 * 0.5), rel=1e-12)
 
 
 class TestLipschitzArgument:
@@ -293,8 +307,9 @@ class TestSelectLambda:
 
     def test_deterministic(self, rng):
         y, phi, _ = random_system(rng, 16, 25, sparse=3)
-        first = select_lambda(y, phi, 0.2, folds=4, seed=5)
-        second = select_lambda(y, phi, 0.2, folds=4, seed=5)
+        grid = default_lambda_grid(y, phi, 0.2, 8)
+        first = select_lambda(y, phi, 0.2, grid, folds=4, seed=5)
+        second = select_lambda(y, phi, 0.2, grid, folds=4, seed=5)
         assert first == second
 
     def test_pure_noise_selects_largest(self):
@@ -312,6 +327,8 @@ class TestSelectLambda:
     def test_fold_validation(self, rng):
         y, phi, _ = random_system(rng, 10, 15)
         with pytest.raises(ValueError):
-            select_lambda(y, phi, 0.2, folds=1, seed=0)
+            select_lambda(y, phi, 0.2, [0.1], folds=1, seed=0)
         with pytest.raises(ValueError):
-            select_lambda(y, phi, 0.2, folds=11, seed=0)
+            select_lambda(y, phi, 0.2, [0.1], folds=11, seed=0)
+        with pytest.raises(ValueError, match="grid"):
+            select_lambda(y, phi, 0.2, [], folds=2, seed=0)

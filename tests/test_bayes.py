@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from roomwave._linalg import FactorizationError, chol_factor
 from roomwave.bayes import (VARIANCE_CLAMP_ABS, VARIANCE_CLAMP_REL,
                             Hyperparameters, build_posterior,
                             map_coefficients, predict,
@@ -167,18 +170,12 @@ class TestPredict:
         mean, _ = predict(posterior, mics)
         assert np.linalg.norm(mean - y) / np.linalg.norm(y) < 1e-3
 
-    def test_no_data_prior_predictive(self, dictionary, cloud, rng):
+    def test_no_data_rejected(self, dictionary, cloud):
         hp = Hyperparameters(0.1, 1.0, 0.05, 1.0 + 0j)
         prior = prior_of(dictionary, cloud, hp)
-        posterior = build_posterior(np.zeros(0), np.zeros((0, dictionary.size)),
-                                    prior, hp, dictionary)
-        pts = rng.uniform(size=(6, 3))
-        mean, variance = predict(posterior, pts)
-        npt.assert_allclose(mean, 0.0)
-        phi_r = build_phi(dictionary, pts)
-        expected = np.einsum("jp,pj->j", phi_r,
-                             sigma_matrix(prior) @ phi_r.conj().T).real
-        npt.assert_allclose(variance, expected, rtol=1e-9)
+        with pytest.raises(ValueError, match="at least one measurement"):
+            build_posterior(np.zeros(0), np.zeros((0, dictionary.size)),
+                            prior, hp, dictionary)
 
     def test_mean_equals_field_of_map(self, room, dictionary, cloud, rng):
         hp, _, phi, y, prior, posterior = make_problem(room, dictionary,
@@ -199,6 +196,50 @@ class TestPredict:
         prior_var = np.einsum("jp,pj->j", phi_r,
                               sigma_matrix(prior) @ phi_r.conj().T).real
         assert np.all(variance <= prior_var + 1e-10)
+
+
+class TestVarianceClamp:
+    """The clamp in `predict`: a negative predictive variance within
+    VARIANCE_CLAMP_REL * prior variance + VARIANCE_CLAMP_ABS becomes 0, and
+    one beyond it raises."""
+
+    @staticmethod
+    def with_q_over(posterior, phi, hp, scale):
+        """The posterior with Q replaced by Q / scale, so that every
+        variance reduction is multiplied by `scale`."""
+        q = phi @ posterior.cross
+        q.flat[::len(q) + 1] += hp.noise_variance
+        return dataclasses.replace(posterior,
+                                   q_factor=chol_factor(q / scale))
+
+    def test_excursion_below_floor_raises(self, room, dictionary, cloud,
+                                          rng):
+        hp, mics, phi, _, _, posterior = make_problem(room, dictionary,
+                                                      cloud, rng)
+        with pytest.raises(FactorizationError, match="numerical floor"):
+            predict(self.with_q_over(posterior, phi, hp, 10.0), mics[:3])
+
+    def test_excursion_inside_tolerance_clamped(self, room, dictionary,
+                                                cloud, rng):
+        hp, mics, phi, _, prior, posterior = make_problem(room, dictionary,
+                                                          cloud, rng)
+        point = mics[:1]
+        phi_r = build_phi(dictionary, point)
+        prior_var = float(np.real(phi_r @ prior.apply(phi_r.conj().T))[0, 0])
+        t = phi_r @ posterior.cross
+        reduction = float(np.real(
+            t @ posterior.q_factor.solve(t.conj().T))[0, 0])
+        tolerance = VARIANCE_CLAMP_REL * prior_var + VARIANCE_CLAMP_ABS
+        # the reduction overshoots the prior variance by half the tolerance
+        inside = self.with_q_over(posterior, phi, hp,
+                                  (prior_var + 0.5 * tolerance) / reduction)
+        _, variance = predict(inside, point)
+        assert variance.tolist() == [0.0]
+        # ... and by twice the tolerance
+        outside = self.with_q_over(posterior, phi, hp,
+                                   (prior_var + 2.0 * tolerance) / reduction)
+        with pytest.raises(FactorizationError, match="numerical floor"):
+            predict(outside, point)
 
 
 class TestTikhonovReduction:

@@ -57,8 +57,8 @@ def test_simulate_draws_each_seed_into_its_sampler(simulated, tmp_path):
     config, data = simulated
     cfg = load_config(config)
     seeds = experiments.run_seeds(cfg.master_seed, 0)
-    mics = sample_microphones(cfg.room, cfg.mic_count, None,
-                              cfg.exclusion_radius, seeds["microphones"])
+    mics = sample_microphones(cfg.room, cfg.mic_count, cfg.exclusion_radius,
+                              seeds["microphones"])
     cloud = sample_boundary(cfg.room, cfg.boundary_count, seeds["boundary"])
     snapshot = simulate_snapshot(cfg.room, mics, cfg.frequency_hz,
                                  cfg.speed_of_sound, cfg.snr_db,
@@ -164,7 +164,11 @@ def test_gradcheck_fails_on_perturbed_gradient(capsys, monkeypatch):
 @pytest.mark.parametrize("override", [
     "benchmark.monte_carlo_runs=0", "array.mic_count=0", "lasso.mode=bogus",
     "room.reflection_coefficient=1.5", "lasso.folds=1", "lasso.grid_size=0",
-    "simulation.max_image_order=-1", "boundary.count=-1"])
+    "simulation.max_image_order=-1", "boundary.count=-1",
+    "medium.speed_of_sound=-343", "simulation.frequency_hz=0",
+    "simulation.frequency_hz=.nan", "array.exclusion_radius=-1",
+    "simulation.snr_db=.nan",
+    "lasso.mode=global", "benchmark.shared_perturbation=true"])
 def test_bad_config_value_exits_2(tiny, tmp_path, capsys, override):
     code = main(["benchmark", str(tiny), str(tmp_path / "out"),
                  "--set", override])
@@ -177,6 +181,22 @@ def test_empty_sweep_values_exit_2(tmp_path, capsys):
     config = tmp_path / "empty.yaml"
     config.write_text(TINY_CONFIG + "benchmark:\n  sweeps: [boundary_count]\n"
                       "  boundary_counts: []\n", encoding="utf-8")
+    code = main(["benchmark", str(config), str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    TINY_CONFIG + "benchmark:\n  sweeps: [mic_perturbation]\n"
+    "  mic_perturbations_m: [0.0, -0.05]\n",
+    TINY_CONFIG.replace("simulation:\n", "simulation:\n  frequency_hz: .nan\n")],
+    ids=["negative_perturbation", "nan_frequency"])
+def test_out_of_range_file_value_exits_2(tmp_path, capsys, text):
+    """A negative perturbation would fail mid-run and a NaN frequency would
+    write an all-NaN table; both are config errors before any output."""
+    config = tmp_path / "bad.yaml"
+    config.write_text(text, encoding="utf-8")
     code = main(["benchmark", str(config), str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err

@@ -9,7 +9,11 @@ from roomwave.config import (_SCHEMA, ConfigError, apply_overrides,
                              load_config, parse_config)
 from roomwave.experiments import ExperimentConfig
 
-DEFAULT_YAML = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_YAML = ROOT / "configs" / "default.yaml"
+SHIPPED = sorted([*ROOT.glob("configs/*.yaml"),
+                  *ROOT.glob("perfbench/workloads/*.yaml"),
+                  ROOT / "perfbench" / "tests" / "tiny.yaml"])
 
 
 def assert_same_config(a, b):
@@ -61,16 +65,45 @@ class TestSchema:
             parse_config({"lasso": {"folds": 1}})
 
 
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_config_loads(path):
+    """Every config file in the repository passes the schema, including
+    the retired keys it may still set."""
+    assert isinstance(load_config(path), ExperimentConfig)
+
+
+class TestRetiredKeys:
+    """`lasso.mode` and `benchmark.shared_perturbation` set no field; they
+    load at their one implemented value and are rejected at any other."""
+
+    def test_implemented_value_changes_nothing(self):
+        config = parse_config({"lasso": {"mode": "per_run"},
+                               "benchmark": {"shared_perturbation": False}})
+        assert_same_config(config, ExperimentConfig())
+        config = apply_overrides(parse_config(None), [
+            "lasso.mode=per_run", "benchmark.shared_perturbation=false"])
+        assert_same_config(config, ExperimentConfig())
+
+    @pytest.mark.parametrize("document, key", [
+        ({"lasso": {"mode": "global"}}, "lasso.mode"),
+        ({"benchmark": {"shared_perturbation": True}},
+         "benchmark.shared_perturbation"),
+        ({"benchmark": {"shared_perturbation": 0}},
+         "benchmark.shared_perturbation")])
+    def test_other_value_rejected(self, document, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(document)
+
+
 class TestOverrides:
     def test_scalars_applied(self):
         config = apply_overrides(parse_config(None), [
-            "seed=3", "array.mic_count=50", "lasso.mode=global",
-            "simulation.snr_db=inf", "benchmark.shared_perturbation=true"])
+            "seed=3", "array.mic_count=50", "lasso.folds=4",
+            "simulation.snr_db=inf"])
         assert config.master_seed == 3
         assert config.mic_count == 50
-        assert config.lasso_mode == "global"
+        assert config.lasso_folds == 4
         assert config.snr_db == float("inf")
-        assert config.shared_perturbation is True
 
     def test_room_key_keeps_the_other_room_fields(self):
         base = parse_config({"room": {"dimensions": [6.0, 5.0, 4.0]}})

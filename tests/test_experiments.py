@@ -7,7 +7,6 @@ import pytest
 from roomwave import baselines, experiments
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
                                   run_seeds, run_sweeps, to_db)
-from roomwave.fileio import write_aggregate_csv
 from roomwave.geometry import perturb_positions
 from roomwave.planewaves import build_phi
 
@@ -102,6 +101,19 @@ class TestConfigValidation:
         dict(boundary_counts=(0, -1))])
     def test_lasso_image_order_and_boundary_bounds(self, room, overrides):
         with pytest.raises(ValueError):
+            tiny_config(room, **overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(speed_of_sound=-343.0), dict(speed_of_sound=float("nan")),
+        dict(frequency_hz=0.0), dict(frequency_hz=float("nan")),
+        dict(frequency_hz=float("inf")), dict(frequencies_hz=(200.0, -1.0)),
+        dict(exclusion_radius=-1.0), dict(exclusion_radius=0.0),
+        dict(boundary_perturbations=(0.0, float("nan"))),
+        dict(mic_perturbations=(-0.01,)), dict(snr_db=float("nan")),
+        dict(snr_db=-float("inf"))])
+    def test_physical_values_out_of_range(self, room, overrides):
+        """Each check is written so that NaN fails it too."""
+        with pytest.raises(ValueError, match=next(iter(overrides))):
             tiny_config(room, **overrides)
 
     def test_unknown_method_rejected(self, room):
@@ -216,34 +228,15 @@ class TestLassoGridSize:
         assert len(penalties) == 5 * cfg.lasso_folds
         assert len(set(penalties)) == 5
 
-    def test_default_size_keeps_aggregate_bytes(self, room, tmp_path,
-                                                monkeypatch):
-        """grid_size 20 reproduces select_lambda's own default grid, so the
-        aggregate CSV is byte-identical to a run that passes no grid."""
-        cfg = self.lasso_cfg(room, lasso_grid_size=20)
-        configured = tmp_path / "configured.csv"
-        write_aggregate_csv(configured, sweep(cfg, "mic_perturbation"))
-
-        original = experiments.select_lambda
-
-        def without_grid(*args, grid=None, **kwargs):
-            return original(*args, grid=None, **kwargs)
-
-        monkeypatch.setattr(experiments, "select_lambda", without_grid)
-        default = tmp_path / "default.csv"
-        write_aggregate_csv(default, sweep(cfg, "mic_perturbation"))
-        assert configured.read_bytes() == default.read_bytes()
-
 
 class TestDriver:
     """What the one sweep driver must keep from the four runners it
     replaced."""
 
-    def lasso_cfg(self, room, **overrides):
-        return tiny_config(room, methods=("lasso",), lasso_mode="global",
-                           **overrides)
-
-    def record_select_lambda(self, monkeypatch):
+    def test_lasso_penalty_per_fit_from_assumed_mics(self, room,
+                                                     monkeypatch):
+        """Every lasso fit cross-validates its own penalty, from Phi at the
+        microphone positions that fit assumes."""
         phis = []
         original = experiments.select_lambda
 
@@ -252,45 +245,18 @@ class TestDriver:
             return original(y, phi, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "select_lambda", recording)
-        return phis
-
-    @staticmethod
-    def true_phi(cfg, frequency):
-        data = experiments._make_run(cfg, 0, frequency, cfg.boundary_count)
-        return build_phi(data.dictionary, data.mics.positions)
-
-    @pytest.mark.parametrize("name", ["boundary_count",
-                                      "boundary_perturbation",
-                                      "mic_perturbation"])
-    def test_global_penalty_once_per_sweep(self, room, monkeypatch, name):
-        phis = self.record_select_lambda(monkeypatch)
-        cfg = self.lasso_cfg(room)
-        sweep(cfg, name)
-        assert len(phis) == 1
-        npt.assert_array_equal(phis[0], self.true_phi(cfg, cfg.frequency_hz))
-
-    def test_global_penalty_once_per_frequency(self, room, monkeypatch):
-        phis = self.record_select_lambda(monkeypatch)
-        cfg = self.lasso_cfg(room)
-        sweep(cfg, "frequency")
-        assert len(phis) == len(cfg.frequencies_hz)
-        for phi, frequency in zip(phis, cfg.frequencies_hz):
-            npt.assert_array_equal(phi, self.true_phi(cfg, frequency))
-
-    def test_global_penalty_ignores_perturbed_mics(self, room, monkeypatch):
-        """The first magnitude is nonzero, yet the penalty comes from Phi at
-        the true microphone positions."""
-        phis = self.record_select_lambda(monkeypatch)
-        cfg = self.lasso_cfg(room, mic_perturbations=(0.05, 0.1))
+        cfg = tiny_config(room, methods=("lasso",),
+                          mic_perturbations=(0.05, 0.1))
         sweep(cfg, "mic_perturbation")
-        assert len(phis) == 1
-        true_phi = self.true_phi(cfg, cfg.frequency_hz)
-        npt.assert_array_equal(phis[0], true_phi)
-        data = experiments._make_run(cfg, 0, cfg.frequency_hz,
-                                     cfg.boundary_count)
-        moved = perturb_positions(data.mics.positions, 0.05,
-                                  data.seeds["mic_perturbation"], False)
-        assert not np.array_equal(build_phi(data.dictionary, moved), true_phi)
+        assert len(phis) == cfg.monte_carlo_runs * 2
+        for run in range(cfg.monte_carlo_runs):
+            data = experiments._make_run(cfg, run, cfg.frequency_hz,
+                                         cfg.boundary_count)
+            for i, magnitude in enumerate(cfg.mic_perturbations):
+                moved = perturb_positions(data.mics.positions, magnitude,
+                                          data.seeds["mic_perturbation"])
+                npt.assert_array_equal(phis[2 * run + i],
+                                       build_phi(data.dictionary, moved))
 
     @pytest.mark.parametrize("name", ["boundary_count",
                                       "boundary_perturbation"])

@@ -140,12 +140,6 @@ class TestPerturbation:
         mean = moved.mean(axis=0)
         assert np.linalg.norm(mean) < 4.0 / np.sqrt(n)
 
-    def test_shared_direction(self, rng):
-        pts = rng.uniform(size=(30, 3))
-        moved = perturb_positions(pts, 0.05, seed=6, shared_direction=True)
-        displacement = moved - pts
-        npt.assert_allclose(displacement - displacement[0], 0.0, atol=1e-14)
-
     def test_negative_magnitude(self):
         with pytest.raises(ValueError):
             perturb_positions(np.zeros((2, 3)), -0.1, seed=0)

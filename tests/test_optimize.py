@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from roomwave import optimize
 from roomwave.optimize import minimize
 
 
@@ -27,9 +28,10 @@ class TestMinimize:
         assert res.value < 1e-8
         npt.assert_allclose(res.x, 0.0, atol=1e-4)
 
-    def test_rosenbrock(self):
+    def test_rosenbrock(self, monkeypatch):
+        monkeypatch.setattr(optimize, "VALUE_TOLERANCE", 1e-14)
         res = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                       max_line_searches=200, value_tolerance=1e-14)
+                       max_line_searches=200)
         npt.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
 
     def test_trace_strictly_decreasing(self):
@@ -79,8 +81,8 @@ class TestMinimize:
                        max_line_searches=5)
         assert res.n_evaluations == calls[0]
 
-    def test_value_tolerance_stops_early(self):
-        res = minimize(quadratic_bowl, np.array([1.0, 1.0, 1.0]),
-                       value_tolerance=1e-2)
+    def test_value_tolerance_stops_early(self, monkeypatch):
+        monkeypatch.setattr(optimize, "VALUE_TOLERANCE", 1e-2)
+        res = minimize(quadratic_bowl, np.array([1.0, 1.0, 1.0]))
         assert res.converged
         assert res.message == "objective change below tolerance"

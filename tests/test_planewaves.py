@@ -60,11 +60,6 @@ class TestDictionary:
         npt.assert_allclose(np.linalg.norm(dictionary.wave_vectors, axis=1),
                             K300, atol=1e-12)
 
-    def test_for_frequency(self):
-        d = PlaneWaveDictionary.for_frequency(300.0, 16)
-        assert d.size == 16
-        assert d.wavenumber == pytest.approx(K300)
-
 
 class TestBuildPhi:
     def test_origin_row_is_one(self, dictionary):
