@@ -153,6 +153,14 @@ class ExperimentConfig:
                              ("exclusion_radius", (self.exclusion_radius,))):
             if not all(0.0 < v < math.inf for v in values):
                 raise ValueError(f"{name} must be positive and finite")
+        # microphones are drawn outside, and validation points inside, the
+        # ball of this radius around the microphone-half centroid; a larger
+        # ball leaves the half-room, so validation points fall outside it
+        lx, ly, lz = self.room.dimensions
+        half_room = min(lx / 4, ly / 2, lz / 2)
+        if self.exclusion_radius > half_room:
+            raise ValueError(f"exclusion_radius must be <= {half_room:g}, the "
+                             "largest ball inside the microphone half-room")
         for name in ("boundary_perturbations", "mic_perturbations"):
             if not all(0.0 <= v < math.inf for v in getattr(self, name)):
                 raise ValueError(f"{name} must be >= 0 and finite")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roomwave import baselines
-from roomwave.baselines import (LassoConfig, default_lambda_grid, lasso,
-                                nearest_neighbor, null_threshold,
-                                select_lambda, tikhonov)
+from roomwave.baselines import (LassoConfig, LassoResult, _lipschitz,
+                                default_lambda_grid, lasso, nearest_neighbor,
+                                null_threshold, select_lambda, tikhonov)
 from roomwave.bayes import (Hyperparameters, build_posterior,
                             map_coefficients, prior_covariance_from_matrices)
 from roomwave.planewaves import PlaneWaveDictionary, fibonacci_directions
@@ -25,6 +27,84 @@ def random_system(rng, m, p, noise=0.1, sparse=0):
     y = phi @ alpha + np.sqrt(noise / 2) * (
         rng.standard_normal(m) + 1j * rng.standard_normal(m))
     return y, phi, alpha
+
+
+def _soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
+    """Complex soft-thresholding: shrink the modulus, keep the phase."""
+    mags = np.abs(v)
+    scale = np.maximum(1.0 - threshold / np.maximum(mags, 1e-300), 0.0)
+    return scale * v
+
+
+def reference_lasso(y, phi: np.ndarray, noise_variance: float,
+                    config: LassoConfig, initial=None, *,
+                    lipschitz: float | None = None) -> LassoResult:
+    """The two-vector FISTA loop that `lasso` replaced, kept verbatim as its
+    oracle. Minimize ||y - Phi a||^2 / (2 s2) + penalty * sum_p |a_p|.
+
+    FISTA with the fixed step 1 / lipschitz, where lipschitz =
+    ||Phi||_2^2 / s2 = lambda_max(Phi^H Phi) / s2; the momentum is restarted
+    whenever an accelerated step would increase the objective, so the
+    reported objective sequence is non-increasing. Starts from zeros or from
+    `initial` (warm start along a penalty path). A caller that fits one Phi
+    many times passes its `lipschitz`, ||Phi||_2^2 / s2, to skip the SVD;
+    None computes it here. Returns the best iterate with converged=False
+    when the tolerance is not reached within the iteration budget.
+    """
+    if noise_variance <= 0:
+        raise ValueError("noise_variance must be positive")
+    y = np.asarray(y, dtype=complex).reshape(-1)
+    m, p = phi.shape
+    if len(y) != m:
+        raise ValueError("y length must match Phi rows")
+
+    # the objective at a with phi_a = Phi a; ndarray.sum is np.sum without
+    # its dispatch (the same pairwise np.add.reduce, the same bits)
+    def objective(phi_a, a):
+        return (float((np.abs(y - phi_a) ** 2).sum()) / (2 * noise_variance)
+                + config.penalty * float(np.abs(a).sum()))
+
+    if lipschitz is None:
+        lipschitz = _lipschitz(phi, noise_variance)
+    if lipschitz == 0.0:
+        zeros = np.zeros(p, dtype=complex)
+        return LassoResult(zeros, objective(phi @ zeros, zeros), 0, True)
+    step = 1.0 / lipschitz
+
+    x = (np.zeros(p, dtype=complex) if initial is None
+         else np.asarray(initial, dtype=complex).reshape(p).copy())
+    phi_x = phi @ x if initial is not None else np.zeros(m, dtype=complex)
+    z = x
+    phi_z = phi_x
+    t = 1.0
+    f_x = objective(phi_x, x)
+    converged = False
+    iterations = 0
+    phi_h = phi.conj().T    # the adjoint is formed once, not per iteration
+
+    for iterations in range(1, config.max_iterations + 1):
+        grad = phi_h @ (phi_z - y) / noise_variance
+        x_new = _soft_threshold(z - step * grad, step * config.penalty)
+        phi_x_new = phi @ x_new
+        f_new = objective(phi_x_new, x_new)
+        if f_new > f_x:
+            # accelerated step overshot: restart the momentum from x
+            grad = phi_h @ (phi_x - y) / noise_variance
+            x_new = _soft_threshold(x - step * grad, step * config.penalty)
+            phi_x_new = phi @ x_new
+            f_new = objective(phi_x_new, x_new)
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        momentum = (t - 1.0) / t_new
+        z = x_new + momentum * (x_new - x)
+        phi_z = phi_x_new + momentum * (phi_x_new - phi_x)
+        delta = abs(f_x - f_new)
+        x, phi_x, f_x, t = x_new, phi_x_new, f_new, t_new
+        if delta <= config.tolerance * max(abs(f_x), 1e-30):
+            converged = True
+            break
+
+    return LassoResult(x, f_x, iterations, converged)
 
 
 class TestNearestNeighbor:
@@ -229,6 +309,137 @@ class TestLipschitzArgument:
         assert ours.objective == reference.objective
         assert ours.n_iterations == reference.n_iterations
         assert ours.converged == reference.converged
+
+
+def assert_same_fit(ours, reference):
+    """Same iteration count and convergence flag; coefficients and objective
+    equal up to the roundoff of a reordered evaluation."""
+    assert ours.n_iterations == reference.n_iterations
+    assert ours.converged == reference.converged
+    npt.assert_allclose(ours.coefficients, reference.coefficients, rtol=1e-9,
+                        atol=0.0)
+    assert ours.objective == pytest.approx(reference.objective, rel=1e-12)
+
+
+class TestAgainstReferenceLoop:
+    """The one-state kernel takes the iterations of the two-vector loop it
+    replaced: the same restart decisions and the same stopping iteration."""
+
+    @pytest.mark.parametrize("m, p", [(15, 40), (40, 15)])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cold_and_warm(self, m, p, warm, seed):
+        gen = np.random.default_rng(500 + seed)
+        y, phi, _ = random_system(gen, m, p, sparse=4)
+        penalty = 0.1 * null_threshold(y, phi, 0.2)
+        initial = (gen.standard_normal(p) + 1j * gen.standard_normal(p)
+                   if warm else None)
+        config = LassoConfig(penalty, max_iterations=3000, tolerance=1e-10)
+        assert_same_fit(lasso(y, phi, 0.2, config, initial),
+                        reference_lasso(y, phi, 0.2, config, initial))
+
+    @pytest.mark.parametrize("m, p, config", [
+        (40, 15, LassoConfig(0.0, max_iterations=400, tolerance=1e-12)),
+        (15, 40, LassoConfig(0.0, max_iterations=20, tolerance=0.0))])
+    def test_zero_penalty(self, m, p, config):
+        """Least squares for M > P; for M < P the objective falls towards
+        zero, where a relative stopping test only meets roundoff, so that
+        case compares 20 iterations (objective still 5e-3)."""
+        y, phi, _ = random_system(np.random.default_rng(7), m, p)
+        assert_same_fit(lasso(y, phi, 0.5, config),
+                        reference_lasso(y, phi, 0.5, config))
+
+    # past about 150 iterations this fit sits at the roundoff floor, where
+    # tolerance 0 stops on whichever iteration first repeats an objective
+    @pytest.mark.parametrize("iterations", [1, 2, 5, 30, 100])
+    def test_fixed_iteration_counts(self, iterations):
+        y, phi, _ = random_system(np.random.default_rng(11), 15, 40,
+                                  sparse=5)
+        penalty = 0.05 * null_threshold(y, phi, 0.2)
+        config = LassoConfig(penalty, max_iterations=iterations,
+                             tolerance=0.0)
+        ours = lasso(y, phi, 0.2, config)
+        assert ours.n_iterations == iterations and not ours.converged
+        assert_same_fit(ours, reference_lasso(y, phi, 0.2, config))
+
+    def test_momentum_restarts(self, monkeypatch):
+        """A fit whose accelerated step overshoots: the restart branch of the
+        reference runs (a second thresholding in the same iteration)."""
+        thresholds = []
+        original = _soft_threshold
+
+        def counting(v, threshold):
+            thresholds.append(threshold)
+            return original(v, threshold)
+
+        monkeypatch.setitem(reference_lasso.__globals__, "_soft_threshold",
+                            counting)
+        y, phi, _ = random_system(np.random.default_rng(3), 20, 60, sparse=6)
+        penalty = 0.02 * null_threshold(y, phi, 0.2)
+        config = LassoConfig(penalty, max_iterations=3000, tolerance=1e-12)
+        reference = reference_lasso(y, phi, 0.2, config)
+        assert len(thresholds) > reference.n_iterations
+        assert_same_fit(lasso(y, phi, 0.2, config), reference)
+
+    def test_select_lambda_picks_the_same_penalty(self, monkeypatch):
+        chosen = []
+        for seed in range(12):
+            gen = np.random.default_rng(600 + seed)
+            y, phi, _ = random_system(gen, 30, 60, sparse=5, noise=0.5)
+            grid = default_lambda_grid(y, phi, 0.5, size=10)
+            with monkeypatch.context() as patch:
+                patch.setattr(baselines, "lasso", reference_lasso)
+                expected = select_lambda(y, phi, 0.5, grid, folds=3,
+                                         seed=seed)
+            chosen.append(select_lambda(y, phi, 0.5, grid, folds=3, seed=seed))
+            assert chosen[-1] == expected
+        assert len(set(chosen)) > 1
+
+
+class TestBuffers:
+    """Every call owns its buffers: the caller's arrays are left alone and
+    no result aliases another or the warm start."""
+
+    def test_initial_and_phi_unmodified(self, rng):
+        y, phi, _ = random_system(rng, 12, 30, sparse=4)
+        initial = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        saved_initial, saved_phi = initial.copy(), phi.copy()
+        result = lasso(y, phi, 0.2, LassoConfig(0.1, 50, 0.0), initial)
+        assert np.array_equal(initial, saved_initial)
+        assert np.array_equal(phi, saved_phi)
+        assert not np.shares_memory(result.coefficients, initial)
+
+    def test_real_phi_unmodified(self, rng):
+        """A real Phi is not scaled in place: same fit as its complex copy."""
+        phi = rng.standard_normal((12, 30))
+        saved = phi.copy()
+        y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        config = LassoConfig(0.1, 100, 0.0)
+        ours = lasso(y, phi, 0.2, config)
+        assert np.array_equal(phi, saved)
+        npt.assert_allclose(ours.coefficients,
+                            lasso(y, phi.astype(complex), 0.2,
+                                  config).coefficients, rtol=1e-9)
+
+    def test_warm_started_path_shares_nothing(self, rng):
+        y, phi, _ = random_system(rng, 12, 30, sparse=4)
+        top = null_threshold(y, phi, 0.2)
+        initial = np.zeros(30, dtype=complex)
+        arrays = [initial]
+        coefficients = initial
+        for penalty in top * np.array([0.5, 0.2, 0.1, 0.05]):
+            fit = lasso(y, phi, 0.2, LassoConfig(penalty, 200, 1e-8),
+                        initial=coefficients)
+            coefficients = fit.coefficients
+            arrays.append(coefficients)
+        arrays.append(lasso(y, phi, 0.2, LassoConfig(0.1), None).coefficients)
+        arrays.append(lasso(y, np.zeros((12, 30), dtype=complex), 0.2,
+                            LassoConfig(0.1)).coefficients)
+        assert not np.any(initial)
+        for i, a in enumerate(arrays):
+            assert a.base is None     # owns its memory, no view of a buffer
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 def reference_select_lambda(y, phi, noise_variance, grid, folds, seed,

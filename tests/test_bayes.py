@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roomwave._linalg import FactorizationError, chol_factor
 from roomwave.bayes import (VARIANCE_CLAMP_ABS, VARIANCE_CLAMP_REL,
@@ -10,7 +12,8 @@ from roomwave.bayes import (VARIANCE_CLAMP_ABS, VARIANCE_CLAMP_REL,
                             map_coefficients, predict,
                             prior_covariance_from_matrices)
 from roomwave.baselines import tikhonov
-from roomwave.geometry import sample_boundary
+from roomwave.geometry import (RoomSpec, sample_boundary,
+                               sample_microphones)
 from roomwave.planewaves import (PlaneWaveDictionary, build_phi,
                                  build_phi_tilde, build_psi, evaluate_field,
                                  fibonacci_directions, wavenumber)
@@ -240,6 +243,39 @@ class TestVarianceClamp:
                                    (prior_var + 2.0 * tolerance) / reduction)
         with pytest.raises(FactorizationError, match="numerical floor"):
             predict(outside, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mics=st.integers(5, 80),
+       log_noise_ratio=st.floats(-12.0, 0.0),
+       log_weight=st.floats(-3.0, 3.0))
+def test_variance_at_microphones_near_singular_q(seed, mics, log_noise_ratio,
+                                                 log_weight):
+    """Apart from s2 I, Q = s2 I + Phi Sigma Phi^H has rank at most P = 30,
+    so with M > P and s2 down to 1e-12 times the prior variance Q is nearly
+    singular. Predicting at the microphones themselves, where the variance
+    reduction is largest, gives a finite variance >= 0 or raises
+    FactorizationError; never NaN, never negative."""
+    gen = np.random.default_rng(seed)
+    room = RoomSpec()
+    dictionary = PlaneWaveDictionary(K300, fibonacci_directions(30))
+    positions = sample_microphones(room, mics, 0.5,
+                                   seed=int(gen.integers(2 ** 31))).positions
+    prior_variance = 10.0 ** gen.uniform(-2.0, 2.0)
+    hp = Hyperparameters(prior_variance * 10.0 ** log_noise_ratio,
+                         prior_variance, 10.0 ** log_weight,
+                         complex(gen.uniform(0.5, 2.0), gen.uniform(-1, 1)))
+    cloud = sample_boundary(room, 20, seed=int(gen.integers(2 ** 31)))
+    phi = build_phi(dictionary, positions)
+    y = gen.standard_normal(mics) + 1j * gen.standard_normal(mics)
+    try:
+        posterior = build_posterior(y, phi, prior_of(dictionary, cloud, hp),
+                                    hp, dictionary)
+        _, variance = predict(posterior, positions)
+    except FactorizationError:
+        return
+    assert np.all(np.isfinite(variance))
+    assert np.all(variance >= 0.0)
 
 
 class TestTikhonovReduction:

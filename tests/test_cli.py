@@ -167,6 +167,7 @@ def test_gradcheck_fails_on_perturbed_gradient(capsys, monkeypatch):
     "simulation.max_image_order=-1", "boundary.count=-1",
     "medium.speed_of_sound=-343", "simulation.frequency_hz=0",
     "simulation.frequency_hz=.nan", "array.exclusion_radius=-1",
+    "array.exclusion_radius=50",
     "simulation.snr_db=.nan",
     "lasso.mode=global", "benchmark.shared_perturbation=true"])
 def test_bad_config_value_exits_2(tiny, tmp_path, capsys, override):

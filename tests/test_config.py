@@ -112,6 +112,18 @@ class TestOverrides:
         assert np.array_equal(config.room.dimensions, [6.0, 5.0, 4.0])
         assert np.array_equal(config.room.source_position, [1.0, 2.0, 1.5])
 
+    def test_room_shrinks_the_exclusion_radius_limit(self):
+        """The ball of `array.exclusion_radius` must fit the microphone
+        half-room: at most min(Lx/4, Ly/2, Lz/2), 1.25 m in the default room
+        and 1 m in a 4 m long one."""
+        config = parse_config({"array": {"exclusion_radius": 1.25}})
+        assert config.exclusion_radius == 1.25
+        with pytest.raises(ConfigError, match="exclusion_radius"):
+            apply_overrides(config, ["array.exclusion_radius=1.26"])
+        with pytest.raises(ConfigError, match="exclusion_radius"):
+            parse_config({"room": {"dimensions": [4.0, 4.0, 3.0]},
+                          "array": {"exclusion_radius": 1.25}})
+
     @pytest.mark.parametrize("override", [
         "benchmark.boundary_counts=5", "benchmark.boundary_counts=[1, 2]",
         "array.mic_count=[1, 2]"])

@@ -108,6 +108,7 @@ class TestConfigValidation:
         dict(frequency_hz=0.0), dict(frequency_hz=float("nan")),
         dict(frequency_hz=float("inf")), dict(frequencies_hz=(200.0, -1.0)),
         dict(exclusion_radius=-1.0), dict(exclusion_radius=0.0),
+        dict(exclusion_radius=1.3),
         dict(boundary_perturbations=(0.0, float("nan"))),
         dict(mic_perturbations=(-0.01,)), dict(snr_db=float("nan")),
         dict(snr_db=-float("inf"))])

@@ -1,6 +1,7 @@
 """Static checks of the package source with the standard-library `ast`: no
 import goes unused and every `__all__` name is defined (the pyflakes
-checks this package relies on)."""
+checks this package relies on), and no private module-level name is left
+behind with nothing in the package referring to it."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,33 @@ def undefined_exports(tree):
     return exported(tree) - defined(tree)
 
 
+def private_definitions(tree):
+    """Private (`_name`, not dunder) functions, classes and constants bound
+    at module level; imported names are the unused-import check's."""
+    imports = {name for name, _ in imported(tree)}
+    return {name for name in defined(tree) - imports
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def references(tree):
+    """Names read anywhere: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unreferenced_private(trees):
+    """`module: name` for each private definition that no module of
+    `trees` (module name -> tree) refers to."""
+    used = {name for tree in trees.values() for name in references(tree)}
+    return sorted(f"{module}: {name}" for module, tree in trees.items()
+                  for name in private_definitions(tree) - used)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert not unused_imports(parse(path))
@@ -82,6 +110,11 @@ def test_all_names_are_defined(path):
     assert not undefined_exports(parse(path))
 
 
+def test_every_private_name_is_referenced():
+    assert not unreferenced_private({path.name: parse(path)
+                                     for path in MODULES})
+
+
 def test_checks_catch_stale_names():
     """A stale import and an export with no definition are both caught."""
     tree = ast.parse("import math\n"
@@ -90,3 +123,22 @@ def test_checks_catch_stale_names():
                      "tau = 2 * math.pi\n")
     assert unused_imports(tree) == ["2: dataclass"]
     assert undefined_exports(tree) == {"ThetaVector"}
+
+
+def test_check_catches_unreferenced_private_names():
+    """A private helper whose last caller is gone is caught, in whichever
+    module its callers would live; dunders and imported names are not."""
+    helpers = ast.parse("import math as _math\n"
+                        "__version__ = '1'\n"
+                        "_TAU = 2 * _math.pi\n"
+                        "def _soft_threshold(v, t):\n"
+                        "    return v\n"
+                        "def _used():\n"
+                        "    return _TAU\n"
+                        "class _Unused:\n"
+                        "    pass\n")
+    caller = ast.parse("from .helpers import _used\n"
+                       "value = _used()\n")
+    assert unreferenced_private({"helpers.py": helpers,
+                                 "caller.py": caller}) == [
+        "helpers.py: _Unused", "helpers.py: _soft_threshold"]
