@@ -32,7 +32,6 @@ __all__ = [
     "build_posterior",
     "map_coefficients",
     "predict",
-    "FactorizationError",
 ]
 
 # tolerated negative predictive variance, relative to the prior variance

@@ -6,9 +6,14 @@ Subcommands:
   benchmark    run the Monte-Carlo sweeps and write per-run/aggregate CSVs
   gradcheck    compare analytic and finite-difference gradients
 
-Exit codes: 0 success, 2 configuration error or malformed input file,
-3 numerical failure, 4 I/O failure. `ROOMWAVE_NUM_THREADS` caps the BLAS
-thread count when set before launch.
+Exit codes: 0 success, 2 configuration error, malformed input file or bad
+command-line argument, 3 numerical failure (any `np.linalg.LinAlgError`,
+`FactorizationError` included, or a FloatingPointError), 4 I/O failure.
+`ROOMWAVE_NUM_THREADS` caps the BLAS thread count when set before launch.
+
+The modules are imported once, at the top, and their functions called as
+attributes (`config.load_config`, `experiments.fit_and_predict`, ...), so a
+function patched on its module is the one a command calls.
 """
 
 from __future__ import annotations
@@ -17,9 +22,20 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import config, experiments, fileio, marglik, planewaves
+
 __all__ = ["main", "build_parser"]
 
 GRADCHECK_TOLERANCE = 1e-5
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,27 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck",
                             help="finite-difference gradient verification")
-    p_grad.add_argument("--instances", type=int, default=20)
-    p_grad.add_argument("--thetas", type=int, default=5)
+    p_grad.add_argument("--instances", type=_positive_int, default=20)
+    p_grad.add_argument("--thetas", type=_positive_int, default=5)
     p_grad.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _load_config(args):
-    from .config import apply_overrides, load_config
-
-    return apply_overrides(load_config(args.config), args.overrides)
+    return config.apply_overrides(config.load_config(args.config),
+                                  args.overrides)
 
 
 def _cmd_simulate(args) -> int:
-    from . import fileio
-    from .experiments import draw_run
-
-    config = _load_config(args)
-    seeds, mics, cloud, snapshot = draw_run(config, 0, config.frequency_hz,
-                                            config.boundary_count)
+    cfg = _load_config(args)
+    seeds, mics, cloud, snapshot = experiments.draw_run(
+        cfg, 0, cfg.frequency_hz, cfg.boundary_count)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_snapshot(args.out_dir / "snapshot.txt", config.room, mics,
+    fileio.write_snapshot(args.out_dir / "snapshot.txt", cfg.room, mics,
                           snapshot, seeds["noise"])
     fileio.write_mic_array(args.out_dir / "microphones.txt", mics)
     fileio.write_point_cloud(args.out_dir / "boundary.txt", cloud)
@@ -83,24 +95,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from . import fileio
-    from .experiments import fit_and_predict
-    from .planewaves import (PlaneWaveDictionary, fibonacci_directions,
-                             wavenumber)
-
-    config = _load_config(args)
+    cfg = _load_config(args)
     source = fileio.read_snapshot(args.snapshot)
     cloud = fileio.read_point_cloud(args.cloud)
-    if config.reconstruct_points:
-        points = fileio.read_mic_array(config.reconstruct_points).positions
+    if cfg.reconstruct_points:
+        points = fileio.read_points(cfg.reconstruct_points)
     else:
         points = source.mics.positions
-    k = wavenumber(source.snapshot.frequency_hz, config.speed_of_sound)
-    dictionary = PlaneWaveDictionary(
-        k, fibonacci_directions(config.plane_wave_count))
-    fit, mean, variance = fit_and_predict(
+    k = planewaves.wavenumber(source.snapshot.frequency_hz, cfg.speed_of_sound)
+    dictionary = planewaves.PlaneWaveDictionary(
+        k, planewaves.fibonacci_directions(cfg.plane_wave_count))
+    fit, mean, variance = experiments.fit_and_predict(
         source.snapshot.noisy, dictionary, source.mics.positions, cloud,
-        points, config.max_line_searches)
+        points, cfg.max_line_searches)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_reconstruction(args.out_dir / "reconstruction.txt", points,
@@ -113,12 +120,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    from . import fileio
-    from .experiments import run_sweeps
-
-    config = _load_config(args)
+    cfg = _load_config(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_sweeps(config)
+    results = experiments.run_sweeps(cfg)
     for sweep, rows in results.items():
         fileio.write_runs_csv(args.out_dir / f"{sweep}_runs.csv", rows)
         fileio.write_aggregate_csv(args.out_dir / f"{sweep}_aggregate.csv", rows)
@@ -127,10 +131,9 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .marglik import gradient_check
-
-    worst = gradient_check(num_instances=args.instances,
-                           thetas_per_instance=args.thetas, seed=args.seed)
+    worst = marglik.gradient_check(num_instances=args.instances,
+                                   thetas_per_instance=args.thetas,
+                                   seed=args.seed)
     print(f"max norm-wise relative gradient error: {worst:.3e} "
           f"(tolerance {GRADCHECK_TOLERANCE:.0e})")
     return 0 if worst < GRADCHECK_TOLERANCE else 3
@@ -146,22 +149,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from ._linalg import FactorizationError
-    from .config import ConfigError
-    from .fileio import FormatError
-
-    import numpy as np
-
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FormatError as exc:
+    except fileio.FormatError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
-    except (FactorizationError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

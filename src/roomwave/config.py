@@ -66,12 +66,9 @@ _DEFAULTS = {
 
 
 def _coerce(value, target, where: str):
-    """Coerce a parsed YAML value to the type of the dataclass default."""
-    if isinstance(target, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected a boolean, got {value!r}")
-        return value
-    if isinstance(target, int) and not isinstance(target, bool):
+    """Coerce a parsed YAML value to the type of the dataclass default: an
+    int, a float, a string or None, or a non-empty tuple of one of these."""
+    if isinstance(target, int):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
         if isinstance(value, float) and not value.is_integer():
@@ -86,9 +83,7 @@ def _coerce(value, target, where: str):
     if isinstance(target, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        if len(target):
-            return tuple(_coerce(v, target[0], where) for v in value)
-        return tuple(value)
+        return tuple(_coerce(v, target[0], where) for v in value)
     if target is None or isinstance(target, str):
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"{where}: expected a string, got {value!r}")

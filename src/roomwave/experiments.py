@@ -307,24 +307,6 @@ def _timed_nmse(method, data, cfg, assumed_mics, prior_cloud):
     return error, time.perf_counter() - start
 
 
-class _Table:
-    """Accumulates (value, method) cells in the deterministic output order."""
-
-    def __init__(self, sweep: str, values, methods, runs: int):
-        self._order = [(float(v), m) for v in values for m in methods]
-        self.cells = {key: RunResult(sweep, key[1], key[0],
-                                     [float("nan")] * runs, [0.0] * runs)
-                      for key in self._order}
-
-    def record(self, value, method, run, error, seconds):
-        cell = self.cells[(float(value), method)]
-        cell.nmse_per_run[run] = error
-        cell.seconds_per_run[run] = seconds
-
-    def rows(self):
-        return [self.cells[key] for key in self._order]
-
-
 def _assumed_geometry(cfg: ExperimentConfig, sweep: str, value,
                       data: _RunData) -> tuple:
     """Microphone positions and prior cloud the methods assume at one value
@@ -356,8 +338,12 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     boundary_count = (max(values) if sweep == "boundary_count"
                       else cfg.boundary_count)
     cloud_only = sweep in ("boundary_count", "boundary_perturbation")
-    table = _Table(sweep, values, cfg.methods, cfg.monte_carlo_runs)
-    for run in range(cfg.monte_carlo_runs):
+    runs = cfg.monte_carlo_runs
+    # a value listed twice shares one cell and gets one row per listing
+    cells = {(v, m): RunResult(sweep, m, float(v), [math.nan] * runs,
+                               [0.0] * runs)
+             for v in values for m in cfg.methods}
+    for run in range(runs):
         data = None
         fitted = {}
         for value in values:
@@ -370,8 +356,10 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
                        else (method, value))
                 if key not in fitted:
                     fitted[key] = _timed_nmse(method, data, cfg, mics, cloud)
-                table.record(value, method, run, *fitted[key])
-    return table.rows()
+                error, seconds = fitted[key]
+                cells[(value, method)].nmse_per_run[run] = error
+                cells[(value, method)].seconds_per_run[run] = seconds
+    return [cells[(v, m)] for v in values for m in cfg.methods]
 
 
 def run_sweeps(cfg: ExperimentConfig) -> dict:

@@ -1,10 +1,15 @@
 """On-disk formats: point clouds, microphone arrays, simulation snapshots,
 reconstruction output, optimizer traces and benchmark CSVs.
 
-All floating-point values are written with shortest round-trip decimal
-encoding (Python repr), so write-then-read reproduces in-memory values
-bit-exactly and benchmark outputs are byte-stable. Files are written
-atomically (temporary file + rename).
+Point clouds, microphone arrays, prediction points, snapshots and
+reconstructions share one table format: optional `# key value` header lines,
+then one row of whitespace-separated numbers per line. Traces and benchmark
+results are CSV files with a header row. All floating-point values are
+written with shortest round-trip decimal encoding (Python repr), so
+write-then-read reproduces in-memory values bit-exactly and benchmark
+outputs are byte-stable. Files are written atomically (temporary file +
+rename), and a reader that cannot parse its file raises a FormatError
+naming it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import to_db
-from .geometry import BoundaryCloud, MicArray, RoomSpec
+from .geometry import BoundaryCloud, MicArray, RoomSpec, _as_points
 from .marglik import to_hyperparameters
 from .simulator import SimSnapshot
 
@@ -29,7 +34,7 @@ __all__ = [
     "write_point_cloud",
     "read_point_cloud",
     "write_mic_array",
-    "read_mic_array",
+    "read_points",
     "SnapshotFile",
     "write_snapshot",
     "read_snapshot",
@@ -75,48 +80,63 @@ def _parsing(path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _rows(lines, columns: int, layout: str) -> np.ndarray:
-    """Whitespace-separated rows of `columns` numbers, as an (n, columns)
-    array."""
-    rows = [[float(token) for token in line.split()] for line in lines]
-    if any(len(row) != columns for row in rows):
-        raise ValueError(f"expected rows of {columns} columns ({layout})")
-    return np.array(rows, dtype=float).reshape(-1, columns)
+def _write_table(path, rows, header=()) -> None:
+    """Each `header` line as a `#` comment, then one line per row."""
+    with atomic_write(path) as handle:
+        for line in header:
+            handle.write(f"# {line}\n")
+        for row in rows:
+            handle.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def _data_lines(path) -> list:
-    lines = []
+def _read_table(path, columns: int, layout: str) -> tuple:
+    """(`# key value` header lines as a dict, data rows as an
+    (n, columns) array)."""
+    header, rows = {}, []
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             line = raw.strip()
-            if line and not line.startswith("#"):
-                lines.append(line)
-    return lines
+            if line.startswith("#"):
+                key, _, rest = line[1:].strip().partition(" ")
+                header[key] = rest.strip()
+            elif line:
+                rows.append([float(token) for token in line.split()])
+    if any(len(row) != columns for row in rows):
+        raise ValueError(f"expected rows of {columns} columns ({layout})")
+    return header, np.array(rows, dtype=float).reshape(-1, columns)
+
+
+def _write_csv(path, header, rows) -> None:
+    with atomic_write(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_point_cloud(path, cloud: BoundaryCloud) -> None:
     """One record per line: x y z nx ny nz."""
-    with atomic_write(path) as handle:
-        for point, normal in zip(cloud.points, cloud.normals):
-            handle.write(" ".join(_fmt(v) for v in (*point, *normal)) + "\n")
+    _write_table(path, np.hstack([cloud.points, cloud.normals]))
 
 
 def read_point_cloud(path) -> BoundaryCloud:
     with _parsing(path):
-        data = _rows(_data_lines(path), 6, "x y z nx ny nz")
+        data = _read_table(path, 6, "x y z nx ny nz")[1]
         return BoundaryCloud(data[:, :3], data[:, 3:])
 
 
 def write_mic_array(path, mics: MicArray) -> None:
     """One record per line: x y z."""
-    with atomic_write(path) as handle:
-        for point in mics.positions:
-            handle.write(" ".join(_fmt(v) for v in point) + "\n")
+    _write_table(path, mics.positions)
 
 
-def read_mic_array(path) -> MicArray:
+def read_points(path) -> np.ndarray:
+    """Prediction points, one `x y z` row each, as a finite (n, 3) array;
+    unlike microphones they may repeat."""
     with _parsing(path):
-        return MicArray(_rows(_data_lines(path), 3, "x y z"))
+        points = _as_points(_read_table(path, 3, "x y z")[1])
+        if not len(points):
+            raise ValueError("expected at least one x y z row")
+        return points
 
 
 @dataclass
@@ -133,40 +153,28 @@ def write_snapshot(path, room: RoomSpec, mics: MicArray,
                    snapshot: SimSnapshot, seed: int) -> None:
     """Header records frequency, noise variance, seed and room; rows are
     `x y z re_clean im_clean re_noisy im_noisy` per microphone."""
-    with atomic_write(path) as handle:
-        handle.write(f"# frequency_hz {_fmt(snapshot.frequency_hz)}\n")
-        handle.write(f"# noise_variance {_fmt(snapshot.noise_variance)}\n")
-        handle.write(f"# seed {int(seed)}\n")
-        handle.write("# room_dimensions "
-                     + " ".join(_fmt(v) for v in room.dimensions) + "\n")
-        handle.write("# room_reflection_coefficient "
-                     + _fmt(room.reflection_coefficient) + "\n")
-        handle.write("# room_source_position "
-                     + " ".join(_fmt(v) for v in room.source_position) + "\n")
-        for pos, clean, noisy in zip(mics.positions, snapshot.clean,
-                                     snapshot.noisy):
-            row = (*pos, clean.real, clean.imag, noisy.real, noisy.imag)
-            handle.write(" ".join(_fmt(v) for v in row) + "\n")
+    header = (
+        f"frequency_hz {_fmt(snapshot.frequency_hz)}",
+        f"noise_variance {_fmt(snapshot.noise_variance)}",
+        f"seed {int(seed)}",
+        "room_dimensions " + " ".join(_fmt(v) for v in room.dimensions),
+        f"room_reflection_coefficient {_fmt(room.reflection_coefficient)}",
+        "room_source_position "
+        + " ".join(_fmt(v) for v in room.source_position))
+    _write_table(path, np.column_stack([
+        mics.positions, snapshot.clean.real, snapshot.clean.imag,
+        snapshot.noisy.real, snapshot.noisy.imag]), header)
 
 
 def read_snapshot(path) -> SnapshotFile:
-    header = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line.startswith("#"):
-                key, _, rest = line[1:].strip().partition(" ")
-                header[key] = rest.strip()
-            elif line:
-                rows.append(line)
     required = ("frequency_hz", "noise_variance", "seed", "room_dimensions",
                 "room_reflection_coefficient", "room_source_position")
     with _parsing(path):
+        header, data = _read_table(
+            path, 7, "x y z re_clean im_clean re_noisy im_noisy")
         missing = [key for key in required if key not in header]
         if missing:
             raise ValueError(f"missing header fields {missing}")
-        data = _rows(rows, 7, "x y z re_clean im_clean re_noisy im_noisy")
         room = RoomSpec(
             np.array([float(v) for v in header["room_dimensions"].split()]),
             float(header["room_reflection_coefficient"]),
@@ -184,14 +192,9 @@ def read_snapshot(path) -> SnapshotFile:
 
 def write_reconstruction(path, points, mean, std) -> None:
     """Rows `x y z re_mean im_mean std` at the prediction points."""
-    points = np.asarray(points, dtype=float)
-    mean = np.asarray(mean, dtype=complex)
-    std = np.asarray(std, dtype=float)
-    with atomic_write(path) as handle:
-        handle.write("# columns x y z re_mean im_mean std\n")
-        for pos, value, sd in zip(points, mean, std):
-            row = (*pos, value.real, value.imag, sd)
-            handle.write(" ".join(_fmt(v) for v in row) + "\n")
+    _write_table(path, np.column_stack([points, np.real(mean), np.imag(mean),
+                                        std]),
+                 ("columns x y z re_mean im_mean std",))
 
 
 def write_theta_json(path, fit) -> None:
@@ -221,38 +224,27 @@ def write_theta_json(path, fit) -> None:
 
 def write_trace_csv(path, values, points) -> None:
     """Optimizer trace rows `iter,J,a,b,d,re_eta,im_eta`."""
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iter", "J", "a", "b", "d", "re_eta", "im_eta"])
-        for i, (value, point) in enumerate(zip(values, points)):
-            writer.writerow([i, _fmt(value)] + [_fmt(v) for v in point])
+    _write_csv(path, ["iter", "J", "a", "b", "d", "re_eta", "im_eta"],
+               ([i, _fmt(value), *(_fmt(v) for v in point)]
+                for i, (value, point) in enumerate(zip(values, points))))
 
 
 def write_runs_csv(path, results) -> None:
     """Per-run rows `sweep,method,value,run,nmse_linear,nmse_db,seconds`."""
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sweep", "method", "value", "run", "nmse_linear",
-                         "nmse_db", "seconds"])
-        for result in results:
-            for run, (error, seconds) in enumerate(
-                    zip(result.nmse_per_run, result.seconds_per_run)):
-                writer.writerow([
-                    result.sweep, result.method, _fmt(result.value), run,
-                    _fmt(error), _fmt(to_db(error)), _fmt(seconds),
-                ])
+    _write_csv(path, ["sweep", "method", "value", "run", "nmse_linear",
+                      "nmse_db", "seconds"],
+               ([result.sweep, result.method, _fmt(result.value), run,
+                 _fmt(error), _fmt(to_db(error)), _fmt(seconds)]
+                for result in results
+                for run, (error, seconds) in enumerate(
+                    zip(result.nmse_per_run, result.seconds_per_run))))
 
 
 def write_aggregate_csv(path, results) -> None:
     """Mean NMSE per (sweep value, method); no timing columns so repeated
     runs of the same configuration are byte-identical."""
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sweep", "method", "value", "runs", "nmse_linear",
-                         "nmse_db"])
-        for result in results:
-            writer.writerow([
-                result.sweep, result.method, _fmt(result.value),
-                len(result.nmse_per_run), _fmt(result.nmse_linear),
-                _fmt(result.nmse_db),
-            ])
+    _write_csv(path, ["sweep", "method", "value", "runs", "nmse_linear",
+                      "nmse_db"],
+               ([result.sweep, result.method, _fmt(result.value),
+                 len(result.nmse_per_run), _fmt(result.nmse_linear),
+                 _fmt(result.nmse_db)] for result in results))

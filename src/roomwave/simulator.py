@@ -100,8 +100,11 @@ class SimSnapshot:
         noisy = np.asarray(self.noisy, dtype=complex)
         if clean.shape != noisy.shape:
             raise ValueError("clean and noisy fields must have equal length")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be >= 0")
+        # written as `not a < x < b` so that NaN fails too
+        if not 0.0 < self.frequency_hz < math.inf:
+            raise ValueError("frequency must be positive and finite")
+        if not 0.0 <= self.noise_variance < math.inf:
+            raise ValueError("noise variance must be >= 0 and finite")
         object.__setattr__(self, "clean", clean)
         object.__setattr__(self, "noisy", noisy)
 

@@ -1,8 +1,13 @@
+import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +129,58 @@ def test_reconstruct_theta_matches_trace(simulated, tmp_path):
     assert theta["impedance_im"] == impedance.imag
 
 
+def test_reconstruct_at_repeated_points(simulated, tmp_path):
+    """Prediction points are not microphones: a point listed twice is
+    predicted twice, one output row per listed point."""
+    config, data = simulated
+    points = tmp_path / "points.txt"
+    points.write_text("1.0 1.0 1.0\n2.0 2.0 1.0\n1.0 1.0 1.0\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["reconstruct", str(data / "snapshot.txt"),
+                 str(data / "boundary.txt"), str(config), str(out),
+                 "--set", f"reconstruct.points={points}"]) == 0
+    rows = np.loadtxt(out / "reconstruction.txt", ndmin=2)
+    assert rows.shape == (3, 6)
+    np.testing.assert_array_equal(rows[0], rows[2])
+
+
+def test_repeated_sweep_value_keeps_its_rows(tmp_path):
+    """A value listed twice gives a row at each listing, in listed order,
+    and both rows hold the same runs."""
+    config = tmp_path / "repeat.yaml"
+    config.write_text(TINY_CONFIG + "benchmark:\n  monte_carlo_runs: 2\n"
+                      "  sweeps: [mic_perturbation]\n"
+                      "  mic_perturbations_m: [0.0, 0.05, 0.0]\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["benchmark", str(config), str(out)]) == 0
+    with open(out / "mic_perturbation_aggregate.csv", newline="",
+              encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    methods = experiments.METHODS
+    assert [(row["value"], row["method"]) for row in rows] == [
+        (value, method) for value in ("0.0", "0.05", "0.0")
+        for method in methods]
+    per_value = len(methods)
+    assert rows[:per_value] == rows[2 * per_value:]
+
+
+def test_thread_variable_sets_blas_defaults_only():
+    """ROOMWAVE_NUM_THREADS fills in the BLAS thread variables that are
+    unset when the package is imported and leaves set ones alone."""
+    env = dict(os.environ, ROOMWAVE_NUM_THREADS="1", OMP_NUM_THREADS="3")
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    script = ("import os, roomwave.cli; print(os.environ['OPENBLAS_NUM_"
+              "THREADS'], os.environ['OMP_NUM_THREADS'])")
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["1", "3"]
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--instances", "4", "--thetas", "3"]) == 0
     match = re.search(r"max norm-wise relative gradient error: (\S+)",
@@ -159,6 +216,15 @@ def test_gradcheck_fails_on_perturbed_gradient(capsys, monkeypatch):
     match = re.search(r"max norm-wise relative gradient error: (\S+)",
                       capsys.readouterr().out)
     assert float(match.group(1)) > 10 * GRADCHECK_TOLERANCE
+
+
+@pytest.mark.parametrize("flag", ["--instances=0", "--thetas=-2"])
+def test_gradcheck_rejects_non_positive_counts(capsys, flag):
+    """A count below one would check nothing and still report a pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", flag])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [
@@ -228,9 +294,20 @@ def _bad_token(text):
     return head + "\n" + last.replace(" ", " abc ", 1) + "\n"
 
 
+def _zero_frequency(text):
+    return re.sub(r"^# frequency_hz .*$", "# frequency_hz 0", text,
+                  flags=re.M)
+
+
+def _nan_frequency(text):
+    return re.sub(r"^# frequency_hz .*$", "# frequency_hz nan", text,
+                  flags=re.M)
+
+
 @pytest.mark.parametrize("name, damage", [
     ("snapshot.txt", _no_header), ("boundary.txt", _five_columns),
-    ("snapshot.txt", _bad_token)])
+    ("snapshot.txt", _bad_token), ("snapshot.txt", _zero_frequency),
+    ("snapshot.txt", _nan_frequency)])
 def test_malformed_input_exits_2(simulated, tmp_path, capsys, name, damage):
     config, data = simulated
     broken = data / name

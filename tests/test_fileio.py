@@ -1,9 +1,9 @@
 import numpy.testing as npt
 import pytest
 
-from roomwave.fileio import (atomic_write, read_mic_array, read_point_cloud,
-                             read_snapshot, write_mic_array, write_point_cloud,
-                             write_snapshot)
+from roomwave.fileio import (FormatError, atomic_write, read_point_cloud,
+                             read_points, read_snapshot, write_mic_array,
+                             write_point_cloud, write_snapshot)
 from roomwave.geometry import sample_boundary, sample_microphones
 from roomwave.simulator import simulate_snapshot
 
@@ -19,8 +19,17 @@ def test_point_cloud_round_trip_is_bit_exact(room, tmp_path):
 def test_mic_array_round_trip_is_bit_exact(room, tmp_path):
     mics = sample_microphones(room, 30, seed=4)
     write_mic_array(tmp_path / "mics.txt", mics)
-    npt.assert_array_equal(read_mic_array(tmp_path / "mics.txt").positions,
+    npt.assert_array_equal(read_points(tmp_path / "mics.txt"),
                            mics.positions)
+
+
+@pytest.mark.parametrize("text", ["", "# columns x y z\n", "1 2 nan\n"],
+                         ids=["empty", "header_only", "nan"])
+def test_read_points_needs_finite_rows(tmp_path, text):
+    path = tmp_path / "points.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match="points.txt"):
+        read_points(path)
 
 
 def test_snapshot_round_trip_is_bit_exact(room, tmp_path):

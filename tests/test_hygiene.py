@@ -1,7 +1,8 @@
 """Static checks of the package source with the standard-library `ast`: no
 import goes unused and every `__all__` name is defined (the pyflakes
-checks this package relies on), and no private module-level name is left
-behind with nothing in the package referring to it."""
+checks this package relies on), no `__all__` lists a name its module
+imports, and no private module-level name is left behind with nothing in
+the package referring to it."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,11 @@ def undefined_exports(tree):
     return exported(tree) - defined(tree)
 
 
+def reexports(tree):
+    """`__all__` names the module imports: each public name has one home."""
+    return exported(tree) & {name for name, _ in imported(tree)}
+
+
 def private_definitions(tree):
     """Private (`_name`, not dunder) functions, classes and constants bound
     at module level; imported names are the unused-import check's."""
@@ -110,6 +116,11 @@ def test_all_names_are_defined(path):
     assert not undefined_exports(parse(path))
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_name_is_reexported(path):
+    assert not reexports(parse(path))
+
+
 def test_every_private_name_is_referenced():
     assert not unreferenced_private({path.name: parse(path)
                                      for path in MODULES})
@@ -123,6 +134,16 @@ def test_checks_catch_stale_names():
                      "tau = 2 * math.pi\n")
     assert unused_imports(tree) == ["2: dataclass"]
     assert undefined_exports(tree) == {"ThetaVector"}
+
+
+def test_check_catches_reexports():
+    """A name exported from a module that imports it is caught, also under
+    an alias; a defined export is not."""
+    tree = ast.parse("from ._linalg import FactorizationError\n"
+                     "from .optimize import minimize as fit\n"
+                     "__all__ = ['FactorizationError', 'fit', 'tau']\n"
+                     "tau = 6.28\n")
+    assert reexports(tree) == {"FactorizationError", "fit"}
 
 
 def test_check_catches_unreferenced_private_names():
