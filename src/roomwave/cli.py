@@ -31,11 +31,17 @@ __all__ = ["main", "build_parser"]
 GRADCHECK_TOLERANCE = 1e-5
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"      # argparse names the type in its messages
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck",
                             help="finite-difference gradient verification")
-    p_grad.add_argument("--instances", type=_positive_int, default=20)
-    p_grad.add_argument("--thetas", type=_positive_int, default=5)
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--instances", type=_int_at_least(1), default=20)
+    p_grad.add_argument("--thetas", type=_int_at_least(1), default=5)
+    p_grad.add_argument("--seed", type=_int_at_least(0), default=0)
     return parser
 
 

@@ -134,6 +134,8 @@ class ExperimentConfig:
             raise ValueError(f"lasso_folds must be in 2..{self.mic_count}")
         if self.max_image_order < 0:
             raise ValueError("max_image_order must be >= 0")
+        if self.master_seed < 0:    # np.random.SeedSequence needs >= 0
+            raise ValueError("seed must be >= 0")
         if min((self.boundary_count, *self.boundary_counts)) < 0:
             raise ValueError("boundary counts must be >= 0")
         for name, known in (("methods", METHODS), ("sweeps", SWEEPS)):

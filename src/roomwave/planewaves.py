@@ -9,6 +9,7 @@ the matching outgoing point-source field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,10 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 def wavenumber(frequency_hz: float, speed_of_sound: float) -> float:
     """k = 2*pi*f / c in rad/m."""
-    if frequency_hz <= 0 or speed_of_sound <= 0:
-        raise ValueError("frequency and speed of sound must be positive")
+    # written as `not a < x < b` so that NaN fails too
+    if not (0.0 < frequency_hz < math.inf and 0.0 < speed_of_sound < math.inf):
+        raise ValueError("frequency and speed of sound must be positive "
+                         "and finite")
     return 2.0 * np.pi * frequency_hz / speed_of_sound
 
 
@@ -59,8 +62,8 @@ class PlaneWaveDictionary:
 
     def __post_init__(self):
         dirs = np.asarray(self.directions, dtype=float).reshape(-1, 3)
-        if self.wavenumber <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not 0.0 < self.wavenumber < math.inf:
+            raise ValueError("wavenumber must be positive and finite")
         if len(dirs) < 1:
             raise ValueError("need at least one direction")
         if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:

@@ -5,6 +5,28 @@ of mirrored image sources, each contributing amplitude * e^{ikd}/(4 pi d)
 with amplitude rho^order for uniform wall reflection coefficient rho. The
 sum is evaluated directly at the target wavenumber; no time-domain synthesis
 is involved.
+
+`field_at_points` streams the sum over blocks of receiver rows, sized so
+that a block holds about PAIR_BUDGET receiver-image pairs (at least one row,
+whatever the image count). Each block reuses three preallocated (rows,
+images) work arrays, so memory stays flat in the receiver count and no
+(receivers, images, 3) difference array is formed. The kernel is written to
+round exactly as the direct expression
+
+    (amplitudes * np.exp(1j*k*d) / (4*pi*d)).sum(axis=1),
+    d = np.linalg.norm(receivers[:, None] - images[None], axis=2)
+
+does, bit for bit:
+- the squared per-axis differences are added as (dx^2 + dy^2) + dz^2;
+- e^{ikd} is written as np.cos and np.sin of k*d, which match
+  np.exp(1j*k*d) part for part (the test checks this where it runs);
+- complex / real division rounds as multiplication by the reciprocal, so
+  each part is (a * cos) * (1 / (4 pi d)) and (a * sin) * (1 / (4 pi d));
+- blocks split receivers, never images, so each row is still one complex
+  sum(axis=1) over all images and keeps numpy's pairwise-summation tree.
+Bit identity matters because some benchmark cells (truncated marginal-
+likelihood fits) move by tenths of a dB when the snapshot moves by one ulp,
+and tests/test_simulator.py checks it against the direct expression.
 """
 
 from __future__ import annotations
@@ -25,6 +47,8 @@ __all__ = [
 ]
 
 MIN_SOURCE_DISTANCE = 1e-9
+# receivers per block times image sources: about 2 MB of work arrays
+PAIR_BUDGET = 65_536
 
 
 def _axis_images(source: float, length: float, max_order: int):
@@ -65,24 +89,47 @@ def image_lattice(room: RoomSpec, max_order: int):
 def field_at_points(room: RoomSpec, receivers, k: float, max_order: int = 80) -> np.ndarray:
     """Complex pressure of the image-source sum at each receiver.
 
-    Raises ValueError if any receiver coincides with an image source
-    (distance below 1e-9 m).
+    Raises ValueError if the wavenumber is not positive and finite, or if any
+    receiver coincides with an image source (distance below 1e-9 m).
     """
     recv = _as_points(receivers, "receivers")
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    # written as `not a < x < b` so that NaN fails too
+    if not 0.0 < k < math.inf:
+        raise ValueError("wavenumber must be positive and finite")
     positions, orders = image_lattice(room, max_order)
     amplitudes = room.reflection_coefficient ** orders.astype(float)
+    images = np.ascontiguousarray(positions.T)
+    rows = max(1, PAIR_BUDGET // len(amplitudes))
+    dist = np.empty((rows, len(amplitudes)))
+    work = np.empty_like(dist)
+    terms = np.empty(dist.shape, dtype=complex)
 
     out = np.empty(len(recv), dtype=complex)
-    # chunk receivers to bound the (n_receivers x n_images) distance matrix
-    chunk = max(1, int(2_000_000 / max(len(positions), 1)))
-    for start in range(0, len(recv), chunk):
-        block = recv[start:start + chunk]
-        d = np.linalg.norm(block[:, None, :] - positions[None, :, :], axis=2)
+    for start in range(0, len(recv), rows):
+        block = recv[start:start + rows]
+        d, w, z = dist[:len(block)], work[:len(block)], terms[:len(block)]
+        # (dx^2 + dy^2) + dz^2, the order np.linalg.norm(axis=-1) adds in
+        np.subtract(block[:, 0, None], images[0], out=d)
+        np.multiply(d, d, out=d)
+        for axis in (1, 2):
+            np.subtract(block[:, axis, None], images[axis], out=w)
+            np.multiply(w, w, out=w)
+            np.add(d, w, out=d)
+        np.sqrt(d, out=d)
         if np.min(d) < MIN_SOURCE_DISTANCE:
             raise ValueError("receiver coincides with an image source")
-        out[start:start + chunk] = (amplitudes * np.exp(1j * k * d) / (4.0 * np.pi * d)).sum(axis=1)
+        # a * e^{ikd} / (4 pi d) as numpy's complex / real division rounds it:
+        # (a cos(kd)) * (1 / (4 pi d)) and (a sin(kd)) * (1 / (4 pi d))
+        np.multiply(4.0 * np.pi, d, out=w)
+        np.divide(1.0, w, out=w)
+        np.multiply(k, d, out=d)
+        np.sin(d, out=z.imag)
+        np.cos(d, out=d)
+        np.multiply(d, amplitudes, out=d)
+        np.multiply(d, w, out=z.real)
+        np.multiply(z.imag, amplitudes, out=z.imag)
+        np.multiply(z.imag, w, out=z.imag)
+        z.sum(axis=1, out=out[start:start + len(block)])
     return out
 
 

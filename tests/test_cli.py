@@ -227,6 +227,19 @@ def test_gradcheck_rejects_non_positive_counts(capsys, flag):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tiny, tmp_path, capsys):
+    """A negative seed is a usage error (exit 2), not a numpy traceback from
+    np.random.SeedSequence."""
+    out = tmp_path / "out"
+    assert main(["simulate", str(tiny), str(out), "--set", "seed=-1"]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", [
     "benchmark.monte_carlo_runs=0", "array.mic_count=0", "lasso.mode=bogus",
     "room.reflection_coefficient=1.5", "lasso.folds=1", "lasso.grid_size=0",

@@ -23,6 +23,12 @@ class TestWavenumber:
         with pytest.raises(ValueError):
             wavenumber(100.0, -1.0)
 
+    @pytest.mark.parametrize("frequency, speed", [
+        (np.nan, 343.0), (np.inf, 343.0), (300.0, np.nan), (300.0, np.inf)])
+    def test_not_finite_rejected(self, frequency, speed):
+        with pytest.raises(ValueError, match="finite"):
+            wavenumber(frequency, speed)
+
 
 class TestFibonacciDirections:
     def test_single_direction_is_x_axis(self):
@@ -55,6 +61,11 @@ class TestDictionary:
             PlaneWaveDictionary(-1.0, fibonacci_directions(4))
         with pytest.raises(ValueError):
             PlaneWaveDictionary(1.0, np.array([[2.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("k", [0.0, np.nan, np.inf])
+    def test_wavenumber_outside_positive_finite_rejected(self, k):
+        with pytest.raises(ValueError, match="wavenumber"):
+            PlaneWaveDictionary(k, fibonacci_directions(4))
 
     def test_wave_vectors(self, dictionary):
         npt.assert_allclose(np.linalg.norm(dictionary.wave_vectors, axis=1),
