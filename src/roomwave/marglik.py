@@ -28,7 +28,18 @@ of J costs
     K = sigma_alpha^2 (Phi Phi^H - mu V^H V), and the M x M Cholesky of Q.
 The gradient adds the back solve w = L^{-H} V, a second Gram pass for
 Psi G^H and one B x B times B x M product; every trace is an inner product
-with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed.
+with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed. An
+evaluation releases I + mu G G^H once it is factorized and Psi G^H once it
+is multiplied, so it holds at most one B x B temporary besides L.
+
+The precompute writes the Grams in place: one preallocated (4, B, B) stack
+filled by `np.matmul(..., out=)` and hermitized in place as (X + X^H) * 0.5,
+with one conjugated B x P copy alive at a time. It is bit-identical to
+stacking the separately hermitized products, and it has to be: a truncated
+fit (the benchmark's `max_line_searches` cap) can end 0.13-0.41 dB
+elsewhere in NMSE when one input moves by one ulp, so a rounding change in
+a Gram can move reported cells. tests/test_marglik.py checks the stack, the
+cross products and value_and_gradient against the direct expressions.
 """
 
 from __future__ import annotations
@@ -78,6 +89,12 @@ def to_hyperparameters(theta) -> Hyperparameters:
     return Hyperparameters(s2, sa2, mu, complex(beta))
 
 
+def _hermitize_in_place(x: np.ndarray) -> None:
+    """x <- (x + x^H) * 0.5, rounding as `hermitize` does."""
+    np.add(x, x.conj().T, out=x)
+    np.multiply(x, 0.5, out=x)
+
+
 class MarginalLikelihood:
     """Evaluator bound to one dataset (y, Phi, Psi, PhiTilde).
 
@@ -102,15 +119,24 @@ class MarginalLikelihood:
             phi_h = phi.conj().T
             self._psi_phi = psi @ phi_h                    # (B, M)
             self._pt_phi = phi_tilde @ phi_h               # (B, M)
-            cross = psi @ phi_tilde.conj().T               # (B, B)
+            del phi_h
             # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
-            # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S
-            self._grams = np.stack([
-                hermitize(phi_tilde @ phi_tilde.conj().T),
-                hermitize(psi @ psi.conj().T),
-                0.5 * (cross + cross.conj().T),
-                0.5 * (cross - cross.conj().T),
-            ])
+            # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S, written
+            # into one stack with one conjugated (B, P) copy alive at a time
+            b = self.num_boundary
+            self._grams = grams = np.empty((4, b, b), dtype=complex)
+            c, a, h, s = grams
+            conj = phi_tilde.conj()
+            np.matmul(phi_tilde, conj.T, out=c)
+            np.matmul(psi, conj.T, out=h)                  # the cross term
+            del conj
+            conj = psi.conj()
+            np.matmul(psi, conj.T, out=a)
+            del conj
+            np.subtract(h, h.conj().T, out=s)
+            np.multiply(s, 0.5, out=s)
+            for gram in (c, a, h):
+                _hermitize_in_place(gram)
 
     def value(self, hp: Hyperparameters) -> float:
         return self._evaluate(hp, with_gradient=False)[0]
@@ -145,6 +171,7 @@ class MarginalLikelihood:
                         [1.0, abs(beta) ** 2, 2.0 * beta.real, 2.0j * beta.imag]))
                     a.flat[::self.num_boundary + 1] += 1.0
                     b_factor = chol_factor(a)
+                    del a        # at most one B x B temporary beside L
                     g_phi = beta * self._psi_phi + self._pt_phi        # G Phi^H
                     v = b_factor.forward(g_phi)                # L^{-1} G Phi^H
                     k -= (sa2 * mu) * (v.conj().T @ v)
@@ -174,10 +201,11 @@ class MarginalLikelihood:
                     w_weight = w @ weight
                     grad[2] = 0.5 * sa2 * mu * float(
                         np.real(np.vdot(w, w_weight)))
-                    # Psi G^H = conj(beta) A + H + S
-                    psi_g = self._combine(
-                        np.array([0.0, np.conj(beta), 1.0, 1.0]))
-                    psi_c = self._psi_phi - mu * (psi_g @ w)
+                    # Psi G^H = conj(beta) A + H + S, released once
+                    # multiplied
+                    psi_g_w = self._combine(
+                        np.array([0.0, np.conj(beta), 1.0, 1.0])) @ w
+                    psi_c = self._psi_phi - mu * psi_g_w
                     g_eta = (0.5 * sa2 * mu * np.conj(beta)
                              * np.vdot(psi_c, w_weight))
                     grad[3] = 2.0 * float(np.real(g_eta))

@@ -70,18 +70,32 @@ def image_lattice(room: RoomSpec, max_order: int):
 
     Returns (positions (n, 3), orders (n,)) sorted by order then position,
     so the enumeration is deterministic.
+
+    Only kept images are enumerated: the (x, y) index pairs whose order
+    leaves room for a z image (the z axis always has one of order 0), and
+    for each pair the z indices of the cheapest z images, found by one
+    searchsorted over the sorted z orders. No dense (x, y, z) order cube is
+    formed, so memory grows with the image count, not with the cube. The
+    final sort on (order, x, y, z) makes the result independent of the
+    enumeration order: rows that tie on all four keys are equal.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    per_axis = [_axis_images(room.source_position[a], room.dimensions[a], max_order)
-                for a in range(3)]
-    cx, cy, cz = (p[1] for p in per_axis)
-    total = cx[:, None, None] + cy[None, :, None] + cz[None, None, :]
-    keep = total <= max_order
-    ix, iy, iz = np.nonzero(keep)
+    (x, cx), (y, cy), (z, cz) = (
+        _axis_images(room.source_position[a], room.dimensions[a], max_order)
+        for a in range(3))
+    z_rank = np.argsort(cz, kind="stable")
+    cxy = cx[:, None] + cy[None, :]
+    ix, iy = np.nonzero(cxy <= max_order)
+    cxy = cxy[ix, iy]
+    counts = np.searchsorted(cz[z_rank], max_order - cxy, side="right")
+    # pair j takes z_rank[:counts[j]], indexed by a ramp that restarts at
+    # every pair
+    iz = z_rank[np.arange(counts.sum())
+                - np.repeat(np.cumsum(counts) - counts, counts)]
+    orders = np.repeat(cxy, counts) + cz[iz]
     positions = np.stack(
-        [per_axis[0][0][ix], per_axis[1][0][iy], per_axis[2][0][iz]], axis=1)
-    orders = total[keep]
+        [x[np.repeat(ix, counts)], y[np.repeat(iy, counts)], z[iz]], axis=1)
     key = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0], orders))
     return positions[key], orders[key].astype(int)
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -358,11 +359,25 @@ def test_reconstruct_missing_snapshot_exits_4(simulated, tmp_path, capsys):
 TRACED = ("build_phi", "build_psi", "build_phi_tilde", "fit_hyperparameters",
           "prior_covariance_from_matrices", "build_posterior", "predict",
           "tikhonov", "lasso", "select_lambda", "nearest_neighbor",
-          "evaluate_field", "simulate_snapshot", "field_at_points",
-          "sample_microphones", "sample_validation_points", "sample_boundary",
-          "perturb_positions")
+          "evaluate_field", "fibonacci_directions", "simulate_snapshot",
+          "field_at_points", "sample_microphones", "sample_validation_points",
+          "sample_boundary", "perturb_positions")
 CHAIN = ("fit_hyperparameters", "prior_covariance_from_matrices",
          "build_posterior", "predict")
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_traced_names_match_the_tracer():
+    """TRACED is the set of (experiments, NAME, ...) targets in the
+    tracer's source, read with ast so the copy cannot drift."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    patched = {node.elts[1].value for node in ast.walk(tree)
+               if isinstance(node, ast.Tuple) and len(node.elts) > 1
+               and isinstance(node.elts[0], ast.Name)
+               and node.elts[0].id == "experiments"
+               and isinstance(node.elts[1], ast.Constant)}
+    assert patched == set(TRACED)
+    assert len(TRACED) == len(set(TRACED))
 
 
 def test_sweep_and_reconstruct_share_one_traceable_chain(simulated, tmp_path,

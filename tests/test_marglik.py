@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roomwave._linalg import FactorizationError
+from roomwave._linalg import FactorizationError, hermitize
 from roomwave.bayes import Hyperparameters
+from roomwave.geometry import RoomSpec, sample_boundary
 from roomwave.marglik import (MarginalLikelihood, central_differences,
                               fit_hyperparameters, gradient_check,
                               initial_theta, to_hyperparameters)
+from roomwave.planewaves import (PlaneWaveDictionary, build_phi,
+                                 build_phi_tilde, build_psi,
+                                 fibonacci_directions, wavenumber)
 
 THETA0 = np.array([-1.0, 0.5, -0.3, 0.2, -0.4])
 
@@ -55,6 +60,87 @@ def dense_gradient(theta, y, phi, psi, phi_tilde):
                      trace_term(sa2 * phi @ s @ phi.conj().T).real,
                      trace_term(d_weight).real,
                      2.0 * g_eta.real, 2.0 * g_eta.imag])
+
+
+class DirectPrecompute(MarginalLikelihood):
+    """Oracle: the precompute as the direct expressions, each Gram a
+    separately hermitized product and the four stacked by np.stack."""
+
+    def __init__(self, y, phi, psi, phi_tilde):
+        self.y = np.asarray(y, dtype=complex)
+        self.num_measurements = len(self.y)
+        self.num_boundary = psi.shape[0]
+        self._phi_gram = hermitize(phi @ phi.conj().T)
+        self._psi_phi = psi @ phi.conj().T
+        self._pt_phi = phi_tilde @ phi.conj().T
+        cross = psi @ phi_tilde.conj().T
+        self._grams = np.stack([
+            hermitize(phi_tilde @ phi_tilde.conj().T),
+            hermitize(psi @ psi.conj().T),
+            0.5 * (cross + cross.conj().T),
+            0.5 * (cross - cross.conj().T),
+        ])
+
+
+def boundary_instance(m, p, b, seed=0):
+    """(y, Phi, Psi, PhiTilde) of the room model at 300 Hz."""
+    room = RoomSpec()
+    dictionary = PlaneWaveDictionary(wavenumber(300.0, 343.0),
+                                     fibonacci_directions(p))
+    cloud = sample_boundary(room, b, seed=seed)
+    rng = np.random.default_rng(seed)
+    mics = rng.uniform(0.2, 0.8, (m, 3)) * room.dimensions
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return (y, build_phi(dictionary, mics), build_psi(dictionary, cloud),
+            build_phi_tilde(dictionary, cloud))
+
+
+class TestInPlacePrecompute:
+    """The Grams are written in place; truncated fits move by tenths of a
+    dB when an input moves by one ulp, so they must equal the direct
+    expressions exactly."""
+
+    @pytest.mark.parametrize("p", [50, 1000])
+    @pytest.mark.parametrize("b", [1, 7, 100, 300])
+    def test_bit_identical_to_direct_expressions(self, b, p):
+        y, phi, psi, phi_tilde = boundary_instance(30, p, b, seed=b)
+        ml = MarginalLikelihood(y, phi, psi, phi_tilde)
+        oracle = DirectPrecompute(y, phi, psi, phi_tilde)
+        for name in ("_phi_gram", "_grams", "_psi_phi", "_pt_phi"):
+            assert np.array_equal(getattr(ml, name), getattr(oracle, name)), \
+                name
+        start = initial_theta(y, p, psi, phi_tilde)
+        mu_zero = start + np.array([0.0, 0.0, -800.0, 0.0, 0.0])
+        assert to_hyperparameters(mu_zero).boundary_weight == 0.0
+        for theta in (start, start + np.array([0.5, -0.5, 1.0, 0.3, -0.2]),
+                      mu_zero):
+            hp = to_hyperparameters(theta)
+            value, grad = ml.value_and_gradient(hp)
+            oracle_value, oracle_grad = oracle.value_and_gradient(hp)
+            assert value == oracle_value
+            assert np.array_equal(grad, oracle_grad)
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_bounded(self):
+        """(M, P, B) = (100, 1000, 300), inputs built before tracing. The
+        direct precompute peaks at 15.7 MB (separate hermitized temporaries
+        and their np.stack copy), the in-place one at 11.7 MB; an
+        evaluation that keeps I + mu G G^H and Psi G^H alive to the end
+        peaks at 7.85 MB, one that releases them at 5.93 MB."""
+        y, phi, psi, phi_tilde = boundary_instance(100, 1000, 300)
+        assert self._peak(
+            lambda: MarginalLikelihood(y, phi, psi, phi_tilde)) < 13e6
+        ml = MarginalLikelihood(y, phi, psi, phi_tilde)
+        hp = to_hyperparameters(initial_theta(y, 1000, psi, phi_tilde))
+        assert hp.boundary_weight > 0
+        assert self._peak(lambda: ml.value_and_gradient(hp)) < 6.9e6
 
 
 class TestThetaVector:

@@ -6,8 +6,9 @@ import pytest
 
 from roomwave.geometry import MicArray, RoomSpec
 from roomwave.planewaves import wavenumber
-from roomwave.simulator import (PAIR_BUDGET, SimSnapshot, field_at_points,
-                                image_lattice, simulate_snapshot)
+from roomwave.simulator import (PAIR_BUDGET, SimSnapshot, _axis_images,
+                                field_at_points, image_lattice,
+                                simulate_snapshot)
 
 
 def bfs_image_positions(room, max_order):
@@ -30,6 +31,27 @@ def bfs_image_positions(room, max_order):
                         new_frontier.append(key)
         frontier = new_frontier
     return seen
+
+
+def dense_lattice(room, max_order):
+    """Oracle: keep the images of a dense (x, y, z) reflection-order cube,
+    then sort them by order and position."""
+    per_axis = [_axis_images(room.source_position[a], room.dimensions[a],
+                             max_order) for a in range(3)]
+    cx, cy, cz = (p[1] for p in per_axis)
+    total = cx[:, None, None] + cy[None, :, None] + cz[None, None, :]
+    keep = total <= max_order
+    ix, iy, iz = np.nonzero(keep)
+    positions = np.stack(
+        [per_axis[0][0][ix], per_axis[1][0][iy], per_axis[2][0][iz]], axis=1)
+    orders = total[keep]
+    key = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0],
+                      orders))
+    return positions[key], orders[key].astype(int)
+
+
+OFF_CENTRE_ROOM = RoomSpec(np.array([3.1, 7.3, 2.2]), 0.9,
+                           np.array([0.4, 5.9, 1.7]))
 
 
 def chunked_field(room, receivers, k, max_order):
@@ -87,6 +109,32 @@ class TestImageEnumeration:
         expected = (amplitudes * np.exp(1j * k * d) / (4 * np.pi * d)).sum(1)
         npt.assert_allclose(field_at_points(room, receivers, k, 4), expected,
                             rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 10, 20, 31, 80])
+    def test_identical_to_dense_cube(self, room, order):
+        positions, orders = image_lattice(room, order)
+        oracle_positions, oracle_orders = dense_lattice(room, order)
+        assert np.array_equal(positions, oracle_positions)
+        assert np.array_equal(orders, oracle_orders)
+        assert orders.dtype == oracle_orders.dtype
+
+    @pytest.mark.parametrize("order", [0, 3, 17, 40])
+    def test_identical_to_dense_cube_off_centre(self, order):
+        positions, orders = image_lattice(OFF_CENTRE_ROOM, order)
+        oracle_positions, oracle_orders = dense_lattice(OFF_CENTRE_ROOM, order)
+        assert np.array_equal(positions, oracle_positions)
+        assert np.array_equal(orders, oracle_orders)
+
+    def test_peak_memory_bounded(self, room):
+        """Order 80 (695,681 images): the dense cube and its mask peak at
+        110 MB under tracemalloc, the per-pair enumeration at 62 MB."""
+        tracemalloc.start()
+        try:
+            image_lattice(room, 80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
 
     def test_negative_order_rejected(self, room):
         with pytest.raises(ValueError):
