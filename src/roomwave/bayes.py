@@ -8,7 +8,8 @@ The coefficient prior is zero-mean complex Gaussian with covariance
 
 i.e. fields whose impedance boundary residual is large are penalized. With
 boundary_weight = 0 (or an empty cloud) the prior reduces to the isotropic
-ridge/Tikhonov prior.
+ridge/Tikhonov prior; the Woodbury form below gives it exactly, as
+scale * (x - 0), without a separate code path.
 
 Sigma is held in boundary space (Woodbury form, see PriorCovariance): the
 prior, the posterior and the predictions factorize only the B x B matrix
@@ -74,12 +75,11 @@ class PriorCovariance:
     so only G (B x P) and the Cholesky factor F of the B x B matrix
     I_B + weight * G G^H are stored: a product with Sigma costs two B x P
     products and two B x B triangular solves, and no P x P matrix is ever
-    formed or factorized. Without a boundary term (factor None) the prior
-    is the isotropic scale * I_P.
+    formed or factorized.
     """
 
     def __init__(self, scale: float, weight: float, g: np.ndarray,
-                 factor: CholeskyFactor | None):
+                 factor: CholeskyFactor):
         self.scale = scale
         self.weight = weight
         self.g = g
@@ -91,8 +91,6 @@ class PriorCovariance:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Sigma @ x."""
-        if self.factor is None:
-            return self.scale * x
         correction = self.g.conj().T @ self.factor.solve(self.g @ x)
         return self.scale * (x - self.weight * correction)
 
@@ -105,8 +103,6 @@ def prior_covariance_from_matrices(psi: np.ndarray, phi_tilde: np.ndarray,
         raise ValueError("Psi and PhiTilde must have equal shapes")
     g = hp.impedance * psi + phi_tilde
     mu = hp.boundary_weight
-    if not (psi.shape[0] and mu > 0):
-        return PriorCovariance(hp.prior_variance, mu, g, None)
     a = mu * (g @ g.conj().T)
     a.flat[::psi.shape[0] + 1] += 1.0
     return PriorCovariance(hp.prior_variance, mu, g, chol_factor(a))

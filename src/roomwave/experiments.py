@@ -224,8 +224,7 @@ def draw_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
     seeds = run_seeds(cfg.master_seed, run)
     mics = sample_microphones(cfg.room, cfg.mic_count, cfg.exclusion_radius,
                               seeds["microphones"])
-    cloud = (sample_boundary(cfg.room, boundary_count, seeds["boundary"])
-             if boundary_count else BoundaryCloud.empty())
+    cloud = sample_boundary(cfg.room, boundary_count, seeds["boundary"])
     snapshot = simulate_snapshot(cfg.room, mics, frequency_hz,
                                  cfg.speed_of_sound, cfg.snr_db,
                                  cfg.max_image_order, seeds["noise"])

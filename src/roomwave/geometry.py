@@ -115,10 +115,6 @@ class BoundaryCloud:
             raise ValueError(f"subset size {count} out of range 0..{len(self)}")
         return BoundaryCloud(self.points[:count], self.normals[:count])
 
-    @classmethod
-    def empty(cls) -> "BoundaryCloud":
-        return cls(np.zeros((0, 3)), np.zeros((0, 3)))
-
 
 def _random_unit_vectors(count: int, rng: np.random.Generator) -> np.ndarray:
     """Isotropic unit vectors via normalized Gaussians."""
@@ -207,9 +203,9 @@ def face_areas(room: RoomSpec) -> np.ndarray:
 def sample_boundary(room: RoomSpec, count: int, seed: int = 0) -> BoundaryCloud:
     """Uniform samples on the surface of the room: faces chosen with
     probability proportional to area, uniform within each face, normals
-    pointing out of the room."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    pointing out of the room; a zero count gives the empty cloud."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     areas = face_areas(room)
     faces = rng.choice(6, size=count, p=areas / areas.sum())
@@ -230,7 +226,5 @@ def perturb_positions(points, magnitude: float, seed: int = 0) -> np.ndarray:
     if magnitude < 0:
         raise ValueError("magnitude must be >= 0")
     pts = _as_points(points)
-    if magnitude == 0.0:
-        return pts.copy()
     rng = np.random.default_rng(seed)
     return pts + magnitude * _random_unit_vectors(len(pts), rng)

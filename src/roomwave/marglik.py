@@ -20,7 +20,10 @@ the real-coordinate gradient is (2 Re g, 2 Im g) for that complex derivative.
 Evaluation works in measurement space: Q is only M x M, and all
 boundary-dependent quantities reduce to four B x B Grams, PhiTilde PhiTilde^H,
 Psi Psi^H and the Hermitian and anti-Hermitian parts of Psi PhiTilde^H,
-precomputed once per geometry. With G = beta Psi + PhiTilde, one evaluation
+precomputed once per geometry. An empty cloud (B = 0) or mu = 0 takes the
+same path, on 0 x 0 or zero-weighted terms, and gives the isotropic ridge
+objective of Q = sigma_alpha^2 Phi Phi^H + sigma^2 I exactly: empty products
+are exact zeros, and K - 0 = K. With G = beta Psi + PhiTilde, one evaluation
 of J costs
   - one pass over the Grams for I + mu G G^H,
   - its B x B Cholesky factor L,
@@ -115,28 +118,27 @@ class MarginalLikelihood:
         self.num_measurements = len(y)
         self.num_boundary = psi.shape[0]
         self._phi_gram = hermitize(phi @ phi.conj().T)
-        if self.num_boundary:
-            phi_h = phi.conj().T
-            self._psi_phi = psi @ phi_h                    # (B, M)
-            self._pt_phi = phi_tilde @ phi_h               # (B, M)
-            del phi_h
-            # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
-            # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S, written
-            # into one stack with one conjugated (B, P) copy alive at a time
-            b = self.num_boundary
-            self._grams = grams = np.empty((4, b, b), dtype=complex)
-            c, a, h, s = grams
-            conj = phi_tilde.conj()
-            np.matmul(phi_tilde, conj.T, out=c)
-            np.matmul(psi, conj.T, out=h)                  # the cross term
-            del conj
-            conj = psi.conj()
-            np.matmul(psi, conj.T, out=a)
-            del conj
-            np.subtract(h, h.conj().T, out=s)
-            np.multiply(s, 0.5, out=s)
-            for gram in (c, a, h):
-                _hermitize_in_place(gram)
+        phi_h = phi.conj().T
+        self._psi_phi = psi @ phi_h                        # (B, M)
+        self._pt_phi = phi_tilde @ phi_h                   # (B, M)
+        del phi_h
+        # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
+        # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S, written into
+        # one stack with one conjugated (B, P) copy alive at a time
+        b = self.num_boundary
+        self._grams = grams = np.empty((4, b, b), dtype=complex)
+        c, a, h, s = grams
+        conj = phi_tilde.conj()
+        np.matmul(phi_tilde, conj.T, out=c)
+        np.matmul(psi, conj.T, out=h)                      # the cross term
+        del conj
+        conj = psi.conj()
+        np.matmul(psi, conj.T, out=a)
+        del conj
+        np.subtract(h, h.conj().T, out=s)
+        np.multiply(s, 0.5, out=s)
+        for gram in (c, a, h):
+            _hermitize_in_place(gram)
 
     def value(self, hp: Hyperparameters) -> float:
         return self._evaluate(hp, with_gradient=False)[0]
@@ -154,7 +156,6 @@ class MarginalLikelihood:
         mu = hp.boundary_weight
         beta = hp.impedance
         m = self.num_measurements
-        boundary_active = self.num_boundary > 0 and mu > 0
 
         # assembly, value and gradient all run with overflow and invalid
         # operations raising, so an extreme theta is reported as not
@@ -162,19 +163,17 @@ class MarginalLikelihood:
         with np.errstate(over="raise", invalid="raise"):
             try:
                 k = sa2 * self._phi_gram
-                if boundary_active:
-                    # I + mu G G^H with G G^H = C + |beta|^2 A
-                    # + 2 Re(beta) H + 2i Im(beta) S, every term Hermitian;
-                    # Cholesky reads only the lower triangle, so no
-                    # symmetrization is needed
-                    a = self._combine(mu * np.array(
-                        [1.0, abs(beta) ** 2, 2.0 * beta.real, 2.0j * beta.imag]))
-                    a.flat[::self.num_boundary + 1] += 1.0
-                    b_factor = chol_factor(a)
-                    del a        # at most one B x B temporary beside L
-                    g_phi = beta * self._psi_phi + self._pt_phi        # G Phi^H
-                    v = b_factor.forward(g_phi)                # L^{-1} G Phi^H
-                    k -= (sa2 * mu) * (v.conj().T @ v)
+                # I + mu G G^H with G G^H = C + |beta|^2 A + 2 Re(beta) H
+                # + 2i Im(beta) S, every term Hermitian; Cholesky reads only
+                # the lower triangle, so no symmetrization is needed
+                a = self._combine(mu * np.array(
+                    [1.0, abs(beta) ** 2, 2.0 * beta.real, 2.0j * beta.imag]))
+                a.flat[::self.num_boundary + 1] += 1.0
+                b_factor = chol_factor(a)
+                del a            # at most one B x B temporary beside L
+                g_phi = beta * self._psi_phi + self._pt_phi            # G Phi^H
+                v = b_factor.forward(g_phi)                    # L^{-1} G Phi^H
+                k -= (sa2 * mu) * (v.conj().T @ v)
                 q = k.copy()
                 q.flat[::m + 1] += s2
                 q_factor = chol_factor(q)
@@ -187,29 +186,25 @@ class MarginalLikelihood:
                 if not with_gradient:
                     return value, None
 
-                # grad_i = -(1/2) tr(W dQ/dtheta_i), W = xi xi^H - Q^{-1}
+                # grad_i = -(1/2) tr(W dQ/dtheta_i), W = xi xi^H - Q^{-1};
+                # dQ/dd = -sa2 mu w^H w and dQ/deta* = -sa2 mu conj(beta)
+                # psi_c^H w with w = (I + mu G G^H)^{-1} G Phi^H, so the
+                # boundary traces are inner products with w W and no M x M
+                # derivative is formed
                 weight = np.outer(xi, xi.conj()) - q_factor.inverse()
                 grad = np.zeros(5)
                 grad[0] = -0.5 * s2 * float(np.real(np.trace(weight)))
                 grad[1] = -0.5 * float(np.real(np.vdot(k, weight)))
-                if boundary_active:
-                    # dQ/dd = -sa2 mu w^H w and
-                    # dQ/deta* = -sa2 mu conj(beta) psi_c^H w with
-                    # w = (I + mu G G^H)^{-1} G Phi^H; the traces are inner
-                    # products with w W, so no M x M derivative is formed
-                    w = b_factor.backward(v)
-                    w_weight = w @ weight
-                    grad[2] = 0.5 * sa2 * mu * float(
-                        np.real(np.vdot(w, w_weight)))
-                    # Psi G^H = conj(beta) A + H + S, released once
-                    # multiplied
-                    psi_g_w = self._combine(
-                        np.array([0.0, np.conj(beta), 1.0, 1.0])) @ w
-                    psi_c = self._psi_phi - mu * psi_g_w
-                    g_eta = (0.5 * sa2 * mu * np.conj(beta)
-                             * np.vdot(psi_c, w_weight))
-                    grad[3] = 2.0 * float(np.real(g_eta))
-                    grad[4] = 2.0 * float(np.imag(g_eta))
+                w = b_factor.backward(v)
+                w_weight = w @ weight
+                grad[2] = 0.5 * sa2 * mu * float(np.real(np.vdot(w, w_weight)))
+                # Psi G^H = conj(beta) A + H + S, released once multiplied
+                psi_g_w = self._combine(
+                    np.array([0.0, np.conj(beta), 1.0, 1.0])) @ w
+                psi_c = self._psi_phi - mu * psi_g_w
+                g_eta = 0.5 * sa2 * mu * np.conj(beta) * np.vdot(psi_c, w_weight)
+                grad[3] = 2.0 * float(np.real(g_eta))
+                grad[4] = 2.0 * float(np.imag(g_eta))
             except (FloatingPointError, OverflowError) as exc:
                 raise FactorizationError(
                     f"overflow while evaluating J: {exc}") from exc
@@ -234,7 +229,8 @@ def central_differences(fun, x, step: float) -> np.ndarray:
     return grad
 
 
-def initial_theta(y, num_plane_waves: int, psi=None, phi_tilde=None) -> np.ndarray:
+def initial_theta(y, num_plane_waves: int, psi: np.ndarray,
+                  phi_tilde: np.ndarray) -> np.ndarray:
     """Data-scaled neutral start theta.
 
     Noise starts at a tenth of the signal power and the prior scale makes
@@ -243,14 +239,12 @@ def initial_theta(y, num_plane_waves: int, psi=None, phi_tilde=None) -> np.ndarr
     boundary Gram term is one at the initial unit impedance: a raw weight of
     one would let the boundary term dominate the prior by orders of
     magnitude and reliably trap the optimizer in an all-noise optimum.
+    Without a boundary term (an empty cloud) it starts at one.
     """
     power = float(np.mean(np.abs(np.asarray(y)) ** 2))
     power = max(power, 1e-30)
-    log_weight = 0.0
-    if psi is not None and phi_tilde is not None and psi.shape[0]:
-        gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
-        if gram_trace > 0:
-            log_weight = math.log(psi.shape[0] / gram_trace)
+    gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
+    log_weight = math.log(psi.shape[0] / gram_trace) if gram_trace > 0 else 0.0
     return np.array([math.log(0.1 * power), math.log(power / num_plane_waves),
                      log_weight, 0.0, 0.0])
 

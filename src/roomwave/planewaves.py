@@ -82,15 +82,14 @@ class PlaneWaveDictionary:
 
 def build_phi(dictionary: PlaneWaveDictionary, points) -> np.ndarray:
     """Measurement matrix, entry (m, p) = exp(i k_p . r_m). Shape (M, P)."""
-    pts = _as_points(points)
-    return np.exp(1j * (pts @ dictionary.wave_vectors.T))
+    return _phase(dictionary, _as_points(points))
 
 
-def _boundary_phase(dictionary: PlaneWaveDictionary,
-                    cloud: BoundaryCloud) -> np.ndarray:
-    """exp(i k_p . r_b) written into the one complex (B, P) array that the
-    boundary builders scale in place and return."""
-    phase = np.multiply(1j, cloud.points @ dictionary.wave_vectors.T)
+def _phase(dictionary: PlaneWaveDictionary, points: np.ndarray) -> np.ndarray:
+    """exp(i k_p . r) at (n, 3) points, written into the one complex (n, P)
+    array that `build_phi` returns and the boundary builders scale in place;
+    equal bit for bit to `np.exp(1j * (points @ K.T))`."""
+    phase = np.multiply(1j, points @ dictionary.wave_vectors.T)
     return np.exp(phase, out=phase)
 
 
@@ -106,7 +105,7 @@ def build_psi(dictionary: PlaneWaveDictionary, cloud: BoundaryCloud) -> np.ndarr
     marginal-likelihood fits move by tenths of a dB when an input moves by
     one ulp, and tests/test_planewaves.py checks it against the direct form.
     """
-    out = _boundary_phase(dictionary, cloud)
+    out = _phase(dictionary, cloud.points)
     return np.multiply(1j * (cloud.normals @ dictionary.wave_vectors.T), out,
                        out=out)
 
@@ -119,7 +118,7 @@ def build_phi_tilde(dictionary: PlaneWaveDictionary, cloud: BoundaryCloud) -> np
     Like `build_psi`, the phase is scaled in place and equals the direct
     expression `1j * k * exp(1j * (R @ K.T))` bit for bit.
     """
-    out = _boundary_phase(dictionary, cloud)
+    out = _phase(dictionary, cloud.points)
     return np.multiply(1j * dictionary.wavenumber, out, out=out)
 
 

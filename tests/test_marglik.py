@@ -386,8 +386,8 @@ class TestInitialTheta:
         assert theta[3] == 0.0 and theta[4] == 0.0
 
     def test_without_boundary(self, complex_instance):
-        y, phi, _, _ = complex_instance(seed=14)
-        theta = initial_theta(y, phi.shape[1])
+        y, phi, psi, phi_tilde = complex_instance(seed=14)
+        theta = initial_theta(y, phi.shape[1], psi[:0], phi_tilde[:0])
         power = float(np.mean(np.abs(y) ** 2))
         assert theta[0] == pytest.approx(math.log(0.1 * power))
         assert theta[2] == 0.0
