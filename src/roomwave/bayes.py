@@ -8,7 +8,7 @@ The coefficient prior is zero-mean complex Gaussian with covariance
 
 i.e. fields whose impedance boundary residual is large are penalized. With
 boundary_weight = 0 (or an empty cloud) the prior reduces to the isotropic
-ridge/Tikhonov prior; the Woodbury form below gives it exactly, as
+ridge/Tikhonov prior; the Woodbury form below gives its values exactly, as
 scale * (x - 0), without a separate code path.
 
 Sigma is held in boundary space (Woodbury form, see PriorCovariance): the

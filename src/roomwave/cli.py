@@ -10,6 +10,9 @@ Exit codes: 0 success, 2 configuration error, malformed input file or bad
 command-line argument, 3 numerical failure (any `np.linalg.LinAlgError`,
 `FactorizationError` included, or a FloatingPointError), 4 I/O failure.
 `ROOMWAVE_NUM_THREADS` caps the BLAS thread count when set before launch.
+Left unset, OpenBLAS starts one thread per vCPU, which slows the small
+matrices here down: on a 2-vCPU VM one B = 300 marginal-likelihood
+evaluation took 16-74 ms instead of 7-8 ms with ROOMWAVE_NUM_THREADS=1.
 
 The modules are imported once, at the top, and their functions called as
 attributes (`config.load_config`, `experiments.fit_and_predict`, ...), so a

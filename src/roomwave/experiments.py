@@ -191,6 +191,12 @@ class RunResult:
     def nmse_db(self) -> float:
         return to_db(self.nmse_linear)
 
+    @property
+    def failed(self) -> int:
+        """Runs whose reconstruction failed (NaN NMSE), which the mean
+        leaves out."""
+        return int(np.isnan(np.asarray(self.nmse_per_run, dtype=float)).sum())
+
 
 _SEED_KEYS = ("microphones", "validation", "boundary", "noise",
               "boundary_perturbation", "mic_perturbation", "lasso_cv")
@@ -291,7 +297,13 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
                                    cfg.lasso_grid_size)
         penalty = select_lambda(data.y, phi, data.noise_variance, grid,
                                 cfg.lasso_folds, data.seeds["lasso_cv"])
-        fit = lasso(data.y, phi, data.noise_variance, LassoConfig(penalty))
+        config = LassoConfig(penalty)
+        fit = lasso(data.y, phi, data.noise_variance, config)
+        if not fit.converged:
+            # its result then depends on where FISTA stopped
+            logger.warning("run %d: final lasso fit at penalty %r did not "
+                           "converge in %d iterations", data.run, penalty,
+                           config.max_iterations)
         return evaluate_field(dictionary, fit.coefficients, targets)
     raise ValueError(f"unknown method '{method}'")
 

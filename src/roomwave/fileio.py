@@ -241,10 +241,11 @@ def write_runs_csv(path, results) -> None:
 
 
 def write_aggregate_csv(path, results) -> None:
-    """Mean NMSE per (sweep value, method); no timing columns so repeated
-    runs of the same configuration are byte-identical."""
+    """Mean NMSE per (sweep value, method) over the runs that did not fail,
+    and the number that did; no timing columns so repeated runs of the same
+    configuration are byte-identical."""
     _write_csv(path, ["sweep", "method", "value", "runs", "nmse_linear",
-                      "nmse_db"],
+                      "nmse_db", "failed"],
                ([result.sweep, result.method, _fmt(result.value),
                  len(result.nmse_per_run), _fmt(result.nmse_linear),
-                 _fmt(result.nmse_db)] for result in results))
+                 _fmt(result.nmse_db), result.failed] for result in results))

@@ -31,9 +31,12 @@ of J costs
     K = sigma_alpha^2 (Phi Phi^H - mu V^H V), and the M x M Cholesky of Q.
 The gradient adds the back solve w = L^{-H} V, a second Gram pass for
 Psi G^H and one B x B times B x M product; every trace is an inner product
-with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed. An
-evaluation releases I + mu G G^H once it is factorized and Psi G^H once it
-is multiplied, so it holds at most one B x B temporary besides L.
+with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed. It is
+about half an evaluation's cost, and it is skipped where J exceeds the
+caller's `cap`: the line search never reads the gradient at trial points
+above its starting value. An evaluation releases I + mu G G^H once it is
+factorized and Psi G^H once it is multiplied, so it holds at most one B x B
+temporary besides L.
 
 The precompute writes the Grams in place: one preallocated (4, B, B) stack
 filled by `np.matmul(..., out=)` and hermitized in place as (X + X^H) * 0.5,
@@ -141,16 +144,18 @@ class MarginalLikelihood:
             _hermitize_in_place(gram)
 
     def value(self, hp: Hyperparameters) -> float:
-        return self._evaluate(hp, with_gradient=False)[0]
+        return self._evaluate(hp, cap=-math.inf)[0]
 
-    def value_and_gradient(self, hp: Hyperparameters) -> tuple[float, np.ndarray]:
-        return self._evaluate(hp, with_gradient=True)
+    def value_and_gradient(self, hp: Hyperparameters, cap: float = math.inf):
+        """(J, gradient), or (J, None) without computing the gradient when
+        J > cap; the value is the same either way."""
+        return self._evaluate(hp, cap)
 
     def _combine(self, coefficients) -> np.ndarray:
         """sum_i c_i * Gram_i as one pass over the stacked Grams."""
         return np.tensordot(coefficients, self._grams, axes=1)
 
-    def _evaluate(self, hp: Hyperparameters, with_gradient: bool):
+    def _evaluate(self, hp: Hyperparameters, cap: float):
         s2 = hp.noise_variance
         sa2 = hp.prior_variance
         mu = hp.boundary_weight
@@ -183,7 +188,7 @@ class MarginalLikelihood:
                          + 0.5 * q_factor.logdet())
                 if not math.isfinite(value):
                     raise FactorizationError("non-finite objective")
-                if not with_gradient:
+                if value > cap:
                     return value, None
 
                 # grad_i = -(1/2) tr(W dQ/dtheta_i), W = xi xi^H - Q^{-1};
@@ -255,13 +260,15 @@ def fit_hyperparameters(y, phi, psi, phi_tilde,
     `initial_theta`; the result's `x` is the fitted theta.
 
     Points where the factorization fails are reported to the optimizer as
-    non-evaluable, so its line search backtracks past them.
+    non-evaluable, so its line search backtracks past them. Each optimizer
+    evaluation is one `value_and_gradient` call, capped at the line search's
+    starting value.
     """
     ml = MarginalLikelihood(y, phi, psi, phi_tilde)
 
-    def fun(x):
+    def fun(x, cap):
         try:
-            return ml.value_and_gradient(to_hyperparameters(x))
+            return ml.value_and_gradient(to_hyperparameters(x), cap)
         except FactorizationError:
             return math.inf, None
 

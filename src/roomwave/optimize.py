@@ -1,13 +1,19 @@
 """Polak-Ribiere nonlinear conjugate gradients with a strong-Wolfe line
 search based on cubic extrapolation and cubic/quadratic interpolation.
 
-The objective callable returns (value, gradient) and may return an infinite
-value where it cannot be evaluated; the line search bisects back toward the
-last good point in that case. A line search either ends at a point
-satisfying both strong-Wolfe conditions (which is then accepted, so the
-accepted-value sequence is strictly decreasing) or fails, in which case the
-best point seen so far is restored and the next search restarts along
-steepest descent; two consecutive failures stop the optimization.
+The objective callable fun(x, cap) returns (value, gradient) and may return
+an infinite value where it cannot be evaluated; the line search bisects back
+toward the last good point in that case. `cap` is the value at the start of
+the current line search (infinite for the first evaluation): where the value
+exceeds it, fun may return (value, None) and skip the gradient, because the
+line search (after `minimize.m`, Rasmussen & Williams 2006) reads the
+gradient only at points no higher than that start. A non-finite gradient
+makes a point non-evaluable only where the gradient is computed. A line
+search either ends at a point satisfying both strong-Wolfe conditions (which
+is then accepted, so the accepted-value sequence is strictly decreasing) or
+fails, in which case the best point seen so far is restored and the next
+search restarts along steepest descent; two consecutive failures stop the
+optimization.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ class MinimizeResult:
 
 
 def minimize(fun, x0, max_line_searches: int = 100) -> MinimizeResult:
-    """Minimize fun(x) -> (value, gradient) starting from x0.
+    """Minimize fun(x, cap) -> (value, gradient) starting from x0.
 
     Runs at most `max_line_searches` line searches; declares convergence
     when an accepted step changes the objective by less than
@@ -52,17 +58,20 @@ def minimize(fun, x0, max_line_searches: int = 100) -> MinimizeResult:
     x = np.array(x0, dtype=float)
     n_evals = [0]
 
-    def evaluate(z):
+    def evaluate(z, cap):
         n_evals[0] += 1
-        value, grad = fun(z)
+        value, grad = fun(z, cap)
         value = float(value)
-        if math.isfinite(value):
-            grad = np.asarray(grad, dtype=float)
-            if np.all(np.isfinite(grad)):
-                return value, grad
+        if not math.isfinite(value):
+            return math.inf, None
+        if grad is None and value > cap:
+            return value, None                    # above the line's start
+        grad = np.asarray(grad, dtype=float)
+        if np.all(np.isfinite(grad)):
+            return value, grad
         return math.inf, None
 
-    f0, g0 = evaluate(x)
+    f0, g0 = evaluate(x, math.inf)
     if not math.isfinite(f0):
         raise ValueError("objective not evaluable at the initial point")
     trace = [f0]
@@ -94,7 +103,7 @@ def minimize(fun, x0, max_line_searches: int = 100) -> MinimizeResult:
         while True:
             while budget > 0:
                 budget -= 1
-                f3, g3 = evaluate(x + a3 * s)
+                f3, g3 = evaluate(x + a3 * s, f0)
                 if math.isfinite(f3):
                     break
                 a3 = 0.5 * (a2 + a3)         # back toward the good end
@@ -102,8 +111,10 @@ def minimize(fun, x0, max_line_searches: int = 100) -> MinimizeResult:
                 break
             if f3 < best_f:
                 best_x, best_f, best_g = x + a3 * s, f3, g3
-            d3 = float(g3 @ s)
-            if d3 > C2 * slope or f3 > f0 + a3 * C1 * slope or budget == 0:
+            # no gradient means f3 > f0, which ends the extrapolation
+            d3 = float(g3 @ s) if g3 is not None else math.nan
+            if (g3 is None or d3 > C2 * slope or f3 > f0 + a3 * C1 * slope
+                    or budget == 0):
                 break
             a1, f1, d1 = a2, f2, d2
             a2, f2, d2 = a3, f3, d3
@@ -145,7 +156,7 @@ def minimize(fun, x0, max_line_searches: int = 100) -> MinimizeResult:
             a3 = min(max(a3, lo + INT_MARGIN * (hi - lo)),
                      hi - INT_MARGIN * (hi - lo))
             budget -= 1
-            f3, g3 = evaluate(x + a3 * s)
+            f3, g3 = evaluate(x + a3 * s, f0)
             d3 = float(g3 @ s) if g3 is not None else math.nan
             if math.isfinite(f3) and f3 < best_f:
                 best_x, best_f, best_g = x + a3 * s, f3, g3

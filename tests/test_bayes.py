@@ -72,6 +72,17 @@ class TestPriorCovariance:
         npt.assert_allclose(sigma_matrix(prior),
                             0.7 * np.eye(dictionary.size), atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["empty cloud", "mu = 0"])
+    def test_no_boundary_term_applies_scale_exactly(self, dictionary, cloud,
+                                                    rng, case):
+        mu = 5.0 if case == "empty cloud" else 0.0
+        hp = Hyperparameters(0.1, 0.7, mu, 2.0 - 1.0j)
+        prior = prior_of(dictionary,
+                         cloud.subset(0) if case == "empty cloud" else cloud,
+                         hp)
+        x = rng.standard_normal((dictionary.size, 4)) * (1 - 2j)
+        assert np.array_equal(prior.apply(x), 0.7 * x)
+
     def test_matches_dense_inverse(self, dictionary, cloud):
         hp = Hyperparameters(0.1, 1.3, 0.02, 1.5 + 0.5j)
         psi = build_psi(dictionary, cloud)

@@ -167,6 +167,39 @@ def test_repeated_sweep_value_keeps_its_rows(tmp_path):
     assert rows[:per_value] == rows[2 * per_value:]
 
 
+def test_aggregate_counts_failed_runs(tmp_path, monkeypatch):
+    """A method that raises in one run is counted in `failed`, and its mean
+    NMSE is taken over the runs that did not fail."""
+    config = tmp_path / "fail.yaml"
+    config.write_text(TINY_CONFIG + "benchmark:\n  monte_carlo_runs: 3\n"
+                      "  sweeps: [mic_perturbation]\n"
+                      "  methods: [tikhonov, nearest]\n"
+                      "  mic_perturbations_m: [0.0]\n", encoding="utf-8")
+    calls = []
+    original = experiments.nearest_neighbor
+
+    def failing_in_run_1(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FactorizationError("injected failure")
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "nearest_neighbor", failing_in_run_1)
+    out = tmp_path / "out"
+    assert main(["benchmark", str(config), str(out)]) == 0
+    with open(out / "mic_perturbation_aggregate.csv", newline="",
+              encoding="utf-8") as handle:
+        rows = {row["method"]: row for row in csv.DictReader(handle)}
+    with open(out / "mic_perturbation_runs.csv", newline="",
+              encoding="utf-8") as handle:
+        runs = [float(row["nmse_linear"]) for row in csv.DictReader(handle)
+                if row["method"] == "nearest"]
+    assert (rows["tikhonov"]["failed"], rows["nearest"]["failed"]) == ("0", "1")
+    assert math.isnan(runs[1])
+    assert float(rows["nearest"]["nmse_linear"]) == pytest.approx(
+        (runs[0] + runs[2]) / 2, rel=1e-15)
+
+
 def test_thread_variable_sets_blas_defaults_only():
     """ROOMWAVE_NUM_THREADS fills in the BLAS thread variables that are
     unset when the package is imported and leaves set ones alone."""

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import logging
 
 import numpy as np
 import numpy.testing as npt
@@ -228,6 +230,42 @@ class TestLassoGridSize:
         sweep(cfg, "mic_perturbation")
         assert len(penalties) == 5 * cfg.lasso_folds
         assert len(set(penalties)) == 5
+
+
+class TestLassoConvergenceWarning:
+    def test_unconverged_final_fit_names_run_and_penalty(self, room,
+                                                         monkeypatch, caplog):
+        fits = []
+        original = experiments.lasso
+
+        def recording(y, phi, noise_variance, config):
+            fit = original(y, phi, noise_variance, config)
+            fits.append((config.penalty, fit.converged))
+            return fit
+
+        monkeypatch.setattr(experiments, "LassoConfig",
+                            functools.partial(baselines.LassoConfig,
+                                              max_iterations=2))
+        monkeypatch.setattr(experiments, "lasso", recording)
+        cfg = tiny_config(room, methods=("lasso",), mic_perturbations=(0.0,),
+                          monte_carlo_runs=2)
+        with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+            sweep(cfg, "mic_perturbation")
+        messages = [r.getMessage() for r in caplog.records
+                    if "did not converge" in r.getMessage()]
+        expected = [f"run {run}: final lasso fit at penalty {penalty!r} did "
+                    "not converge in 2 iterations"
+                    for run, (penalty, converged) in enumerate(fits)
+                    if not converged]
+        assert messages == expected and expected
+
+    def test_converged_final_fit_is_silent(self, room, caplog):
+        cfg = tiny_config(room, methods=("lasso",), mic_perturbations=(0.0,),
+                          monte_carlo_runs=1)
+        with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+            sweep(cfg, "mic_perturbation")
+        assert not [r for r in caplog.records
+                    if "did not converge" in r.getMessage()]
 
 
 class TestDriver:

@@ -115,6 +115,13 @@ class TestBoundarySampling:
         assert np.sum(normal == 0) == 2
         assert np.abs(normal).max() == 1.0
 
+    def test_zero_count_is_empty_cloud(self, room):
+        cloud = sample_boundary(room, 0, seed=4)
+        assert len(cloud) == 0
+        assert cloud.points.shape == cloud.normals.shape == (0, 3)
+        with pytest.raises(ValueError):
+            sample_boundary(room, -1, seed=4)
+
     def test_deterministic(self, room):
         a = sample_boundary(room, 50, seed=8)
         b = sample_boundary(room, 50, seed=8)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roomwave._linalg import FactorizationError, hermitize
+from roomwave import marglik
+from roomwave._linalg import FactorizationError, chol_factor, hermitize
 from roomwave.bayes import Hyperparameters
 from roomwave.geometry import RoomSpec, sample_boundary
 from roomwave.marglik import (MarginalLikelihood, central_differences,
                               fit_hyperparameters, gradient_check,
                               initial_theta, to_hyperparameters)
+from roomwave.optimize import minimize
 from roomwave.planewaves import (PlaneWaveDictionary, build_phi,
                                  build_phi_tilde, build_psi,
                                  fibonacci_directions, wavenumber)
@@ -60,6 +63,23 @@ def dense_gradient(theta, y, phi, psi, phi_tilde):
                      trace_term(sa2 * phi @ s @ phi.conj().T).real,
                      trace_term(d_weight).real,
                      2.0 * g_eta.real, 2.0 * g_eta.imag])
+
+
+def ridge_value_and_gradient(y, phi, hp):
+    """J and its gradient for the isotropic prior, evaluated in M space
+    from Q = sigma_alpha^2 Phi Phi^H + sigma^2 I alone; the three boundary
+    components are zero."""
+    k = hp.prior_variance * hermitize(phi @ phi.conj().T)
+    q = k.copy()
+    q.flat[::len(y) + 1] += hp.noise_variance
+    q_factor = chol_factor(q)
+    xi = q_factor.solve(y)
+    value = 0.5 * float(np.real(y.conj() @ xi)) + 0.5 * q_factor.logdet()
+    weight = np.outer(xi, xi.conj()) - q_factor.inverse()
+    grad = np.zeros(5)
+    grad[0] = -0.5 * hp.noise_variance * float(np.real(np.trace(weight)))
+    grad[1] = -0.5 * float(np.real(np.vdot(k, weight)))
+    return value, grad
 
 
 class DirectPrecompute(MarginalLikelihood):
@@ -303,6 +323,21 @@ class TestGradient:
         assert v_empty == pytest.approx(v_mu0, rel=1e-12)
         npt.assert_allclose(g_empty[:2], g_mu0[:2], rtol=1e-10)
 
+    @pytest.mark.parametrize("case", ["empty cloud", "mu = 0"])
+    def test_no_boundary_term_is_m_space_ridge_bit_for_bit(
+            self, complex_instance, case):
+        y, phi, psi, phi_tilde = complex_instance(m=12, p=30, b=20, seed=10)
+        hp = to_hyperparameters(THETA0)
+        if case == "empty cloud":
+            psi, phi_tilde = psi[:0], phi_tilde[:0]
+        else:
+            hp = dataclasses.replace(hp, boundary_weight=0.0)
+        value, grad = MarginalLikelihood(
+            y, phi, psi, phi_tilde).value_and_gradient(hp)
+        ridge_value, ridge_grad = ridge_value_and_gradient(y, phi, hp)
+        assert value == ridge_value
+        assert np.array_equal(grad, ridge_grad)
+
     def test_zero_data_noise_gradient(self, complex_instance):
         """With y = 0 the noise-coordinate gradient is half the trace of
         sigma^2 Q^{-1}, evaluated here from the dense inverse."""
@@ -319,6 +354,47 @@ class TestGradient:
         expected = 0.5 * hp.noise_variance * np.trace(np.linalg.inv(q)).real
         assert grad[0] == pytest.approx(expected, rel=1e-8)
         assert expected > 0
+
+
+class TestGradientCap:
+    def test_cap_below_value_returns_value_only(self, complex_instance):
+        ml = MarginalLikelihood(*complex_instance(m=12, p=30, b=20, seed=20))
+        hp = to_hyperparameters(THETA0)
+        value = ml.value(hp)
+        capped, grad = ml.value_and_gradient(hp, cap=value - 1e-9)
+        assert capped == value and grad is None
+        full_value, full_grad = ml.value_and_gradient(hp)
+        at_cap = ml.value_and_gradient(hp, cap=value)
+        assert at_cap[0] == full_value == value
+        assert np.array_equal(at_cap[1], full_grad)
+
+    def test_fit_matches_uncapped_fit(self, complex_instance, monkeypatch):
+        """Skipping gradients above the line's start changes no iterate."""
+        y, phi, psi, phi_tilde = complex_instance(m=18, p=40, b=25, seed=15)
+        ml = MarginalLikelihood(y, phi, psi, phi_tilde)
+
+        def uncapped(x, cap):
+            try:
+                return ml.value_and_gradient(to_hyperparameters(x))
+            except FactorizationError:
+                return math.inf, None
+
+        full = minimize(uncapped, initial_theta(y, phi.shape[1], psi,
+                                                phi_tilde), 40)
+        skipped = [0]
+        original = MarginalLikelihood.value_and_gradient
+
+        def counting(self, hp, cap=math.inf):
+            value, grad = original(self, hp, cap)
+            skipped[0] += grad is None
+            return value, grad
+
+        monkeypatch.setattr(marglik.MarginalLikelihood, "value_and_gradient",
+                            counting)
+        fit = fit_hyperparameters(y, phi, psi, phi_tilde, max_line_searches=40)
+        for name, value in dataclasses.asdict(fit).items():
+            npt.assert_array_equal(value, getattr(full, name), name)
+        assert skipped[0] > 0
 
 
 class TestWideBoundary:

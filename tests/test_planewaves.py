@@ -131,16 +131,18 @@ class TestBuildPhiTilde:
 
 
 @pytest.mark.parametrize("p", [50, 1000])
-@pytest.mark.parametrize("b", [1, 7, 100, 300])
+@pytest.mark.parametrize("b", [0, 1, 7, 100, 300])
 def test_boundary_builders_bit_identical_to_direct_expressions(room, b, p):
-    """build_psi and build_phi_tilde scale one phase array in place; the
-    marginal-likelihood fit is sensitive to one-ulp input changes, so both
-    must equal the direct expressions exactly."""
+    """build_phi returns, and build_psi and build_phi_tilde scale in place,
+    one phase array; the marginal-likelihood fit is sensitive to one-ulp
+    input changes, so all three must equal the direct expressions exactly,
+    for an empty cloud too."""
     dictionary = PlaneWaveDictionary(wavenumber(777.7, 343.0),
                                      fibonacci_directions(p))
     cloud = sample_boundary(room, b, seed=b)
     kvecs = dictionary.wave_vectors
     phase = np.exp(1j * (cloud.points @ kvecs.T))
+    assert np.array_equal(build_phi(dictionary, cloud.points), phase)
     assert np.array_equal(build_psi(dictionary, cloud),
                           1j * (cloud.normals @ kvecs.T) * phase)
     assert np.array_equal(build_phi_tilde(dictionary, cloud),
