@@ -12,6 +12,7 @@ step into preallocated buffers: about fifteen numpy calls per iteration.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,8 @@ __all__ = [
     "default_lambda_grid",
     "select_lambda",
 ]
+
+logger = logging.getLogger(__name__)
 
 # iteration budget and relative tolerance of every cross-validation fit
 CV_MAX_ITERATIONS = 2000
@@ -222,7 +225,9 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
 
     `lasso` runs once per (fold, penalty), warm-started down the descending
     grid, with CV_MAX_ITERATIONS and CV_TOLERANCE; each fold's Lipschitz
-    constant is computed once and passed to all of that fold's fits.
+    constant is computed once and passed to all of that fold's fits. A fit
+    that stops at the iteration cap still scores, and one warning per call
+    gives how many did.
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     m = len(y)
@@ -238,6 +243,7 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
 
     penalties = np.asarray(sorted(grid, reverse=True), dtype=float)
     errors = np.zeros(len(penalties))
+    unconverged = 0
     for test_idx in chunks:
         train = np.setdiff1d(order, test_idx, assume_unique=True)
         phi_train = phi[train]
@@ -250,7 +256,13 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
             fit = lasso(y_train, phi_train, noise_variance, config,
                         initial=coefficients, lipschitz=lipschitz)
             coefficients = fit.coefficients
+            unconverged += not fit.converged
             residual = y[test_idx] - phi[test_idx] @ coefficients
             errors[j] += float(np.sum(np.abs(residual) ** 2))
+    if unconverged:
+        # their errors then depend on where FISTA stopped
+        logger.warning("select_lambda: %d of %d cross-validation lasso fits "
+                       "did not converge in %d iterations", unconverged,
+                       folds * len(penalties), CV_MAX_ITERATIONS)
     # descending grid: argmin favors the larger penalty on ties
     return float(penalties[int(np.argmin(errors))])

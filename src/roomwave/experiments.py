@@ -258,14 +258,21 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
     then predict the field at `targets` from the boundary-informed posterior.
 
     Returns (fit, predictive mean, predictive variance).
+
+    Psi and PhiTilde are built twice, each time passed straight into the one
+    call that reads them, so neither is alive while the optimizer runs: at
+    default size (P = B = 1000) they are 32 MB of the chain's peak. The
+    builders are deterministic, so the prior sees the arrays the fit saw,
+    bit for bit, at the cost of a second build.
     """
     phi = build_phi(dictionary, mics)
-    psi = build_psi(dictionary, cloud)
-    phi_tilde = build_phi_tilde(dictionary, cloud)
-    fit = fit_hyperparameters(y, phi, psi, phi_tilde,
+    fit = fit_hyperparameters(y, phi, build_psi(dictionary, cloud),
+                              build_phi_tilde(dictionary, cloud),
                               max_line_searches=max_line_searches)
     hp = to_hyperparameters(fit.x)
-    prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
+    prior = prior_covariance_from_matrices(build_psi(dictionary, cloud),
+                                           build_phi_tilde(dictionary, cloud),
+                                           hp)
     posterior = build_posterior(y, phi, prior, hp, dictionary)
     mean, variance = predict(posterior, targets)
     return fit, mean, variance

@@ -46,6 +46,12 @@ fit (the benchmark's `max_line_searches` cap) can end 0.13-0.41 dB
 elsewhere in NMSE when one input moves by one ulp, so a rounding change in
 a Gram can move reported cells. tests/test_marglik.py checks the stack, the
 cross products and value_and_gradient against the direct expressions.
+
+Psi and PhiTilde are (B, P), the largest arrays of the fit, and nothing after
+the precompute reads them: `fit_hyperparameters` releases its references
+before the optimizer starts, so the loop holds only the Grams, the two
+(B, M) cross products and Phi Phi^H, and no (B, P) matrix unless the caller
+keeps one.
 """
 
 from __future__ import annotations
@@ -263,8 +269,15 @@ def fit_hyperparameters(y, phi, psi, phi_tilde,
     non-evaluable, so its line search backtracks past them. Each optimizer
     evaluation is one `value_and_gradient` call, capped at the line search's
     starting value.
+
+    Psi and PhiTilde are read only before the loop: the start theta first,
+    so its (B, P) temporaries do not sit on top of the Gram stack, then the
+    precompute. This function then drops its references to both, so the
+    loop holds no (B, P) matrix unless the caller keeps one.
     """
+    theta0 = initial_theta(y, phi.shape[1], psi, phi_tilde)
     ml = MarginalLikelihood(y, phi, psi, phi_tilde)
+    del psi, phi_tilde
 
     def fun(x, cap):
         try:
@@ -272,8 +285,7 @@ def fit_hyperparameters(y, phi, psi, phi_tilde,
         except FactorizationError:
             return math.inf, None
 
-    return minimize(fun, initial_theta(y, phi.shape[1], psi, phi_tilde),
-                    max_line_searches=max_line_searches)
+    return minimize(fun, theta0, max_line_searches=max_line_searches)
 
 
 def gradient_check(num_instances: int = 20, thetas_per_instance: int = 5,

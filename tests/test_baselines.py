@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -511,6 +512,42 @@ class TestSelectLambda:
         assert len(svds) == 3
         assert len(fits) == 3 * 4
         assert None not in fits and len(set(fits)) == 3
+
+    @staticmethod
+    def recorded_call(monkeypatch, caplog, seed=3):
+        """select_lambda on one small system; (penalty, fits, warnings)."""
+        gen = np.random.default_rng(seed)
+        y, phi, _ = random_system(gen, 24, 40, sparse=5)
+        grid = default_lambda_grid(y, phi, 0.2, size=6)
+        fits = []
+
+        def recording_lasso(*args, **kwargs):
+            fits.append(lasso(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(baselines, "lasso", recording_lasso)
+        with caplog.at_level(logging.WARNING, logger=baselines.__name__):
+            chosen = select_lambda(y, phi, 0.2, grid=grid, folds=4, seed=seed)
+        expected, _ = reference_select_lambda(
+            y, phi, 0.2, grid, folds=4, seed=seed,
+            max_iterations=baselines.CV_MAX_ITERATIONS)
+        assert chosen == expected       # the warning changes no output
+        return fits, [r.getMessage() for r in caplog.records]
+
+    def test_unconverged_fits_counted_in_one_warning(self, monkeypatch,
+                                                     caplog):
+        monkeypatch.setattr(baselines, "CV_MAX_ITERATIONS", 2)
+        fits, messages = self.recorded_call(monkeypatch, caplog)
+        unconverged = sum(not fit.converged for fit in fits)
+        assert 0 < unconverged <= len(fits) == 24
+        assert messages == [f"select_lambda: {unconverged} of 24 "
+                            "cross-validation lasso fits did not converge "
+                            "in 2 iterations"]
+
+    def test_converged_call_logs_nothing(self, monkeypatch, caplog):
+        fits, messages = self.recorded_call(monkeypatch, caplog)
+        assert all(fit.converged for fit in fits) and len(fits) == 24
+        assert messages == []
 
     def test_single_grid_point(self, rng):
         y, phi, _ = random_system(rng, 12, 20)

@@ -1,16 +1,20 @@
 import dataclasses
 import functools
 import logging
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roomwave import baselines, experiments
+from roomwave import baselines, experiments, marglik
+from roomwave.bayes import (build_posterior, predict,
+                            prior_covariance_from_matrices)
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
                                   run_seeds, run_sweeps, to_db)
 from roomwave.geometry import perturb_positions
-from roomwave.planewaves import build_phi
+from roomwave.planewaves import build_phi, build_phi_tilde, build_psi
 
 
 class TestNmse:
@@ -309,3 +313,113 @@ class TestDriver:
         proposed = {tuple(r.seconds_per_run) for r in rows
                     if r.method == "proposed"}
         assert len(proposed) == len(rows) // len(cfg.methods)
+
+
+class TestFitAndPredictLifetimes:
+    """`fit_and_predict` holds Psi and PhiTilde only while something reads
+    them, and gives what a chain holding them throughout gives, bit for
+    bit."""
+
+    @staticmethod
+    def run_data(room, boundary_count, **overrides):
+        cfg = tiny_config(room, boundary_count=boundary_count, **overrides)
+        return cfg, experiments._make_run(cfg, 0, cfg.frequency_hz,
+                                          boundary_count)
+
+    @staticmethod
+    def call(cfg, data):
+        return experiments.fit_and_predict(
+            data.y, data.dictionary, data.mics.positions, data.cloud,
+            data.validation.positions, cfg.max_line_searches)
+
+    @staticmethod
+    def holding_chain(cfg, data):
+        """Build once, hold the matrices through the fit, and form the
+        prior from the same arrays."""
+        dictionary = data.dictionary
+        phi = build_phi(dictionary, data.mics.positions)
+        psi = build_psi(dictionary, data.cloud)
+        phi_tilde = build_phi_tilde(dictionary, data.cloud)
+        fit = marglik.fit_hyperparameters(
+            data.y, phi, psi, phi_tilde,
+            max_line_searches=cfg.max_line_searches)
+        hp = marglik.to_hyperparameters(fit.x)
+        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
+        posterior = build_posterior(data.y, phi, prior, hp, dictionary)
+        mean, variance = predict(posterior, data.validation.positions)
+        return fit, posterior, mean, variance
+
+    @pytest.mark.parametrize("boundary_count", [0, 10, 300])
+    def test_matrices_dead_while_the_optimizer_runs(self, room,
+                                                    boundary_count,
+                                                    monkeypatch):
+        cfg, data = self.run_data(room, boundary_count, max_line_searches=3)
+        built = []
+
+        def keeping(original):
+            def build(*args):
+                result = original(*args)
+                built.append(weakref.ref(result))
+                return result
+            return build
+
+        for name in ("build_psi", "build_phi_tilde"):
+            monkeypatch.setattr(experiments, name,
+                                keeping(getattr(experiments, name)))
+        alive_at_loop = []
+        original_minimize = marglik.minimize
+
+        def checking(*args, **kwargs):
+            alive_at_loop.append([ref() is not None for ref in built])
+            return original_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(marglik, "minimize", checking)
+        self.call(cfg, data)
+        assert alive_at_loop == [[False, False]]
+        assert len(built) == 4          # a second pair for the prior
+
+    @pytest.mark.parametrize("boundary_count", [0, 10, 300])
+    def test_bit_identical_to_holding_chain(self, room, boundary_count,
+                                            monkeypatch):
+        cfg, data = self.run_data(room, boundary_count, mic_count=30,
+                                  plane_wave_count=150, max_line_searches=8)
+        posteriors = []
+        original = experiments.build_posterior
+
+        def recording(*args):
+            posteriors.append(original(*args))
+            return posteriors[-1]
+
+        monkeypatch.setattr(experiments, "build_posterior", recording)
+        fit, mean, variance = self.call(cfg, data)
+        ref_fit, ref_posterior, ref_mean, ref_variance = self.holding_chain(
+            cfg, data)
+        assert fit.x.tobytes() == ref_fit.x.tobytes()
+        assert fit.trace == ref_fit.trace
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert variance.tobytes() == ref_variance.tobytes()
+        # the layout of Sigma Phi^H decides how the posterior rounds, so it
+        # is part of what must not change
+        cross, ref_cross = posteriors[0].cross, ref_posterior.cross
+        assert cross.tobytes() == ref_cross.tobytes()
+        assert cross.strides == ref_cross.strides
+        assert cross.flags.c_contiguous and ref_cross.flags.c_contiguous
+
+    def test_peak_within_the_precompute_arrays(self, room):
+        """(M, P, B) = (100, 1000, 300) with 3 line searches peaks within
+        5 % of what the marginal-likelihood precompute itself holds: Phi,
+        three (B, P) arrays (Psi, PhiTilde and one conjugated copy), the
+        (4, B, B) Gram stack and the two (B, M) cross products. The start
+        theta's (B, P) temporaries, computed with the Gram stack alive,
+        would add 3 MB (25.9 MB against 22.9 MB) and break the budget."""
+        m, p, b = 100, 1000, 300
+        cfg, data = self.run_data(room, b, mic_count=m, plane_wave_count=p,
+                                  max_line_searches=3)
+        budget = 16 * (m * p + 3 * b * p + 4 * b * b + 2 * b * m)
+        tracemalloc.start()
+        try:
+            self.call(cfg, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * budget, (peak, budget)
