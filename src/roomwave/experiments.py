@@ -261,7 +261,7 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
 
     Psi and PhiTilde are built twice, each time passed straight into the one
     call that reads them, so neither is alive while the optimizer runs: at
-    default size (P = B = 1000) they are 32 MB of the chain's peak. The
+    default size (P = B = 1000) they are 32 MB. The
     builders are deterministic, so the prior sees the arrays the fit saw,
     bit for bit, at the cost of a second build.
     """

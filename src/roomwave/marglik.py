@@ -48,10 +48,10 @@ a Gram can move reported cells. tests/test_marglik.py checks the stack, the
 cross products and value_and_gradient against the direct expressions.
 
 Psi and PhiTilde are (B, P), the largest arrays of the fit, and nothing after
-the precompute reads them: `fit_hyperparameters` releases its references
-before the optimizer starts, so the loop holds only the Grams, the two
-(B, M) cross products and Phi Phi^H, and no (B, P) matrix unless the caller
-keeps one.
+the precompute reads them: the evaluator keeps only the Grams, the two
+(B, M) cross products and Phi Phi^H, and `fit_hyperparameters` releases its
+references before the optimizer starts, so the loop holds no (B, P) matrix
+unless the caller keeps one.
 """
 
 from __future__ import annotations
