@@ -8,6 +8,8 @@ per-call overhead, not arithmetic, sets the time of an iteration. So its
 iteration carries the coefficients and their residual y - Phi x as one
 state vector, forms the step-scaled adjoint once per fit, and writes every
 step into preallocated buffers: about fifteen numpy calls per iteration.
+Each fit takes its penalty, iteration cap and tolerance as arguments; the
+cross-validation fits use CV_MAX_ITERATIONS and CV_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .geometry import _as_points
 __all__ = [
     "nearest_neighbor",
     "tikhonov",
-    "LassoConfig",
     "LassoResult",
     "lasso",
     "null_threshold",
@@ -72,19 +73,6 @@ def tikhonov(y, phi: np.ndarray, noise_variance: float,
     return vh.conj().T @ (gain * (u.conj().T @ y))
 
 
-@dataclass(frozen=True)
-class LassoConfig:
-    penalty: float
-    max_iterations: int = 5000
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.penalty < 0:
-            raise ValueError("penalty must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
 @dataclass
 class LassoResult:
     coefficients: np.ndarray
@@ -106,9 +94,9 @@ def _lipschitz(phi, noise_variance) -> float:
     return float(sla.svdvals(phi)[0] ** 2) / noise_variance
 
 
-def lasso(y, phi: np.ndarray, noise_variance: float,
-          config: LassoConfig, initial=None, *,
-          lipschitz: float | None = None) -> LassoResult:
+def lasso(y, phi: np.ndarray, noise_variance: float, penalty: float, *,
+          max_iterations: int = 5000, tolerance: float = 1e-10,
+          initial=None, lipschitz: float | None = None) -> LassoResult:
     """Minimize ||y - Phi a||^2 / (2 s2) + penalty * sum_p |a_p|.
 
     FISTA with the fixed step 1 / lipschitz, where lipschitz =
@@ -118,8 +106,8 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     `initial` (warm start along a penalty path; `initial` is not modified).
     A caller that fits one Phi many times passes its `lipschitz`,
     ||Phi||_2^2 / s2, to skip the SVD; None computes it here. Returns a fresh
-    copy of the best iterate, with converged=False when the tolerance is not
-    reached within the iteration budget.
+    copy of the best iterate, with converged=False when the relative
+    objective change does not fall to `tolerance` within `max_iterations`.
 
     The iteration carries one state vector [x ; r] with the residual
     r = y - Phi x, so the momentum step z = x_new + m (x_new - x) extrapolates
@@ -129,6 +117,10 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     """
     if noise_variance <= 0:
         raise ValueError("noise_variance must be positive")
+    if not penalty >= 0:    # written so that NaN fails too
+        raise ValueError("penalty must be >= 0")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     y = np.asarray(y, dtype=complex).reshape(-1)
     m, p = phi.shape
     if len(y) != m:
@@ -137,7 +129,7 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     # the objective from the residual y - Phi a and the moduli |a_p|
     def objective(residual, moduli):
         return (float(np.vdot(residual, residual).real) / (2 * noise_variance)
-                + config.penalty * float(moduli.sum()))
+                + penalty * float(moduli.sum()))
 
     if lipschitz is None:
         lipschitz = _lipschitz(phi, noise_variance)
@@ -146,7 +138,7 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
         return LassoResult(zeros, objective(y - phi @ zeros, np.abs(zeros)),
                            0, True)
     step = 1.0 / lipschitz
-    threshold = step * config.penalty
+    threshold = step * penalty
     # np.conjugate always copies (ndarray.conj returns a real array itself),
     # so the in-place scaling cannot reach the caller's Phi
     adjoint = np.conjugate(phi)
@@ -189,7 +181,7 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
     converged = False
     iterations = 0
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         f_new = prox_step(z, r_z, x_new, r_new)
         if f_new > f_x:
             # accelerated step overshot: restart the momentum from x
@@ -204,7 +196,7 @@ def lasso(y, phi: np.ndarray, noise_variance: float,
         state, spare = spare, state
         x, r, x_new, r_new = x_new, r_new, x, r
         f_x, t = f_new, t_new
-        if delta <= config.tolerance * max(abs(f_x), 1e-30):
+        if delta <= tolerance * max(abs(f_x), 1e-30):
             converged = True
             break
 
@@ -252,9 +244,10 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
         coefficients = None
         for j, penalty in enumerate(penalties):
             # warm start down the penalty path
-            config = LassoConfig(penalty, CV_MAX_ITERATIONS, CV_TOLERANCE)
-            fit = lasso(y_train, phi_train, noise_variance, config,
-                        initial=coefficients, lipschitz=lipschitz)
+            fit = lasso(y_train, phi_train, noise_variance, penalty,
+                        max_iterations=CV_MAX_ITERATIONS,
+                        tolerance=CV_TOLERANCE, initial=coefficients,
+                        lipschitz=lipschitz)
             coefficients = fit.coefficients
             unconverged += not fit.converged
             residual = y[test_idx] - phi[test_idx] @ coefficients

@@ -59,12 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a scalar config field")
 
     p_sim = sub.add_parser("simulate", help="simulate a measurement snapshot")
+    p_sim.set_defaults(run=_cmd_simulate)
     p_sim.add_argument("config", type=Path)
     p_sim.add_argument("out_dir", type=Path)
     add_set_flag(p_sim)
 
     p_rec = sub.add_parser("reconstruct",
                            help="reconstruct a sound field from a snapshot")
+    p_rec.set_defaults(run=_cmd_reconstruct)
     p_rec.add_argument("snapshot", type=Path)
     p_rec.add_argument("cloud", type=Path)
     p_rec.add_argument("config", type=Path)
@@ -72,12 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_set_flag(p_rec)
 
     p_bench = sub.add_parser("benchmark", help="run the Monte-Carlo sweeps")
+    p_bench.set_defaults(run=_cmd_benchmark)
     p_bench.add_argument("config", type=Path)
     p_bench.add_argument("out_dir", type=Path)
     add_set_flag(p_bench)
 
     p_grad = sub.add_parser("gradcheck",
                             help="finite-difference gradient verification")
+    p_grad.set_defaults(run=_cmd_gradcheck)
     p_grad.add_argument("--instances", type=_int_at_least(1), default=20)
     p_grad.add_argument("--thetas", type=_int_at_least(1), default=5)
     p_grad.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -148,18 +152,10 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst < GRADCHECK_TOLERANCE else 3
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "reconstruct": _cmd_reconstruct,
-    "benchmark": _cmd_benchmark,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

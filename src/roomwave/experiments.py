@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (LassoConfig, default_lambda_grid, lasso,
-                        nearest_neighbor, select_lambda, tikhonov)
+from .baselines import (default_lambda_grid, lasso, nearest_neighbor,
+                        select_lambda, tikhonov)
 from .bayes import build_posterior, predict, prior_covariance_from_matrices
 from .geometry import (BoundaryCloud, MicArray, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
@@ -215,7 +215,7 @@ class _RunData:
     run: int
     seeds: dict
     mics: MicArray
-    validation: MicArray
+    validation: np.ndarray
     cloud: BoundaryCloud
     y: np.ndarray
     noise_variance: float
@@ -245,8 +245,7 @@ def _make_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
                                           cfg.exclusion_radius,
                                           seeds["validation"])
     k = wavenumber(frequency_hz, cfg.speed_of_sound)
-    truth = field_at_points(cfg.room, validation.positions, k,
-                            cfg.max_image_order)
+    truth = field_at_points(cfg.room, validation, k, cfg.max_image_order)
     dictionary = PlaneWaveDictionary(k, fibonacci_directions(cfg.plane_wave_count))
     return _RunData(run, seeds, mics, validation, cloud, snapshot.noisy,
                     snapshot.noise_variance, truth, dictionary)
@@ -283,7 +282,7 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
                  prior_cloud: BoundaryCloud) -> np.ndarray:
     """Field prediction of one method at the validation points."""
     dictionary = data.dictionary
-    targets = data.validation.positions
+    targets = data.validation
     if method == "nearest":
         return nearest_neighbor(assumed_mics, data.y, targets)
     if method == "proposed":
@@ -304,13 +303,12 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
                                    cfg.lasso_grid_size)
         penalty = select_lambda(data.y, phi, data.noise_variance, grid,
                                 cfg.lasso_folds, data.seeds["lasso_cv"])
-        config = LassoConfig(penalty)
-        fit = lasso(data.y, phi, data.noise_variance, config)
+        fit = lasso(data.y, phi, data.noise_variance, penalty)
         if not fit.converged:
             # its result then depends on where FISTA stopped
             logger.warning("run %d: final lasso fit at penalty %r did not "
                            "converge in %d iterations", data.run, penalty,
-                           config.max_iterations)
+                           fit.n_iterations)
         return evaluate_field(dictionary, fit.coefficients, targets)
     raise ValueError(f"unknown method '{method}'")
 

@@ -1,9 +1,12 @@
 """Shoebox room geometry and seeded random sampling of microphone, validation
 and boundary points.
 
-All positions are metric, stored as float64 arrays of shape (n, 3). Sampling
-functions are pure: the same arguments and seed always produce the same
-points, and every call uses its own local generator.
+All positions are metric, stored as float64 arrays of shape (n, 3), and every
+point set is checked by `_as_points`. Microphones come as a `MicArray`, whose
+positions must be pairwise distinct; validation points are a plain array.
+Both are drawn by one rejection loop. Sampling functions are pure: the same
+arguments and seed always produce the same points, and every call uses its
+own local generator.
 """
 
 from __future__ import annotations
@@ -94,12 +97,10 @@ class BoundaryCloud:
     normals: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        nrm = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+        pts = _as_points(self.points, "boundary points")
+        nrm = _as_points(self.normals, "normals")
         if len(pts) != len(nrm):
             raise ValueError("points and normals must have equal length")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(nrm))):
-            raise ValueError("boundary points and normals must be finite")
         if len(nrm) and np.max(np.abs(np.linalg.norm(nrm, axis=1) - 1.0)) > UNIT_NORM_TOL:
             raise ValueError("normals must have unit norm")
         object.__setattr__(self, "points", pts)
@@ -119,12 +120,30 @@ class BoundaryCloud:
 def _random_unit_vectors(count: int, rng: np.random.Generator) -> np.ndarray:
     """Isotropic unit vectors via normalized Gaussians."""
     v = rng.standard_normal((count, 3))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):  # pragma: no cover - probability zero
-        bad = norms < 1e-12
-        v[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _rejection_sample(count: int, lo, hi, keep, min_batch: int,
+                      seed: int) -> np.ndarray:
+    """`count` points drawn uniformly from the box [lo, hi) and kept where
+    `keep(draws)` is true, in batches of four times the shortfall (at least
+    `min_batch`). Raises RuntimeError once a million draws keep fewer than
+    one in a million."""
+    rng = np.random.default_rng(seed)
+    accepted: list[np.ndarray] = []
+    attempts = 0
+    n_found = 0
+    while n_found < count:
+        batch = max(4 * (count - n_found), min_batch)
+        draw = rng.uniform(lo, hi, size=(batch, 3))
+        attempts += batch
+        accepted.append(draw[keep(draw)][: count - n_found])
+        n_found += len(accepted[-1])
+        if attempts >= 1_000_000 and n_found / attempts < 1e-6:
+            raise RuntimeError(
+                "rejection sampling: admissible region has negligible volume "
+                f"(acceptance rate {n_found / attempts:.2e})")
+    return np.concatenate(accepted, axis=0)
 
 
 def sample_microphones(room: RoomSpec, count: int,
@@ -140,53 +159,26 @@ def sample_microphones(room: RoomSpec, count: int,
     if exclusion_radius < 0:
         raise ValueError("exclusion radius must be >= 0")
     center = room.mic_half_center
-    rng = np.random.default_rng(seed)
     lo = np.array([room.dimensions[0] / 2.0, 0.0, 0.0])
-    hi = room.dimensions
-
-    accepted: list[np.ndarray] = []
-    attempts = 0
-    n_found = 0
-    while n_found < count:
-        batch = max(4 * (count - n_found), 128)
-        draw = rng.uniform(lo, hi, size=(batch, 3))
-        attempts += batch
-        keep = np.linalg.norm(draw - center, axis=1) >= exclusion_radius
-        picked = draw[keep][: count - n_found]
-        if len(picked):
-            accepted.append(picked)
-            n_found += len(picked)
-        if attempts >= 1_000_000 and n_found / attempts < 1e-6:
-            raise RuntimeError(
-                "microphone sampling: admissible region has negligible volume "
-                f"(acceptance rate {n_found / attempts:.2e})"
-            )
-    return MicArray(np.concatenate(accepted, axis=0))
+    return MicArray(_rejection_sample(
+        count, lo, room.dimensions,
+        lambda draw: np.linalg.norm(draw - center, axis=1) >= exclusion_radius,
+        128, seed))
 
 
 def sample_validation_points(room: RoomSpec, count: int,
                              radius: float = 0.5,
-                             seed: int = 0) -> MicArray:
-    """Uniform positions in the open ball of `radius` around the
-    microphone-half centroid, the ball that `sample_microphones` excludes."""
+                             seed: int = 0) -> np.ndarray:
+    """Uniform positions, shape (count, 3), in the open ball of `radius`
+    around the microphone-half centroid, the ball that `sample_microphones`
+    excludes."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    c = room.mic_half_center
-    rng = np.random.default_rng(seed)
-
-    accepted: list[np.ndarray] = []
-    n_found = 0
-    while n_found < count:
-        batch = max(4 * (count - n_found), 64)
-        draw = rng.uniform(-radius, radius, size=(batch, 3))
-        keep = np.linalg.norm(draw, axis=1) < radius
-        picked = draw[keep][: count - n_found]
-        if len(picked):
-            accepted.append(c + picked)
-            n_found += len(picked)
-    return MicArray(np.concatenate(accepted, axis=0))
+    return room.mic_half_center + _rejection_sample(
+        count, -radius, radius,
+        lambda draw: np.linalg.norm(draw, axis=1) < radius, 64, seed)
 
 
 # face order: (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)

@@ -61,9 +61,9 @@ class PlaneWaveDictionary:
     directions: np.ndarray
 
     def __post_init__(self):
-        dirs = np.asarray(self.directions, dtype=float).reshape(-1, 3)
         if not 0.0 < self.wavenumber < math.inf:
             raise ValueError("wavenumber must be positive and finite")
+        dirs = _as_points(self.directions, "directions")
         if len(dirs) < 1:
             raise ValueError("need at least one direction")
         if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roomwave import baselines
-from roomwave.baselines import (LassoConfig, LassoResult, _lipschitz,
-                                default_lambda_grid, lasso, nearest_neighbor,
-                                null_threshold, select_lambda, tikhonov)
+from roomwave.baselines import (LassoResult, _lipschitz, default_lambda_grid,
+                                lasso, nearest_neighbor, null_threshold,
+                                select_lambda, tikhonov)
 from roomwave.bayes import (Hyperparameters, build_posterior,
                             map_coefficients, prior_covariance_from_matrices)
 from roomwave.planewaves import PlaneWaveDictionary, fibonacci_directions
@@ -38,7 +38,8 @@ def _soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def reference_lasso(y, phi: np.ndarray, noise_variance: float,
-                    config: LassoConfig, initial=None, *,
+                    penalty: float, *, max_iterations: int = 5000,
+                    tolerance: float = 1e-10, initial=None,
                     lipschitz: float | None = None) -> LassoResult:
     """The two-vector FISTA loop that `lasso` replaced, kept verbatim as its
     oracle. Minimize ||y - Phi a||^2 / (2 s2) + penalty * sum_p |a_p|.
@@ -63,7 +64,7 @@ def reference_lasso(y, phi: np.ndarray, noise_variance: float,
     # its dispatch (the same pairwise np.add.reduce, the same bits)
     def objective(phi_a, a):
         return (float((np.abs(y - phi_a) ** 2).sum()) / (2 * noise_variance)
-                + config.penalty * float(np.abs(a).sum()))
+                + penalty * float(np.abs(a).sum()))
 
     if lipschitz is None:
         lipschitz = _lipschitz(phi, noise_variance)
@@ -83,15 +84,15 @@ def reference_lasso(y, phi: np.ndarray, noise_variance: float,
     iterations = 0
     phi_h = phi.conj().T    # the adjoint is formed once, not per iteration
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         grad = phi_h @ (phi_z - y) / noise_variance
-        x_new = _soft_threshold(z - step * grad, step * config.penalty)
+        x_new = _soft_threshold(z - step * grad, step * penalty)
         phi_x_new = phi @ x_new
         f_new = objective(phi_x_new, x_new)
         if f_new > f_x:
             # accelerated step overshot: restart the momentum from x
             grad = phi_h @ (phi_x - y) / noise_variance
-            x_new = _soft_threshold(x - step * grad, step * config.penalty)
+            x_new = _soft_threshold(x - step * grad, step * penalty)
             phi_x_new = phi @ x_new
             f_new = objective(phi_x_new, x_new)
             t = 1.0
@@ -101,7 +102,7 @@ def reference_lasso(y, phi: np.ndarray, noise_variance: float,
         phi_z = phi_x_new + momentum * (phi_x_new - phi_x)
         delta = abs(f_x - f_new)
         x, phi_x, f_x, t = x_new, phi_x_new, f_new, t_new
-        if delta <= config.tolerance * max(abs(f_x), 1e-30):
+        if delta <= tolerance * max(abs(f_x), 1e-30):
             converged = True
             break
 
@@ -178,8 +179,8 @@ def test_posterior_mean_without_boundary_is_tikhonov(m, p, seed, log_noise,
 class TestLasso:
     def test_zero_penalty_full_rank_is_least_squares(self, rng):
         y, phi, _ = random_system(rng, 30, 10)
-        result = lasso(y, phi, 1.0, LassoConfig(0.0, max_iterations=20000,
-                                                tolerance=1e-14))
+        result = lasso(y, phi, 1.0, 0.0, max_iterations=20000,
+                       tolerance=1e-14)
         lstsq = np.linalg.lstsq(phi, y, rcond=None)[0]
         npt.assert_allclose(result.coefficients, lstsq, rtol=1e-5, atol=1e-8)
 
@@ -187,15 +188,14 @@ class TestLasso:
         y, phi, _ = random_system(rng, 15, 40)
         noise_variance = 0.3
         threshold = null_threshold(y, phi, noise_variance)
-        result = lasso(y, phi, noise_variance,
-                       LassoConfig(1.0001 * threshold))
+        result = lasso(y, phi, noise_variance, 1.0001 * threshold)
         npt.assert_array_equal(result.coefficients, 0.0)
         assert result.converged
 
     def test_below_threshold_is_nonzero(self, rng):
         y, phi, _ = random_system(rng, 15, 40)
         threshold = null_threshold(y, phi, 0.3)
-        result = lasso(y, phi, 0.3, LassoConfig(0.5 * threshold))
+        result = lasso(y, phi, 0.3, 0.5 * threshold)
         assert np.any(result.coefficients != 0)
 
     def test_objective_non_increasing_across_iterations(self, rng):
@@ -203,18 +203,18 @@ class TestLasso:
         penalty = 0.05 * null_threshold(y, phi, 0.2)
         values = []
         for iterations in range(1, 40):
-            result = lasso(y, phi, 0.2,
-                           LassoConfig(penalty, max_iterations=iterations,
-                                       tolerance=0.0))
+            result = lasso(y, phi, 0.2, penalty, max_iterations=iterations,
+                           tolerance=0.0)
             values.append(result.objective)
         assert np.all(np.diff(values) <= 1e-12)
 
     def test_phase_equivariance(self, rng):
         y, phi, _ = random_system(rng, 12, 30, sparse=4)
         penalty = 0.1 * null_threshold(y, phi, 0.2)
-        config = LassoConfig(penalty, max_iterations=3000, tolerance=1e-12)
-        base = lasso(y, phi, 0.2, config).coefficients
-        rotated = lasso(np.exp(1.1j) * y, phi, 0.2, config).coefficients
+        options = dict(max_iterations=3000, tolerance=1e-12)
+        base = lasso(y, phi, 0.2, penalty, **options).coefficients
+        rotated = lasso(np.exp(1.1j) * y, phi, 0.2, penalty,
+                        **options).coefficients
         npt.assert_allclose(rotated, np.exp(1.1j) * base, rtol=1e-6,
                             atol=1e-9)
 
@@ -225,9 +225,8 @@ class TestLasso:
         y, phi, _ = random_system(rng, 10, 20, sparse=3)
         noise_variance = 0.25
         penalty = 0.2 * null_threshold(y, phi, noise_variance)
-        ours = lasso(y, phi, noise_variance,
-                     LassoConfig(penalty, max_iterations=20000,
-                                 tolerance=1e-14))
+        ours = lasso(y, phi, noise_variance, penalty, max_iterations=20000,
+                     tolerance=1e-14)
         a = cvxpy.Variable(20, complex=True)
         objective = cvxpy.Minimize(
             cvxpy.sum_squares(y - phi @ a) / (2 * noise_variance)
@@ -246,8 +245,8 @@ class TestLasso:
                                   sparse=4)
         noise_variance = 0.2
         penalty = 0.2 * null_threshold(y, phi, noise_variance)
-        result = lasso(y, phi, noise_variance,
-                       LassoConfig(penalty, 20000, 1e-14))
+        result = lasso(y, phi, noise_variance, penalty, max_iterations=20000,
+                       tolerance=1e-14)
         assert result.converged
         a = result.coefficients
         g = phi.conj().T @ (y - phi @ a) / noise_variance
@@ -259,9 +258,10 @@ class TestLasso:
     def test_warm_start(self, rng):
         y, phi, _ = random_system(rng, 12, 30, sparse=4)
         penalty = 0.1 * null_threshold(y, phi, 0.2)
-        config = LassoConfig(penalty, max_iterations=5000, tolerance=1e-13)
-        cold = lasso(y, phi, 0.2, config)
-        warm = lasso(y, phi, 0.2, config, initial=cold.coefficients)
+        options = dict(max_iterations=5000, tolerance=1e-13)
+        cold = lasso(y, phi, 0.2, penalty, **options)
+        warm = lasso(y, phi, 0.2, penalty, **options,
+                     initial=cold.coefficients)
         assert warm.objective <= cold.objective + 1e-12
         assert warm.n_iterations <= cold.n_iterations
 
@@ -271,8 +271,8 @@ class TestLasso:
         y, phi, _ = random_system(rng, 8, 12)
         initial = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         for iterations in (1, 3, 50):
-            result = lasso(y, phi, 0.5, LassoConfig(0.3, iterations, 0.0),
-                           initial=initial)
+            result = lasso(y, phi, 0.5, 0.3, max_iterations=iterations,
+                           tolerance=0.0, initial=initial)
             alpha = result.coefficients
             expected = (np.linalg.norm(y - phi @ alpha) ** 2 / (2 * 0.5)
                         + 0.3 * np.sum(np.abs(alpha)))
@@ -280,12 +280,22 @@ class TestLasso:
 
     def test_zero_matrix_returns_zero_at_its_objective(self, rng):
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        result = lasso(y, np.zeros((6, 9), dtype=complex), 0.5,
-                       LassoConfig(0.3))
+        result = lasso(y, np.zeros((6, 9), dtype=complex), 0.5, 0.3)
         npt.assert_array_equal(result.coefficients, 0.0)
         assert result.converged and result.n_iterations == 0
         assert result.objective == pytest.approx(
             np.linalg.norm(y) ** 2 / (2 * 0.5), rel=1e-12)
+
+
+    def test_argument_validation(self, rng):
+        y, phi, _ = random_system(rng, 6, 9)
+        for penalty in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="penalty"):
+                lasso(y, phi, 0.5, penalty)
+        with pytest.raises(ValueError, match="max_iterations"):
+            lasso(y, phi, 0.5, 0.3, max_iterations=0)
+        with pytest.raises(ValueError, match="noise_variance"):
+            lasso(y, phi, 0.0, 0.3)
 
 
 class TestLipschitzArgument:
@@ -301,11 +311,11 @@ class TestLipschitzArgument:
         penalty = 0.1 * null_threshold(y, phi, noise_variance)
         initial = (None if seed % 2 else
                    gen.standard_normal(40) + 1j * gen.standard_normal(40))
-        config = LassoConfig(penalty, max_iterations=3000, tolerance=1e-12)
+        options = dict(max_iterations=3000, tolerance=1e-12, initial=initial)
         lipschitz = float(sla.svdvals(phi)[0] ** 2) / noise_variance
-        ours = lasso(y, phi, noise_variance, config, initial,
+        ours = lasso(y, phi, noise_variance, penalty, **options,
                      lipschitz=lipschitz)
-        reference = lasso(y, phi, noise_variance, config, initial)
+        reference = lasso(y, phi, noise_variance, penalty, **options)
         assert np.array_equal(ours.coefficients, reference.coefficients)
         assert ours.objective == reference.objective
         assert ours.n_iterations == reference.n_iterations
@@ -335,20 +345,20 @@ class TestAgainstReferenceLoop:
         penalty = 0.1 * null_threshold(y, phi, 0.2)
         initial = (gen.standard_normal(p) + 1j * gen.standard_normal(p)
                    if warm else None)
-        config = LassoConfig(penalty, max_iterations=3000, tolerance=1e-10)
-        assert_same_fit(lasso(y, phi, 0.2, config, initial),
-                        reference_lasso(y, phi, 0.2, config, initial))
+        options = dict(max_iterations=3000, tolerance=1e-10, initial=initial)
+        assert_same_fit(lasso(y, phi, 0.2, penalty, **options),
+                        reference_lasso(y, phi, 0.2, penalty, **options))
 
     @pytest.mark.parametrize("m, p, config", [
-        (40, 15, LassoConfig(0.0, max_iterations=400, tolerance=1e-12)),
-        (15, 40, LassoConfig(0.0, max_iterations=20, tolerance=0.0))])
+        (40, 15, dict(max_iterations=400, tolerance=1e-12)),
+        (15, 40, dict(max_iterations=20, tolerance=0.0))])
     def test_zero_penalty(self, m, p, config):
         """Least squares for M > P; for M < P the objective falls towards
         zero, where a relative stopping test only meets roundoff, so that
         case compares 20 iterations (objective still 5e-3)."""
         y, phi, _ = random_system(np.random.default_rng(7), m, p)
-        assert_same_fit(lasso(y, phi, 0.5, config),
-                        reference_lasso(y, phi, 0.5, config))
+        assert_same_fit(lasso(y, phi, 0.5, 0.0, **config),
+                        reference_lasso(y, phi, 0.5, 0.0, **config))
 
     # past about 150 iterations this fit sits at the roundoff floor, where
     # tolerance 0 stops on whichever iteration first repeats an objective
@@ -357,11 +367,10 @@ class TestAgainstReferenceLoop:
         y, phi, _ = random_system(np.random.default_rng(11), 15, 40,
                                   sparse=5)
         penalty = 0.05 * null_threshold(y, phi, 0.2)
-        config = LassoConfig(penalty, max_iterations=iterations,
-                             tolerance=0.0)
-        ours = lasso(y, phi, 0.2, config)
+        options = dict(max_iterations=iterations, tolerance=0.0)
+        ours = lasso(y, phi, 0.2, penalty, **options)
         assert ours.n_iterations == iterations and not ours.converged
-        assert_same_fit(ours, reference_lasso(y, phi, 0.2, config))
+        assert_same_fit(ours, reference_lasso(y, phi, 0.2, penalty, **options))
 
     def test_momentum_restarts(self, monkeypatch):
         """A fit whose accelerated step overshoots: the restart branch of the
@@ -377,10 +386,10 @@ class TestAgainstReferenceLoop:
                             counting)
         y, phi, _ = random_system(np.random.default_rng(3), 20, 60, sparse=6)
         penalty = 0.02 * null_threshold(y, phi, 0.2)
-        config = LassoConfig(penalty, max_iterations=3000, tolerance=1e-12)
-        reference = reference_lasso(y, phi, 0.2, config)
+        options = dict(max_iterations=3000, tolerance=1e-12)
+        reference = reference_lasso(y, phi, 0.2, penalty, **options)
         assert len(thresholds) > reference.n_iterations
-        assert_same_fit(lasso(y, phi, 0.2, config), reference)
+        assert_same_fit(lasso(y, phi, 0.2, penalty, **options), reference)
 
     def test_select_lambda_picks_the_same_penalty(self, monkeypatch):
         chosen = []
@@ -405,7 +414,8 @@ class TestBuffers:
         y, phi, _ = random_system(rng, 12, 30, sparse=4)
         initial = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         saved_initial, saved_phi = initial.copy(), phi.copy()
-        result = lasso(y, phi, 0.2, LassoConfig(0.1, 50, 0.0), initial)
+        result = lasso(y, phi, 0.2, 0.1, max_iterations=50, tolerance=0.0,
+                       initial=initial)
         assert np.array_equal(initial, saved_initial)
         assert np.array_equal(phi, saved_phi)
         assert not np.shares_memory(result.coefficients, initial)
@@ -415,12 +425,12 @@ class TestBuffers:
         phi = rng.standard_normal((12, 30))
         saved = phi.copy()
         y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        config = LassoConfig(0.1, 100, 0.0)
-        ours = lasso(y, phi, 0.2, config)
+        options = dict(max_iterations=100, tolerance=0.0)
+        ours = lasso(y, phi, 0.2, 0.1, **options)
         assert np.array_equal(phi, saved)
         npt.assert_allclose(ours.coefficients,
-                            lasso(y, phi.astype(complex), 0.2,
-                                  config).coefficients, rtol=1e-9)
+                            lasso(y, phi.astype(complex), 0.2, 0.1,
+                                  **options).coefficients, rtol=1e-9)
 
     def test_warm_started_path_shares_nothing(self, rng):
         y, phi, _ = random_system(rng, 12, 30, sparse=4)
@@ -429,13 +439,13 @@ class TestBuffers:
         arrays = [initial]
         coefficients = initial
         for penalty in top * np.array([0.5, 0.2, 0.1, 0.05]):
-            fit = lasso(y, phi, 0.2, LassoConfig(penalty, 200, 1e-8),
-                        initial=coefficients)
+            fit = lasso(y, phi, 0.2, penalty, max_iterations=200,
+                        tolerance=1e-8, initial=coefficients)
             coefficients = fit.coefficients
             arrays.append(coefficients)
-        arrays.append(lasso(y, phi, 0.2, LassoConfig(0.1), None).coefficients)
+        arrays.append(lasso(y, phi, 0.2, 0.1, initial=None).coefficients)
         arrays.append(lasso(y, np.zeros((12, 30), dtype=complex), 0.2,
-                            LassoConfig(0.1)).coefficients)
+                            0.1).coefficients)
         assert not np.any(initial)
         for i, a in enumerate(arrays):
             assert a.base is None     # owns its memory, no view of a buffer
@@ -455,9 +465,9 @@ def reference_select_lambda(y, phi, noise_variance, grid, folds, seed,
         train = np.setdiff1d(order, test_idx, assume_unique=True)
         coefficients = None
         for j, penalty in enumerate(penalties):
-            fits.append(lasso(y[train], phi[train], noise_variance,
-                              LassoConfig(penalty, max_iterations, tolerance),
-                              initial=coefficients))
+            fits.append(lasso(y[train], phi[train], noise_variance, penalty,
+                              max_iterations=max_iterations,
+                              tolerance=tolerance, initial=coefficients))
             coefficients = fits[-1].coefficients
             residual = y[test_idx] - phi[test_idx] @ coefficients
             errors[j] += float(np.sum(np.abs(residual) ** 2))

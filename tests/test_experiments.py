@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import logging
 import tracemalloc
 import weakref
@@ -224,10 +223,9 @@ class TestLassoGridSize:
         penalties = []
         original = baselines.lasso
 
-        def counting_lasso(y, phi, noise_variance, config, initial=None,
-                           **kwargs):
-            penalties.append(config.penalty)
-            return original(y, phi, noise_variance, config, initial, **kwargs)
+        def counting_lasso(y, phi, noise_variance, penalty, **kwargs):
+            penalties.append(penalty)
+            return original(y, phi, noise_variance, penalty, **kwargs)
 
         monkeypatch.setattr(baselines, "lasso", counting_lasso)
         cfg = self.lasso_cfg(room, lasso_grid_size=5)
@@ -242,14 +240,11 @@ class TestLassoConvergenceWarning:
         fits = []
         original = experiments.lasso
 
-        def recording(y, phi, noise_variance, config):
-            fit = original(y, phi, noise_variance, config)
-            fits.append((config.penalty, fit.converged))
+        def recording(y, phi, noise_variance, penalty):
+            fit = original(y, phi, noise_variance, penalty, max_iterations=2)
+            fits.append((penalty, fit.converged))
             return fit
 
-        monkeypatch.setattr(experiments, "LassoConfig",
-                            functools.partial(baselines.LassoConfig,
-                                              max_iterations=2))
         monkeypatch.setattr(experiments, "lasso", recording)
         cfg = tiny_config(room, methods=("lasso",), mic_perturbations=(0.0,),
                           monte_carlo_runs=2)
@@ -330,7 +325,7 @@ class TestFitAndPredictLifetimes:
     def call(cfg, data):
         return experiments.fit_and_predict(
             data.y, data.dictionary, data.mics.positions, data.cloud,
-            data.validation.positions, cfg.max_line_searches)
+            data.validation, cfg.max_line_searches)
 
     @staticmethod
     def holding_chain(cfg, data):
@@ -346,7 +341,7 @@ class TestFitAndPredictLifetimes:
         hp = marglik.to_hyperparameters(fit.x)
         prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
         posterior = build_posterior(data.y, phi, prior, hp, dictionary)
-        mean, variance = predict(posterior, data.validation.positions)
+        mean, variance = predict(posterior, data.validation)
         return fit, posterior, mean, variance
 
     @pytest.mark.parametrize("boundary_count", [0, 10, 300])

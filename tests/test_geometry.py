@@ -7,6 +7,49 @@ from roomwave.geometry import (BoundaryCloud, MicArray, RoomSpec, face_areas,
                                sample_microphones, sample_validation_points)
 
 
+def reference_microphones(room, count, exclusion_radius, seed):
+    """The microphone sampling loop that the shared rejection loop replaced,
+    kept verbatim as its oracle."""
+    center = room.mic_half_center
+    rng = np.random.default_rng(seed)
+    lo = np.array([room.dimensions[0] / 2.0, 0.0, 0.0])
+    hi = room.dimensions
+    accepted = []
+    n_found = 0
+    while n_found < count:
+        batch = max(4 * (count - n_found), 128)
+        draw = rng.uniform(lo, hi, size=(batch, 3))
+        keep = np.linalg.norm(draw - center, axis=1) >= exclusion_radius
+        picked = draw[keep][: count - n_found]
+        if len(picked):
+            accepted.append(picked)
+            n_found += len(picked)
+    return np.concatenate(accepted, axis=0)
+
+
+def reference_validation_points(room, count, radius, seed):
+    """The validation sampling loop that the shared rejection loop replaced,
+    kept verbatim as its oracle."""
+    c = room.mic_half_center
+    rng = np.random.default_rng(seed)
+    accepted = []
+    n_found = 0
+    while n_found < count:
+        batch = max(4 * (count - n_found), 64)
+        draw = rng.uniform(-radius, radius, size=(batch, 3))
+        keep = np.linalg.norm(draw, axis=1) < radius
+        picked = draw[keep][: count - n_found]
+        if len(picked):
+            accepted.append(c + picked)
+            n_found += len(picked)
+    return np.concatenate(accepted, axis=0)
+
+
+# one batch, several batches, and counts either side of both minimum batches
+# (128 for microphones, 64 for validation points)
+SAMPLE_COUNTS = (1, 16, 17, 32, 33, 500)
+
+
 class TestRoomSpec:
     def test_valid(self, room):
         npt.assert_allclose(room.dimensions / 2.0, [2.5, 2.0, 1.5])
@@ -53,6 +96,13 @@ class TestMicSampling:
         with pytest.raises(RuntimeError, match="negligible"):
             sample_microphones(room, 1, exclusion_radius=50.0, seed=0)
 
+    @pytest.mark.parametrize("count", SAMPLE_COUNTS)
+    def test_same_points_as_the_reference_loop(self, room, count):
+        for seed in range(40):
+            assert np.array_equal(
+                sample_microphones(room, count, 0.5, seed).positions,
+                reference_microphones(room, count, 0.5, seed))
+
     def test_count_validation(self, room):
         with pytest.raises(ValueError):
             sample_microphones(room, 0, seed=0)
@@ -62,21 +112,30 @@ class TestMicSampling:
 
 class TestValidationSampling:
     def test_inside_ball(self, room):
-        pts = sample_validation_points(room, 20, radius=0.5, seed=5).positions
+        pts = sample_validation_points(room, 20, radius=0.5, seed=5)
         dist = np.linalg.norm(pts - room.mic_half_center, axis=1)
         assert len(pts) == 20
         assert np.all(dist < 0.5)
 
     def test_degenerate_ball_hits_center(self, room):
-        pts = sample_validation_points(room, 1, radius=1e-9, seed=1).positions
+        pts = sample_validation_points(room, 1, radius=1e-9, seed=1)
         npt.assert_allclose(pts[0], room.mic_half_center, atol=1e-9)
 
     def test_mean_converges_to_center(self, room):
         n = 100_000
-        pts = sample_validation_points(room, n, radius=0.5, seed=11).positions
+        pts = sample_validation_points(room, n, radius=0.5, seed=11)
         # per-coordinate std of uniform ball is R/sqrt(5)
         tol = 3.0 * 0.5 / np.sqrt(5 * n)
         npt.assert_allclose(pts.mean(axis=0), room.mic_half_center, atol=tol)
+
+    @pytest.mark.parametrize("radius", [1e-9, 0.5])
+    @pytest.mark.parametrize("count", SAMPLE_COUNTS)
+    def test_same_points_as_the_reference_loop(self, room, count, radius):
+        for seed in range(40):
+            pts = sample_validation_points(room, count, radius, seed)
+            assert type(pts) is np.ndarray and pts.shape == (count, 3)
+            assert np.array_equal(
+                pts, reference_validation_points(room, count, radius, seed))
 
     def test_bad_radius(self, room):
         with pytest.raises(ValueError):
@@ -164,6 +223,25 @@ class TestContainers:
             BoundaryCloud(np.zeros((2, 3)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             BoundaryCloud(np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["points", "normals"])
+    def test_boundary_cloud_rejects_non_finite(self, field, bad):
+        arrays = {"points": np.zeros((2, 3)),
+                  "normals": np.array([[0.0, 0, 1], [1.0, 0, 0]])}
+        arrays[field][1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryCloud(**arrays)
+
+    def test_boundary_cloud_rejects_flat_arrays(self):
+        """A flat 6-vector is not read as two points."""
+        with pytest.raises(ValueError, match="shape"):
+            BoundaryCloud(np.zeros(6), np.array([0.0, 0, 1, 1, 0, 0]))
+
+    def test_empty_boundary_cloud(self):
+        cloud = BoundaryCloud(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert len(cloud) == 0
+        assert cloud.points.shape == cloud.normals.shape == (0, 3)
 
     def test_boundary_cloud_subset(self, room):
         cloud = sample_boundary(room, 20, seed=1)

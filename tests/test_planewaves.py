@@ -62,6 +62,18 @@ class TestDictionary:
         with pytest.raises(ValueError):
             PlaneWaveDictionary(1.0, np.array([[2.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        directions = fibonacci_directions(4)
+        directions[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PlaneWaveDictionary(1.0, directions)
+
+    def test_flat_directions_rejected(self):
+        """A flat 6-vector is not read as two directions."""
+        with pytest.raises(ValueError, match="shape"):
+            PlaneWaveDictionary(1.0, np.array([0.0, 0, 1, 1, 0, 0]))
+
     @pytest.mark.parametrize("k", [0.0, np.nan, np.inf])
     def test_wavenumber_outside_positive_finite_rejected(self, k):
         with pytest.raises(ValueError, match="wavenumber"):
