@@ -132,8 +132,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 2 <= self.lasso_folds <= self.mic_count:
             raise ValueError(f"lasso_folds must be in 2..{self.mic_count}")
-        if self.max_image_order < 0:
-            raise ValueError("max_image_order must be >= 0")
+        for name in ("max_image_order", "max_line_searches"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.master_seed < 0:    # np.random.SeedSequence needs >= 0
             raise ValueError("seed must be >= 0")
         if min((self.boundary_count, *self.boundary_counts)) < 0:

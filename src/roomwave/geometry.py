@@ -51,8 +51,8 @@ class RoomSpec:
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=float)
         src = np.asarray(self.source_position, dtype=float)
-        if dims.shape != (3,) or not np.all(dims > 0):
-            raise ValueError("room dimensions must be 3 positive lengths")
+        if dims.shape != (3,) or not np.all((dims > 0) & (dims < np.inf)):
+            raise ValueError("room dimensions must be 3 positive finite lengths")
         if not 0.0 <= self.reflection_coefficient <= 1.0:
             raise ValueError("reflection coefficient must be in [0, 1]")
         if src.shape != (3,) or not np.all((src > 0) & (src < dims)):

@@ -161,6 +161,8 @@ class SimSnapshot:
         noisy = np.asarray(self.noisy, dtype=complex)
         if clean.shape != noisy.shape:
             raise ValueError("clean and noisy fields must have equal length")
+        if not (np.all(np.isfinite(clean)) and np.all(np.isfinite(noisy))):
+            raise ValueError("clean and noisy fields must be finite")
         # written as `not a < x < b` so that NaN fails too
         if not 0.0 < self.frequency_hz < math.inf:
             raise ValueError("frequency must be positive and finite")

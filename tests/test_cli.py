@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -281,7 +282,7 @@ def test_negative_seed_exits_2(tiny, tmp_path, capsys):
     "medium.speed_of_sound=-343", "simulation.frequency_hz=0",
     "simulation.frequency_hz=.nan", "array.exclusion_radius=-1",
     "array.exclusion_radius=50",
-    "simulation.snr_db=.nan",
+    "simulation.snr_db=.nan", "optimizer.max_line_searches=-3",
     "lasso.mode=global", "benchmark.shared_perturbation=true"])
 def test_bad_config_value_exits_2(tiny, tmp_path, capsys, override):
     code = main(["benchmark", str(tiny), str(tmp_path / "out"),
@@ -304,11 +305,13 @@ def test_empty_sweep_values_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     TINY_CONFIG + "benchmark:\n  sweeps: [mic_perturbation]\n"
     "  mic_perturbations_m: [0.0, -0.05]\n",
-    TINY_CONFIG.replace("simulation:\n", "simulation:\n  frequency_hz: .nan\n")],
-    ids=["negative_perturbation", "nan_frequency"])
+    TINY_CONFIG.replace("simulation:\n", "simulation:\n  frequency_hz: .nan\n"),
+    TINY_CONFIG + "room:\n  dimensions: [.inf, 4.0, 3.0]\n"],
+    ids=["negative_perturbation", "nan_frequency", "infinite_room"])
 def test_out_of_range_file_value_exits_2(tmp_path, capsys, text):
-    """A negative perturbation would fail mid-run and a NaN frequency would
-    write an all-NaN table; both are config errors before any output."""
+    """A negative perturbation would fail mid-run, a NaN frequency would
+    write an all-NaN table and an infinite room would overflow the image
+    lattice; all are config errors before any output."""
     config = tmp_path / "bad.yaml"
     config.write_text(text, encoding="utf-8")
     code = main(["benchmark", str(config), str(tmp_path / "out")])
@@ -351,10 +354,32 @@ def _nan_frequency(text):
                   flags=re.M)
 
 
+def _inf_room_dimension(text):
+    return re.sub(r"^# room_dimensions \S+", "# room_dimensions inf", text,
+                  flags=re.M)
+
+
+def _noisy_measurement(text, value):
+    """`text` with the re_noisy entry of its last row set to `value`."""
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    cells = last.split()
+    cells[5] = value
+    return head + "\n" + " ".join(cells) + "\n"
+
+
+def _nan_measurement(text):
+    return _noisy_measurement(text, "nan")
+
+
+def _inf_measurement(text):
+    return _noisy_measurement(text, "inf")
+
+
 @pytest.mark.parametrize("name, damage", [
     ("snapshot.txt", _no_header), ("boundary.txt", _five_columns),
     ("snapshot.txt", _bad_token), ("snapshot.txt", _zero_frequency),
-    ("snapshot.txt", _nan_frequency)])
+    ("snapshot.txt", _nan_frequency), ("snapshot.txt", _inf_room_dimension),
+    ("snapshot.txt", _nan_measurement), ("snapshot.txt", _inf_measurement)])
 def test_malformed_input_exits_2(simulated, tmp_path, capsys, name, damage):
     config, data = simulated
     broken = data / name
@@ -411,6 +436,59 @@ def test_traced_names_match_the_tracer():
                and isinstance(node.elts[1], ast.Constant)}
     assert patched == set(TRACED)
     assert len(TRACED) == len(set(TRACED))
+
+
+def _traced_targets(tree):
+    """(module, attribute path) of every name the tracer reaches on a roomwave
+    module: its (module, "attribute", ...) tuples and _patch calls, its
+    `from roomwave.MODULE import NAME` imports, and the MarginalLikelihood
+    methods that its subclass wraps (read off `original.NAME`)."""
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "roomwave"
+               for alias in node.names}
+    targets = set()
+    for node in ast.walk(tree):
+        items = (node.elts if isinstance(node, ast.Tuple)
+                 else node.args if isinstance(node, ast.Call) else ())
+        if (len(items) > 1 and isinstance(items[0], ast.Name)
+                and items[0].id in modules
+                and isinstance(items[1], ast.Constant)
+                and isinstance(items[1].value, str)):
+            targets.add((items[0].id, items[1].value))
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("roomwave.")):
+            targets |= {(node.module.split(".", 1)[1], alias.name)
+                        for alias in node.names}
+        if (isinstance(node, ast.ClassDef)
+                and node.name == "TracedMarginalLikelihood"):
+            targets |= {("marglik", f"MarginalLikelihood.{n.attr}")
+                        for n in ast.walk(node)
+                        if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "original"}
+    return targets
+
+
+def test_every_traced_target_resolves():
+    """Every name the tracer patches, imports or subclasses exists on its
+    roomwave module, so a change that drops one fails here, naming it,
+    instead of with an AttributeError inside the perfbench self-tests."""
+    targets = _traced_targets(ast.parse(TRACER.read_text(encoding="utf-8")))
+    assert {("marglik", "MarginalLikelihood.value_and_gradient"),
+            ("baselines", "lasso"), ("simulator", "image_lattice"),
+            ("experiments", "sample_validation_points")} <= targets
+
+    def resolves(module, path):
+        owner = importlib.import_module(f"roomwave.{module}")
+        for name in path.split("."):
+            if not hasattr(owner, name):
+                return False
+            owner = getattr(owner, name)
+        return True
+
+    missing = sorted(f"roomwave.{module}.{path}" for module, path in targets
+                     if not resolves(module, path))
+    assert not missing, f"tracer targets not found: {missing}"
 
 
 def test_sweep_and_reconstruct_share_one_traceable_chain(simulated, tmp_path,

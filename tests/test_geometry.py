@@ -55,7 +55,8 @@ class TestRoomSpec:
         npt.assert_allclose(room.dimensions / 2.0, [2.5, 2.0, 1.5])
         npt.assert_allclose(room.mic_half_center, [3.75, 2.0, 1.5])
 
-    @pytest.mark.parametrize("dims", [(0.0, 4, 3), (5, -1, 3), (5, 4)])
+    @pytest.mark.parametrize("dims", [(0.0, 4, 3), (5, -1, 3), (5, 4),
+                                      (np.inf, 4, 3), (5, 4, np.nan)])
     def test_bad_dimensions(self, dims):
         with pytest.raises(ValueError):
             RoomSpec(np.asarray(dims, dtype=float), 0.5, np.array([1.0, 1, 1]))
