@@ -95,32 +95,31 @@ def _load_config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    seeds, mics, cloud, snapshot = experiments.draw_run(
-        cfg, 0, cfg.frequency_hz, cfg.boundary_count)
+    _, cloud, snapshot = experiments.draw_run(cfg, 0, cfg.frequency_hz,
+                                              cfg.boundary_count)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    fileio.write_snapshot(args.out_dir / "snapshot.txt", cfg.room, mics,
-                          snapshot, seeds["noise"])
-    fileio.write_mic_array(args.out_dir / "microphones.txt", mics)
+    fileio.write_snapshot(args.out_dir / "snapshot.txt", snapshot)
+    fileio.write_points(args.out_dir / "microphones.txt", snapshot.mics)
     fileio.write_point_cloud(args.out_dir / "boundary.txt", cloud)
-    print(f"wrote snapshot ({len(mics)} microphones, "
+    print(f"wrote snapshot ({len(snapshot.mics)} microphones, "
           f"{len(cloud)} boundary points) to {args.out_dir}")
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
-    source = fileio.read_snapshot(args.snapshot)
+    snapshot = fileio.read_snapshot(args.snapshot)
     cloud = fileio.read_point_cloud(args.cloud)
     if cfg.reconstruct_points:
         points = fileio.read_points(cfg.reconstruct_points)
     else:
-        points = source.mics.positions
-    k = planewaves.wavenumber(source.snapshot.frequency_hz, cfg.speed_of_sound)
+        points = snapshot.mics
+    k = planewaves.wavenumber(snapshot.frequency_hz, cfg.speed_of_sound)
     dictionary = planewaves.PlaneWaveDictionary(
         k, planewaves.fibonacci_directions(cfg.plane_wave_count))
     fit, mean, variance = experiments.fit_and_predict(
-        source.snapshot.noisy, dictionary, source.mics.positions, cloud,
-        points, cfg.max_line_searches)
+        snapshot.noisy, dictionary, snapshot.mics, cloud, points,
+        cfg.max_line_searches)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_reconstruction(args.out_dir / "reconstruction.txt", points,

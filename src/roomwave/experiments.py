@@ -17,7 +17,9 @@ the microphones it assumes.
 
 Within a run, every method sees the same noise realization and geometry, so
 method comparisons are paired; seeds are derived from (master_seed, run)
-only, which makes each run identical across sweeps and sweep values.
+only, which makes each run identical across sweeps and sweep values. A run
+holds its measurement as one `SimSnapshot` (microphone positions, noisy
+values, noise variance); the methods read it from there.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ import numpy as np
 from .baselines import (default_lambda_grid, lasso, nearest_neighbor,
                         select_lambda, tikhonov)
 from .bayes import build_posterior, predict, prior_covariance_from_matrices
-from .geometry import (BoundaryCloud, MicArray, RoomSpec, perturb_positions,
+from .geometry import (BoundaryCloud, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
                        sample_validation_points)
 from .marglik import fit_hyperparameters, to_hyperparameters
 from .planewaves import (PlaneWaveDictionary, build_phi, build_phi_tilde,
                          build_psi, evaluate_field, fibonacci_directions,
                          wavenumber)
-from .simulator import field_at_points, simulate_snapshot
+from .simulator import SimSnapshot, field_at_points, simulate_snapshot
 
 __all__ = [
     "METHODS",
@@ -215,19 +217,18 @@ def run_seeds(master_seed: int, run: int) -> dict:
 class _RunData:
     run: int
     seeds: dict
-    mics: MicArray
+    snapshot: SimSnapshot
     validation: np.ndarray
     cloud: BoundaryCloud
-    y: np.ndarray
-    noise_variance: float
     truth: np.ndarray
     dictionary: PlaneWaveDictionary
 
 
 def draw_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
              boundary_count: int) -> tuple:
-    """The measured side of one run: (seeds, microphones, boundary cloud,
-    snapshot at `frequency_hz`). The cloud is empty for a zero count."""
+    """The measured side of one run: (seeds, boundary cloud, snapshot at
+    `frequency_hz`, which holds the microphones). The cloud is empty for a
+    zero count."""
     seeds = run_seeds(cfg.master_seed, run)
     mics = sample_microphones(cfg.room, cfg.mic_count, cfg.exclusion_radius,
                               seeds["microphones"])
@@ -235,21 +236,19 @@ def draw_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
     snapshot = simulate_snapshot(cfg.room, mics, frequency_hz,
                                  cfg.speed_of_sound, cfg.snr_db,
                                  cfg.max_image_order, seeds["noise"])
-    return seeds, mics, cloud, snapshot
+    return seeds, cloud, snapshot
 
 
 def _make_run(cfg: ExperimentConfig, run: int, frequency_hz: float,
               boundary_count: int) -> _RunData:
-    seeds, mics, cloud, snapshot = draw_run(cfg, run, frequency_hz,
-                                            boundary_count)
+    seeds, cloud, snapshot = draw_run(cfg, run, frequency_hz, boundary_count)
     validation = sample_validation_points(cfg.room, cfg.validation_count,
                                           cfg.exclusion_radius,
                                           seeds["validation"])
     k = wavenumber(frequency_hz, cfg.speed_of_sound)
     truth = field_at_points(cfg.room, validation, k, cfg.max_image_order)
     dictionary = PlaneWaveDictionary(k, fibonacci_directions(cfg.plane_wave_count))
-    return _RunData(run, seeds, mics, validation, cloud, snapshot.noisy,
-                    snapshot.noise_variance, truth, dictionary)
+    return _RunData(run, seeds, snapshot, validation, cloud, truth, dictionary)
 
 
 def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
@@ -284,27 +283,27 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
     """Field prediction of one method at the validation points."""
     dictionary = data.dictionary
     targets = data.validation
+    y, noise_variance = data.snapshot.noisy, data.snapshot.noise_variance
     if method == "nearest":
-        return nearest_neighbor(assumed_mics, data.y, targets)
+        return nearest_neighbor(assumed_mics, y, targets)
     if method == "proposed":
-        return fit_and_predict(data.y, dictionary, assumed_mics, prior_cloud,
+        return fit_and_predict(y, dictionary, assumed_mics, prior_cloud,
                                targets, cfg.max_line_searches)[1]
 
     phi = build_phi(dictionary, assumed_mics)
     if method == "tikhonov":
         empty = np.zeros((0, dictionary.size), dtype=complex)
-        fit = fit_hyperparameters(data.y, phi, empty, empty,
+        fit = fit_hyperparameters(y, phi, empty, empty,
                                   max_line_searches=cfg.max_line_searches)
         hp = to_hyperparameters(fit.x)
-        alpha = tikhonov(data.y, phi, hp.noise_variance, hp.prior_variance)
+        alpha = tikhonov(y, phi, hp.noise_variance, hp.prior_variance)
         return evaluate_field(dictionary, alpha, targets)
     if method == "lasso":
         # penalty cross-validated over a `lasso_grid_size`-point grid
-        grid = default_lambda_grid(data.y, phi, data.noise_variance,
-                                   cfg.lasso_grid_size)
-        penalty = select_lambda(data.y, phi, data.noise_variance, grid,
-                                cfg.lasso_folds, data.seeds["lasso_cv"])
-        fit = lasso(data.y, phi, data.noise_variance, penalty)
+        grid = default_lambda_grid(y, phi, noise_variance, cfg.lasso_grid_size)
+        penalty = select_lambda(y, phi, noise_variance, grid, cfg.lasso_folds,
+                                data.seeds["lasso_cv"])
+        fit = lasso(y, phi, noise_variance, penalty)
         if not fit.converged:
             # its result then depends on where FISTA stopped
             logger.warning("run %d: final lasso fit at penalty %r did not "
@@ -330,7 +329,7 @@ def _assumed_geometry(cfg: ExperimentConfig, sweep: str, value,
                       data: _RunData) -> tuple:
     """Microphone positions and prior cloud the methods assume at one value
     of `sweep`; the simulation always keeps the true geometry."""
-    mics, cloud = data.mics.positions, data.cloud
+    mics, cloud = data.snapshot.mics, data.cloud
     if sweep == "boundary_count":
         cloud = cloud.subset(value)
     elif sweep == "boundary_perturbation":

@@ -1,15 +1,16 @@
-"""On-disk formats: point clouds, microphone arrays, simulation snapshots,
+"""On-disk formats: point clouds, point tables, simulation snapshots,
 reconstruction output, optimizer traces and benchmark CSVs.
 
-Point clouds, microphone arrays, prediction points, snapshots and
-reconstructions share one table format: optional `# key value` header lines,
-then one row of whitespace-separated numbers per line. Traces and benchmark
-results are CSV files with a header row. All floating-point values are
-written with shortest round-trip decimal encoding (Python repr), so
-write-then-read reproduces in-memory values bit-exactly and benchmark
-outputs are byte-stable. Files are written atomically (temporary file +
-rename), and a reader that cannot parse its file raises a FormatError
-naming it.
+Point clouds, point tables (microphone or prediction positions), snapshots
+and reconstructions share one table format: optional `# key value` header
+lines, then one row of whitespace-separated numbers per line. A snapshot
+file holds one `SimSnapshot`: `write_snapshot` takes it and `read_snapshot`
+returns it. Traces and benchmark results are CSV files with a header row.
+All floating-point values are written with shortest round-trip decimal
+encoding (Python repr), so write-then-read reproduces in-memory values
+bit-exactly and benchmark outputs are byte-stable. Files are written
+atomically (temporary file + rename), and a reader that cannot parse its
+file raises a FormatError naming it.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import to_db
-from .geometry import BoundaryCloud, MicArray, RoomSpec, _as_points
+from .geometry import BoundaryCloud, RoomSpec, _as_points
 from .marglik import to_hyperparameters
 from .simulator import SimSnapshot
 
@@ -33,9 +33,8 @@ __all__ = [
     "atomic_write",
     "write_point_cloud",
     "read_point_cloud",
-    "write_mic_array",
+    "write_points",
     "read_points",
-    "SnapshotFile",
     "write_snapshot",
     "read_snapshot",
     "write_reconstruction",
@@ -124,14 +123,14 @@ def read_point_cloud(path) -> BoundaryCloud:
         return BoundaryCloud(data[:, :3], data[:, 3:])
 
 
-def write_mic_array(path, mics: MicArray) -> None:
+def write_points(path, points) -> None:
     """One record per line: x y z."""
-    _write_table(path, mics.positions)
+    _write_table(path, points)
 
 
 def read_points(path) -> np.ndarray:
-    """Prediction points, one `x y z` row each, as a finite (n, 3) array;
-    unlike microphones they may repeat."""
+    """Points, one `x y z` row each, as a finite (n, 3) array with at least
+    one row; they may repeat (a snapshot's microphones may not)."""
     with _parsing(path):
         points = _as_points(_read_table(path, 3, "x y z")[1])
         if not len(points):
@@ -139,34 +138,24 @@ def read_points(path) -> np.ndarray:
         return points
 
 
-@dataclass
-class SnapshotFile:
-    """A snapshot file: measurement data plus the provenance header."""
-
-    room: RoomSpec
-    mics: MicArray
-    snapshot: SimSnapshot
-    seed: int
-
-
-def write_snapshot(path, room: RoomSpec, mics: MicArray,
-                   snapshot: SimSnapshot, seed: int) -> None:
+def write_snapshot(path, snapshot: SimSnapshot) -> None:
     """Header records frequency, noise variance, seed and room; rows are
     `x y z re_clean im_clean re_noisy im_noisy` per microphone."""
+    room = snapshot.room
     header = (
         f"frequency_hz {_fmt(snapshot.frequency_hz)}",
         f"noise_variance {_fmt(snapshot.noise_variance)}",
-        f"seed {int(seed)}",
+        f"seed {int(snapshot.seed)}",
         "room_dimensions " + " ".join(_fmt(v) for v in room.dimensions),
         f"room_reflection_coefficient {_fmt(room.reflection_coefficient)}",
         "room_source_position "
         + " ".join(_fmt(v) for v in room.source_position))
     _write_table(path, np.column_stack([
-        mics.positions, snapshot.clean.real, snapshot.clean.imag,
+        snapshot.mics, snapshot.clean.real, snapshot.clean.imag,
         snapshot.noisy.real, snapshot.noisy.imag]), header)
 
 
-def read_snapshot(path) -> SnapshotFile:
+def read_snapshot(path) -> SimSnapshot:
     required = ("frequency_hz", "noise_variance", "seed", "room_dimensions",
                 "room_reflection_coefficient", "room_source_position")
     with _parsing(path):
@@ -180,14 +169,12 @@ def read_snapshot(path) -> SnapshotFile:
             float(header["room_reflection_coefficient"]),
             np.array([float(v) for v in
                       header["room_source_position"].split()]))
-        snapshot = SimSnapshot(
-            frequency_hz=float(header["frequency_hz"]),
+        return SimSnapshot(
+            room, data[:, :3], frequency_hz=float(header["frequency_hz"]),
             clean=data[:, 3] + 1j * data[:, 4],
             noisy=data[:, 5] + 1j * data[:, 6],
             noise_variance=float(header["noise_variance"]),
-        )
-        return SnapshotFile(room, MicArray(data[:, :3]), snapshot,
-                            int(header["seed"]))
+            seed=int(header["seed"]))
 
 
 def write_reconstruction(path, points, mean, std) -> None:

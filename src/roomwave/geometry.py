@@ -2,11 +2,11 @@
 and boundary points.
 
 All positions are metric, stored as float64 arrays of shape (n, 3), and every
-point set is checked by `_as_points`. Microphones come as a `MicArray`, whose
-positions must be pairwise distinct; validation points are a plain array.
-Both are drawn by one rejection loop. Sampling functions are pure: the same
-arguments and seed always produce the same points, and every call uses its
-own local generator.
+point set is checked by `_as_points`. Microphone and validation points are
+plain arrays, drawn by one rejection loop; a measurement
+(`simulator.SimSnapshot`) requires its microphone positions to be pairwise
+distinct. Sampling functions are pure: the same arguments and seed always
+produce the same points, and every call uses its own local generator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "RoomSpec",
-    "MicArray",
     "BoundaryCloud",
     "sample_microphones",
     "sample_validation_points",
@@ -66,26 +65,6 @@ class RoomSpec:
         c = self.dimensions / 2.0
         c[0] = 0.75 * self.dimensions[0]
         return c
-
-
-@dataclass(frozen=True)
-class MicArray:
-    """Positions of M receivers, shape (M, 3), pairwise distinct."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pts = _as_points(self.positions, "positions")
-        if len(pts) < 1:
-            raise ValueError("need at least one microphone")
-        if len(pts) > 1:
-            ordered = pts[np.lexsort(pts.T)]
-            if np.any(np.all(np.diff(ordered, axis=0) == 0.0, axis=1)):
-                raise ValueError("microphone positions must be pairwise distinct")
-        object.__setattr__(self, "positions", pts)
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -148,9 +127,10 @@ def _rejection_sample(count: int, lo, hi, keep, min_batch: int,
 
 def sample_microphones(room: RoomSpec, count: int,
                        exclusion_radius: float = 0.5,
-                       seed: int = 0) -> MicArray:
-    """Uniform microphone positions in the half-room x > Lx/2, excluding the
-    open ball of `exclusion_radius` around the centroid of that half.
+                       seed: int = 0) -> np.ndarray:
+    """Uniform microphone positions, shape (count, 3), in the half-room
+    x > Lx/2, excluding the open ball of `exclusion_radius` around the
+    centroid of that half.
     Rejection sampling; raises RuntimeError when the admissible region is
     negligibly small (acceptance rate below 1e-6).
     """
@@ -160,10 +140,10 @@ def sample_microphones(room: RoomSpec, count: int,
         raise ValueError("exclusion radius must be >= 0")
     center = room.mic_half_center
     lo = np.array([room.dimensions[0] / 2.0, 0.0, 0.0])
-    return MicArray(_rejection_sample(
+    return _rejection_sample(
         count, lo, room.dimensions,
         lambda draw: np.linalg.norm(draw - center, axis=1) >= exclusion_radius,
-        128, seed))
+        128, seed)
 
 
 def sample_validation_points(room: RoomSpec, count: int,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MicArray, RoomSpec, _as_points
+from .geometry import RoomSpec, _as_points
 from .planewaves import wavenumber
 
 __all__ = [
@@ -149,18 +149,30 @@ def field_at_points(room: RoomSpec, receivers, k: float, max_order: int = 80) ->
 
 @dataclass(frozen=True)
 class SimSnapshot:
-    """Single-frequency measurement: clean field, noisy copy, noise variance."""
+    """One single-frequency measurement, the record that `simulate_snapshot`
+    returns and `fileio` writes and reads: the room, the microphone positions
+    (M, 3), pairwise distinct, the clean field and a noisy copy at each
+    microphone, the noise variance and the seed of the noise."""
 
+    room: RoomSpec
+    mics: np.ndarray
     frequency_hz: float
     clean: np.ndarray
     noisy: np.ndarray
     noise_variance: float
+    seed: int
 
     def __post_init__(self):
+        mics = _as_points(self.mics, "microphone positions")
+        if len(mics) < 1:
+            raise ValueError("need at least one microphone")
+        ordered = mics[np.lexsort(mics.T)]
+        if np.any(np.all(np.diff(ordered, axis=0) == 0.0, axis=1)):
+            raise ValueError("microphone positions must be pairwise distinct")
         clean = np.asarray(self.clean, dtype=complex)
         noisy = np.asarray(self.noisy, dtype=complex)
-        if clean.shape != noisy.shape:
-            raise ValueError("clean and noisy fields must have equal length")
+        if clean.shape != (len(mics),) or noisy.shape != (len(mics),):
+            raise ValueError("need one clean and one noisy value per microphone")
         if not (np.all(np.isfinite(clean)) and np.all(np.isfinite(noisy))):
             raise ValueError("clean and noisy fields must be finite")
         # written as `not a < x < b` so that NaN fails too
@@ -168,20 +180,22 @@ class SimSnapshot:
             raise ValueError("frequency must be positive and finite")
         if not 0.0 <= self.noise_variance < math.inf:
             raise ValueError("noise variance must be >= 0 and finite")
+        object.__setattr__(self, "mics", mics)
         object.__setattr__(self, "clean", clean)
         object.__setattr__(self, "noisy", noisy)
 
 
 def simulate_snapshot(
     room: RoomSpec,
-    mics: MicArray,
+    mics,
     frequency_hz: float,
     speed_of_sound: float = 343.0,
     snr_db: float = 20.0,
     max_order: int = 80,
     seed: int = 0,
 ) -> SimSnapshot:
-    """Simulate microphone measurements at one frequency.
+    """Simulate measurements at the microphone positions `mics` (M, 3) at one
+    frequency, with noise drawn from `seed`.
 
     The noise variance is set from the average clean signal power across the
     array: sigma^2 = mean(|u|^2) * 10^(-snr/10); the noise is circularly
@@ -189,11 +203,13 @@ def simulate_snapshot(
     `snr_db=inf` yields a noiseless snapshot.
     """
     k = wavenumber(frequency_hz, speed_of_sound)
-    clean = field_at_points(room, mics.positions, k, max_order)
+    clean = field_at_points(room, mics, k, max_order)
     if math.isinf(snr_db):
-        return SimSnapshot(frequency_hz, clean, clean.copy(), 0.0)
+        return SimSnapshot(room, mics, frequency_hz, clean, clean.copy(), 0.0,
+                           seed)
     sigma2 = float(np.mean(np.abs(clean) ** 2) * 10.0 ** (-snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(len(clean))
                                      + 1j * rng.standard_normal(len(clean)))
-    return SimSnapshot(frequency_hz, clean, clean + noise, sigma2)
+    return SimSnapshot(room, mics, frequency_hz, clean, clean + noise, sigma2,
+                       seed)

@@ -271,7 +271,7 @@ def test_variance_at_microphones_near_singular_q(seed, mics, log_noise_ratio,
     room = RoomSpec()
     dictionary = PlaneWaveDictionary(K300, fibonacci_directions(30))
     positions = sample_microphones(room, mics, 0.5,
-                                   seed=int(gen.integers(2 ** 31))).positions
+                                   seed=int(gen.integers(2 ** 31)))
     prior_variance = 10.0 ** gen.uniform(-2.0, 2.0)
     hp = Hyperparameters(prior_variance * 10.0 ** log_noise_ratio,
                          prior_variance, 10.0 ** log_weight,

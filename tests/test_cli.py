@@ -70,9 +70,8 @@ def test_simulate_draws_each_seed_into_its_sampler(simulated, tmp_path):
     snapshot = simulate_snapshot(cfg.room, mics, cfg.frequency_hz,
                                  cfg.speed_of_sound, cfg.snr_db,
                                  cfg.max_image_order, seeds["noise"])
-    fileio.write_snapshot(tmp_path / "snapshot.txt", cfg.room, mics, snapshot,
-                          seeds["noise"])
-    fileio.write_mic_array(tmp_path / "microphones.txt", mics)
+    fileio.write_snapshot(tmp_path / "snapshot.txt", snapshot)
+    fileio.write_points(tmp_path / "microphones.txt", mics)
     fileio.write_point_cloud(tmp_path / "boundary.txt", cloud)
     for name in ("snapshot.txt", "microphones.txt", "boundary.txt"):
         assert (data / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -359,6 +358,15 @@ def _inf_room_dimension(text):
                   flags=re.M)
 
 
+def _duplicate_microphone(text):
+    """`text` with the `x y z` of its first row copied into its last."""
+    lines = text.rstrip("\n").split("\n")
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    first, last = lines[rows[0]].split(), lines[rows[-1]].split()
+    lines[rows[-1]] = " ".join(first[:3] + last[3:])
+    return "\n".join(lines) + "\n"
+
+
 def _noisy_measurement(text, value):
     """`text` with the re_noisy entry of its last row set to `value`."""
     head, last = text.rstrip("\n").rsplit("\n", 1)
@@ -379,7 +387,8 @@ def _inf_measurement(text):
     ("snapshot.txt", _no_header), ("boundary.txt", _five_columns),
     ("snapshot.txt", _bad_token), ("snapshot.txt", _zero_frequency),
     ("snapshot.txt", _nan_frequency), ("snapshot.txt", _inf_room_dimension),
-    ("snapshot.txt", _nan_measurement), ("snapshot.txt", _inf_measurement)])
+    ("snapshot.txt", _nan_measurement), ("snapshot.txt", _inf_measurement),
+    ("snapshot.txt", _duplicate_microphone)])
 def test_malformed_input_exits_2(simulated, tmp_path, capsys, name, damage):
     config, data = simulated
     broken = data / name

@@ -291,7 +291,7 @@ class TestDriver:
             data = experiments._make_run(cfg, run, cfg.frequency_hz,
                                          cfg.boundary_count)
             for i, magnitude in enumerate(cfg.mic_perturbations):
-                moved = perturb_positions(data.mics.positions, magnitude,
+                moved = perturb_positions(data.snapshot.mics, magnitude,
                                           data.seeds["mic_perturbation"])
                 npt.assert_array_equal(phis[2 * run + i],
                                        build_phi(data.dictionary, moved))
@@ -324,23 +324,24 @@ class TestFitAndPredictLifetimes:
     @staticmethod
     def call(cfg, data):
         return experiments.fit_and_predict(
-            data.y, data.dictionary, data.mics.positions, data.cloud,
-            data.validation, cfg.max_line_searches)
+            data.snapshot.noisy, data.dictionary, data.snapshot.mics,
+            data.cloud, data.validation, cfg.max_line_searches)
 
     @staticmethod
     def holding_chain(cfg, data):
         """Build once, hold the matrices through the fit, and form the
         prior from the same arrays."""
         dictionary = data.dictionary
-        phi = build_phi(dictionary, data.mics.positions)
+        phi = build_phi(dictionary, data.snapshot.mics)
         psi = build_psi(dictionary, data.cloud)
         phi_tilde = build_phi_tilde(dictionary, data.cloud)
         fit = marglik.fit_hyperparameters(
-            data.y, phi, psi, phi_tilde,
+            data.snapshot.noisy, phi, psi, phi_tilde,
             max_line_searches=cfg.max_line_searches)
         hp = marglik.to_hyperparameters(fit.x)
         prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
-        posterior = build_posterior(data.y, phi, prior, hp, dictionary)
+        posterior = build_posterior(data.snapshot.noisy, phi, prior, hp,
+                                    dictionary)
         mean, variance = predict(posterior, data.validation)
         return fit, posterior, mean, variance
 

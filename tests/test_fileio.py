@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy.testing as npt
 import pytest
 
 from roomwave.fileio import (FormatError, atomic_write, read_point_cloud,
-                             read_points, read_snapshot, write_mic_array,
-                             write_point_cloud, write_snapshot)
-from roomwave.geometry import sample_boundary, sample_microphones
-from roomwave.simulator import simulate_snapshot
+                             read_points, read_snapshot, write_point_cloud,
+                             write_points, write_snapshot)
+from roomwave.geometry import RoomSpec, sample_boundary, sample_microphones
+from roomwave.simulator import SimSnapshot, simulate_snapshot
 
 
 def test_point_cloud_round_trip_is_bit_exact(room, tmp_path):
@@ -18,9 +20,8 @@ def test_point_cloud_round_trip_is_bit_exact(room, tmp_path):
 
 def test_mic_array_round_trip_is_bit_exact(room, tmp_path):
     mics = sample_microphones(room, 30, seed=4)
-    write_mic_array(tmp_path / "mics.txt", mics)
-    npt.assert_array_equal(read_points(tmp_path / "mics.txt"),
-                           mics.positions)
+    write_points(tmp_path / "mics.txt", mics)
+    npt.assert_array_equal(read_points(tmp_path / "mics.txt"), mics)
 
 
 @pytest.mark.parametrize("text", ["", "# columns x y z\n", "1 2 nan\n"],
@@ -32,20 +33,27 @@ def test_read_points_needs_finite_rows(tmp_path, text):
         read_points(path)
 
 
-def test_snapshot_round_trip_is_bit_exact(room, tmp_path):
+def assert_same_snapshot(a, b):
+    """Every field equal, bit for bit; the room holds arrays, so `==`
+    cannot compare them."""
+    for f in dataclasses.fields(SimSnapshot):
+        if f.name != "room":
+            npt.assert_array_equal(getattr(a, f.name), getattr(b, f.name),
+                                   err_msg=f.name)
+    for f in dataclasses.fields(RoomSpec):
+        npt.assert_array_equal(getattr(a.room, f.name),
+                               getattr(b.room, f.name), err_msg=f.name)
+
+
+def test_snapshot_round_trip_is_bit_exact(tmp_path):
+    room = RoomSpec([5.5, 4.25, 3.0], 0.8, [1.25, 2.0, 1.5])
     mics = sample_microphones(room, 12, seed=5)
     snapshot = simulate_snapshot(room, mics, 300.0, max_order=4, seed=6)
-    write_snapshot(tmp_path / "snap.txt", room, mics, snapshot, seed=6)
+    write_snapshot(tmp_path / "snap.txt", snapshot)
     back = read_snapshot(tmp_path / "snap.txt")
+    assert isinstance(back, SimSnapshot)
     assert back.seed == 6
-    npt.assert_array_equal(back.room.dimensions, room.dimensions)
-    npt.assert_array_equal(back.room.source_position, room.source_position)
-    assert back.room.reflection_coefficient == room.reflection_coefficient
-    npt.assert_array_equal(back.mics.positions, mics.positions)
-    assert back.snapshot.frequency_hz == snapshot.frequency_hz
-    assert back.snapshot.noise_variance == snapshot.noise_variance
-    npt.assert_array_equal(back.snapshot.clean, snapshot.clean)
-    npt.assert_array_equal(back.snapshot.noisy, snapshot.noisy)
+    assert_same_snapshot(back, snapshot)
 
 
 def test_atomic_write_keeps_old_file_when_body_raises(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roomwave.geometry import (BoundaryCloud, MicArray, RoomSpec, face_areas,
+from roomwave.geometry import (BoundaryCloud, RoomSpec, face_areas,
                                perturb_positions, sample_boundary,
                                sample_microphones, sample_validation_points)
 
@@ -74,8 +74,7 @@ class TestRoomSpec:
 
 class TestMicSampling:
     def test_inside_half_room_outside_ball(self, room):
-        mics = sample_microphones(room, 100, exclusion_radius=0.5, seed=7)
-        pts = mics.positions
+        pts = sample_microphones(room, 100, exclusion_radius=0.5, seed=7)
         assert len(pts) == 100
         assert np.all(pts[:, 0] >= room.dimensions[0] / 2)
         assert np.all(pts <= room.dimensions)
@@ -83,15 +82,16 @@ class TestMicSampling:
         assert np.all(dist >= 0.5)
 
     def test_zero_radius_plain_uniform(self, room):
-        mics = sample_microphones(room, 200, exclusion_radius=0.0, seed=3)
-        assert np.all(mics.positions[:, 0] >= room.dimensions[0] / 2)
+        pts = sample_microphones(room, 200, exclusion_radius=0.0, seed=3)
+        assert pts.shape == (200, 3)
+        assert np.all(pts[:, 0] >= room.dimensions[0] / 2)
 
     def test_deterministic(self, room):
         a = sample_microphones(room, 25, seed=42)
         b = sample_microphones(room, 25, seed=42)
-        npt.assert_array_equal(a.positions, b.positions)
+        npt.assert_array_equal(a, b)
         c = sample_microphones(room, 25, seed=43)
-        assert not np.array_equal(a.positions, c.positions)
+        assert not np.array_equal(a, c)
 
     def test_negligible_region_fails(self, room):
         with pytest.raises(RuntimeError, match="negligible"):
@@ -101,7 +101,7 @@ class TestMicSampling:
     def test_same_points_as_the_reference_loop(self, room, count):
         for seed in range(40):
             assert np.array_equal(
-                sample_microphones(room, count, 0.5, seed).positions,
+                sample_microphones(room, count, 0.5, seed),
                 reference_microphones(room, count, 0.5, seed))
 
     def test_count_validation(self, room):
@@ -213,12 +213,6 @@ class TestPerturbation:
 
 
 class TestContainers:
-    def test_mic_array_validation(self):
-        with pytest.raises(ValueError):
-            MicArray(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            MicArray(np.array([[0.0, 0, 0], [0.0, 0, 0]]))
-
     def test_boundary_cloud_validation(self):
         with pytest.raises(ValueError):
             BoundaryCloud(np.zeros((2, 3)), np.zeros((3, 3)))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roomwave.geometry import MicArray, RoomSpec
+from roomwave.geometry import RoomSpec
 from roomwave.planewaves import wavenumber
 from roomwave.simulator import (PAIR_BUDGET, SimSnapshot, _axis_images,
                                 field_at_points, image_lattice,
@@ -252,28 +252,27 @@ class TestTransferFunction:
 
 class TestSnapshot:
     def test_noise_variance_from_snr(self, room):
-        mics = MicArray(np.array([[3.0, 2.0, 1.0], [4.0, 3.0, 2.0]]))
+        mics = np.array([[3.0, 2.0, 1.0], [4.0, 3.0, 2.0]])
         snap = simulate_snapshot(room, mics, 300.0, snr_db=20.0, max_order=5,
                                  seed=0)
         expected = np.mean(np.abs(snap.clean) ** 2) * 10 ** (-2.0)
         assert snap.noise_variance == pytest.approx(expected, rel=1e-12)
 
     def test_infinite_snr_is_noiseless(self, room):
-        mics = MicArray(np.array([[3.0, 2.0, 1.0]]))
+        mics = np.array([[3.0, 2.0, 1.0]])
         snap = simulate_snapshot(room, mics, 300.0, snr_db=np.inf, max_order=4,
                                  seed=1)
         npt.assert_array_equal(snap.clean, snap.noisy)
         assert snap.noise_variance == 0.0
 
     def test_deterministic(self, room):
-        mics = MicArray(np.array([[3.0, 2.0, 1.0], [4.0, 1.0, 2.0]]))
+        mics = np.array([[3.0, 2.0, 1.0], [4.0, 1.0, 2.0]])
         one = simulate_snapshot(room, mics, 300.0, seed=9, max_order=4)
         two = simulate_snapshot(room, mics, 300.0, seed=9, max_order=4)
         npt.assert_array_equal(one.noisy, two.noisy)
 
     def test_empirical_snr_and_circularity(self, room, rng):
-        mics = MicArray(rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8],
-                                    size=(50, 3)))
+        mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(50, 3))
         noise_samples = []
         for seed in range(200):
             snap = simulate_snapshot(room, mics, 300.0, snr_db=20.0,
@@ -287,8 +286,34 @@ class TestSnapshot:
         pseudo = np.mean(noise ** 2)
         assert abs(pseudo) / np.mean(np.abs(noise) ** 2) < 0.05
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimSnapshot(300.0, np.zeros(3, complex), np.zeros(2, complex), 0.1)
-        with pytest.raises(ValueError):
-            SimSnapshot(300.0, np.zeros(2, complex), np.zeros(2, complex), -1.0)
+    def test_records_its_room_microphones_and_seed(self, room):
+        mics = np.array([[3.0, 2.0, 1.0], [4.0, 1.0, 2.0]])
+        snap = simulate_snapshot(room, mics, 300.0, seed=9, max_order=4)
+        assert snap.room is room
+        npt.assert_array_equal(snap.mics, mics)
+        assert snap.seed == 9
+        assert snap.clean.shape == snap.noisy.shape == (2,)
+
+    def test_validation(self, room):
+        """Each case fails with its own message; the valid record beside
+        them builds."""
+        mics = np.array([[3.0, 2.0, 1.0], [4.0, 1.0, 2.0]])
+        cases = [
+            (mics, np.zeros(3), np.zeros(2), 0.1, "per microphone"),
+            (mics, np.zeros(3), np.zeros(3), 0.1, "per microphone"),
+            (mics[:1], np.zeros(2), np.zeros(2), 0.1, "per microphone"),
+            (mics, np.zeros(2), np.zeros(2), -1.0, "noise variance"),
+            (np.zeros((0, 3)), np.zeros(0), np.zeros(0), 0.1, "at least one"),
+            (np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.1, "distinct"),
+            (mics[[0, 1, 0]], np.zeros(3), np.zeros(3), 0.1, "distinct"),
+            ([[3.0, 2.0, np.nan], [4.0, 1.0, 2.0]], np.zeros(2),
+             np.zeros(2), 0.1, "finite"),
+            ([[3.0, 2.0, 1.0], [np.inf, 1.0, 2.0]], np.zeros(2),
+             np.zeros(2), 0.1, "finite"),
+            (mics.ravel(), np.zeros(2), np.zeros(2), 0.1, "shape"),
+        ]
+        for positions, clean, noisy, noise_variance, match in cases:
+            with pytest.raises(ValueError, match=match):
+                SimSnapshot(room, positions, 300.0, clean, noisy,
+                            noise_variance, 0)
+        SimSnapshot(room, mics, 300.0, np.zeros(2), np.zeros(2), 0.1, 0)
