@@ -81,9 +81,15 @@ class LassoResult:
     converged: bool
 
 
+def _check_noise_variance(noise_variance) -> None:
+    if not noise_variance > 0:      # written so that NaN fails too
+        raise ValueError("noise_variance must be positive")
+
+
 def null_threshold(y, phi, noise_variance) -> float:
     """Smallest penalty for which the all-zero solution is optimal:
     ||Phi^H y||_inf / noise_variance."""
+    _check_noise_variance(noise_variance)
     return float(np.max(np.abs(phi.conj().T @ np.asarray(y, dtype=complex)))
                  / noise_variance)
 
@@ -91,6 +97,7 @@ def null_threshold(y, phi, noise_variance) -> float:
 def _lipschitz(phi, noise_variance) -> float:
     """||Phi||_2^2 / s2, the Lipschitz constant of the lasso's data-term
     gradient."""
+    _check_noise_variance(noise_variance)
     return float(sla.svdvals(phi)[0] ** 2) / noise_variance
 
 
@@ -115,8 +122,7 @@ def lasso(y, phi: np.ndarray, noise_variance: float, penalty: float, *,
     z + A r_z with the scaled adjoint A = (step / s2) Phi^H, formed once.
     Every step writes into buffers allocated once per call.
     """
-    if noise_variance <= 0:
-        raise ValueError("noise_variance must be positive")
+    _check_noise_variance(noise_variance)
     if not penalty >= 0:    # written so that NaN fails too
         raise ValueError("penalty must be >= 0")
     if max_iterations < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import yaml
@@ -60,6 +61,9 @@ _SCHEMA = {
 # retired keys, accepted at their one implemented value so older files load
 _RETIRED = {"lasso.mode": "per_run", "benchmark.shared_perturbation": False}
 _SECTIONS = {key.split(".")[0] for key in _SCHEMA if "." in key}
+# a decimal number with an exponent, which YAML 1.1 reads as a string unless
+# it has a dot and a signed exponent (1.0e+3 is a float, 1e3 and 1.0e3 are not)
+_EXPONENT_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 _DEFAULTS = {
     **{f.name: f.default for f in dataclasses.fields(ExperimentConfig)},
     **{f"room.{f.name}": f.default for f in dataclasses.fields(RoomSpec)}}
@@ -67,19 +71,22 @@ _DEFAULTS = {
 
 def _coerce(value, target, where: str):
     """Coerce a parsed YAML value to the type of the dataclass default: an
-    int, a float, a string or None, or a non-empty tuple of one of these."""
-    if isinstance(target, int):
+    int, a float, a string or None, or a non-empty tuple of one of these.
+    A number field also takes a string such as `1e3`, and a float field
+    `inf`."""
+    if isinstance(target, (int, float)):
+        if isinstance(value, str) and _EXPONENT_NUMBER.fullmatch(value):
+            value = float(value)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if (isinstance(target, float) and isinstance(value, str)
+                    and value.lower() in ("inf", ".inf")):
+                return math.inf
             raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if isinstance(target, float):
+            return float(value)
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
         return int(value)
-    if isinstance(target, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            if isinstance(value, str) and value.lower() in ("inf", ".inf"):
-                return math.inf
-            raise ConfigError(f"{where}: expected a number, got {value!r}")
-        return float(value)
     if isinstance(target, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")

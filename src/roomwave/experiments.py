@@ -84,11 +84,11 @@ def nmse(predictions, truth) -> float:
         raise ValueError(f"shape mismatch: {pred.shape} vs {tru.shape}")
     magnitude = np.abs(tru)
     mask = magnitude >= TRUTH_FLOOR
+    if not np.any(mask):
+        raise ValueError("no samples with usable truth magnitude")
     if not np.all(mask):
         warnings.warn(f"nmse: excluded {int((~mask).sum())} samples with "
                       f"|truth| < {TRUTH_FLOOR:g}")
-    if not np.any(mask):
-        raise ValueError("no samples with usable truth magnitude")
     err = np.abs(pred - tru)[mask] ** 2 / magnitude[mask] ** 2
     return float(np.mean(err))
 
@@ -107,7 +107,7 @@ class ExperimentConfig:
     room: RoomSpec = field(default_factory=RoomSpec)
     speed_of_sound: float = 343.0
     frequency_hz: float = 300.0
-    snr_db: float = 20.0
+    snr_db: float = 20.0    # inf is noiseless; the lasso needs a finite SNR
     max_image_order: int = 80
     mic_count: int = 100
     validation_count: int = 20

@@ -3,7 +3,8 @@ reconstruction output, optimizer traces and benchmark CSVs.
 
 Point clouds, point tables (microphone or prediction positions), snapshots
 and reconstructions share one table format: optional `# key value` header
-lines, then one row of whitespace-separated numbers per line. A snapshot
+lines, then one row of numbers per line, where any run of whitespace
+separates a key from its value and one number from the next. A snapshot
 file holds one `SimSnapshot`: `write_snapshot` takes it and `read_snapshot`
 returns it. Traces and benchmark results are CSV files with a header row.
 All floating-point values are written with shortest round-trip decimal
@@ -96,8 +97,9 @@ def _read_table(path, columns: int, layout: str) -> tuple:
         for raw in handle:
             line = raw.strip()
             if line.startswith("#"):
-                key, _, rest = line[1:].strip().partition(" ")
-                header[key] = rest.strip()
+                # the key ends at the first run of whitespace
+                key, *rest = line[1:].split(None, 1) or [""]
+                header[key] = "".join(rest)
             elif line:
                 rows.append([float(token) for token in line.split()])
     if any(len(row) != columns for row in rows):

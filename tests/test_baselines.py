@@ -590,3 +590,13 @@ class TestSelectLambda:
             select_lambda(y, phi, 0.2, [0.1], folds=11, seed=0)
         with pytest.raises(ValueError, match="grid"):
             select_lambda(y, phi, 0.2, [], folds=2, seed=0)
+
+    @pytest.mark.parametrize("noise_variance", [0.0, -0.2, math.nan])
+    def test_noise_variance_must_be_positive(self, rng, noise_variance):
+        """A noiseless snapshot (sigma^2 = 0) fails with the lasso's own
+        message, not a division by zero or an all-inf grid."""
+        y, phi, _ = random_system(rng, 10, 15)
+        with pytest.raises(ValueError, match="noise_variance"):
+            default_lambda_grid(y, phi, noise_variance, 5)
+        with pytest.raises(ValueError, match="noise_variance"):
+            select_lambda(y, phi, noise_variance, [0.1], folds=2, seed=0)

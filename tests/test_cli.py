@@ -401,6 +401,46 @@ def test_malformed_input_exits_2(simulated, tmp_path, capsys, name, damage):
     assert not (tmp_path / "o").exists()
 
 
+def test_reconstruct_reads_a_tab_separated_header(simulated, tmp_path):
+    """Header lines split at any run of whitespace, as data rows do, so a
+    snapshot whose headers use tabs reconstructs to the same files."""
+    config, data = simulated
+    snapshot = data / "snapshot.txt"
+    text = snapshot.read_text(encoding="utf-8")
+    tabbed = tmp_path / "tabbed.txt"
+    tabbed.write_text("".join(
+        line.replace(" ", "\t") if line.startswith("#") else line
+        for line in text.splitlines(keepends=True)), encoding="utf-8")
+    assert "# frequency_hz " in text
+    assert "#\tfrequency_hz\t" in tabbed.read_text(encoding="utf-8")
+    outputs = {}
+    for name, path in (("plain", snapshot), ("tabbed", tabbed)):
+        assert main(["reconstruct", str(path), str(data / "boundary.txt"),
+                     str(config), str(tmp_path / name)]) == 0
+        outputs[name] = {p.name: p.read_bytes()
+                         for p in (tmp_path / name).iterdir()}
+    assert sorted(outputs["plain"]) == ["reconstruction.txt", "theta.json",
+                                        "trace.csv"]
+    assert outputs["tabbed"] == outputs["plain"]
+
+
+def test_noiseless_benchmark_counts_every_lasso_fit_failed(tmp_path, caplog):
+    """At `snr_db: inf` the snapshot's noise variance is 0, which the lasso's
+    data term divides by: each lasso cell fails with the lasso's own
+    ValueError, not a ZeroDivisionError, and is counted in `failed`."""
+    tiny = Path(__file__).resolve().parents[1] / "perfbench/tests/tiny.yaml"
+    out = tmp_path / "out"
+    assert main(["benchmark", str(tiny), str(out),
+                 "--set", "simulation.snr_db=inf"]) == 0
+    rows = [row for path in sorted(out.glob("*_aggregate.csv"))
+            for row in csv.DictReader(
+                path.read_text(encoding="utf-8").splitlines())]
+    lasso = [row for row in rows if row["method"] == "lasso"]
+    assert lasso and all(row["failed"] == row["runs"] for row in lasso)
+    assert "noise_variance must be positive" in caplog.text
+    assert "ZeroDivisionError" not in caplog.text
+
+
 def test_numerical_failure_exits_3(simulated, tmp_path, capsys, monkeypatch):
     config, data = simulated
 

@@ -60,6 +60,41 @@ class TestSchema:
         with pytest.raises(ConfigError, match="array.mic_count"):
             parse_config({"array": {"mic_count": "many"}})
 
+    @pytest.mark.parametrize("text, value", [
+        ("1.0e3", 1000.0), ("1e3", 1000.0), ("2E1", 20.0), ("1e-300", 1e-300),
+        ("-.5e-1", -0.05), ("1.0e+3", 1000.0)])
+    def test_exponent_numbers_load(self, text, value):
+        """YAML 1.1 reads 1e3 and 1.0e3 as strings (it needs a dot and a
+        signed exponent); a number field takes them as numbers."""
+        document = yaml.safe_load(f"simulation: {{snr_db: {text}}}")
+        assert parse_config(document).snr_db == value
+
+    def test_exponent_numbers_in_file_override_and_list(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("simulation: {frequency_hz: 1.0e3}\n"
+                        "array: {mic_count: 1e2}\n"
+                        "benchmark: {frequencies_hz: [1e2, 2.5E2]}\n",
+                        encoding="utf-8")
+        config = load_config(path)
+        assert config.frequency_hz == 1000.0
+        assert config.mic_count == 100 and isinstance(config.mic_count, int)
+        assert config.frequencies_hz == (100.0, 250.0)
+        config = apply_overrides(config, ["simulation.frequency_hz=1e-300",
+                                          "seed=2e1"])
+        assert config.frequency_hz == 1e-300
+        assert config.master_seed == 20 and isinstance(config.master_seed, int)
+
+    @pytest.mark.parametrize("document, match", [
+        ({"array": {"mic_count": "1.25e1"}}, "expected an integer"),
+        ({"array": {"mic_count": "1e400"}}, "expected an integer"),
+        ({"simulation": {"frequency_hz": "e3"}}, "expected a number"),
+        ({"simulation": {"frequency_hz": "1e"}}, "expected a number"),
+        ({"simulation": {"frequency_hz": "one e3"}}, "expected a number"),
+        ({"simulation": {"frequency_hz": "1e3 Hz"}}, "expected a number")])
+    def test_exponent_strings_still_checked(self, document, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(document)
+
     def test_value_out_of_range_is_config_error(self):
         with pytest.raises(ConfigError, match="lasso_folds"):
             parse_config({"lasso": {"folds": 1}})

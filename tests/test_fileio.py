@@ -56,6 +56,19 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     assert_same_snapshot(back, snapshot)
 
 
+def test_snapshot_header_may_use_tabs(room, tmp_path):
+    mics = sample_microphones(room, 12, seed=5)
+    snapshot = simulate_snapshot(room, mics, 300.0, max_order=4, seed=6)
+    path = tmp_path / "snap.txt"
+    write_snapshot(path, snapshot)
+    text = path.read_text(encoding="utf-8")
+    tabbed = "".join(line.replace(" ", "\t") if line.startswith("#") else line
+                     for line in text.splitlines(keepends=True))
+    assert "# frequency_hz 300.0" in text and "#\tfrequency_hz\t300.0" in tabbed
+    path.write_text(tabbed, encoding="utf-8")
+    assert_same_snapshot(read_snapshot(path), snapshot)
+
+
 def test_atomic_write_keeps_old_file_when_body_raises(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old\n", encoding="utf-8")
