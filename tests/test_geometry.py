@@ -5,6 +5,7 @@ import pytest
 from roomwave.geometry import (BoundaryCloud, RoomSpec, face_areas,
                                perturb_positions, sample_boundary,
                                sample_microphones, sample_validation_points)
+from roomwave.simulator import SimSnapshot
 
 
 def reference_microphones(room, count, exclusion_radius, seed):
@@ -213,6 +214,16 @@ class TestPerturbation:
 
 
 class TestContainers:
+    def test_mic_array_validation(self, room):
+        """A measurement record needs at least one microphone and distinct
+        microphone positions."""
+        with pytest.raises(ValueError, match="at least one"):
+            SimSnapshot(room, np.zeros((0, 3)), 300.0, np.zeros(0),
+                        np.zeros(0), 0.1, 0)
+        with pytest.raises(ValueError, match="distinct"):
+            SimSnapshot(room, np.array([[0.0, 0, 0], [0.0, 0, 0]]), 300.0,
+                        np.zeros(2), np.zeros(2), 0.1, 0)
+
     def test_boundary_cloud_validation(self):
         with pytest.raises(ValueError):
             BoundaryCloud(np.zeros((2, 3)), np.zeros((3, 3)))
