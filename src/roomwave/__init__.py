@@ -8,24 +8,31 @@ baseline estimators and a Monte-Carlo benchmark harness.
 
 The package root re-exports nothing: import each name from the module that
 defines it (`roomwave.bayes`, `roomwave.experiments`, ...). Importing the
-package only applies `ROOMWAVE_NUM_THREADS` before any BLAS gets loaded.
-Set it (to 1 for the sizes here): left unset, OpenBLAS starts one thread
-per vCPU, and on a 2-vCPU VM one B = 300 marginal-likelihood evaluation
-then took 16-74 ms instead of 7-8 ms, a 48-evaluation fit 1.6-2.2 s instead
-of 0.33-0.45 s.
+package only sets the BLAS thread count, before any BLAS gets loaded: one
+thread by default. The fits here are many small dense factorizations (one
+B x B Cholesky per marginal-likelihood evaluation, B <= 1000), for which
+OpenBLAS's own default of one thread per vCPU is the slow setting: on a
+2-vCPU VM `roomwave benchmark perfbench/workloads/boundary_fit.yaml --set
+seed=25` took 18.2-18.8 s with it against 4.9-5.1 s on one thread. To run
+more threads, set any of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS,
+MKL_NUM_THREADS, VECLIB_MAXIMUM_THREADS or NUMEXPR_NUM_THREADS before
+launch; the package then changes none of them. The default takes effect
+only when `roomwave` is imported before numpy, as the `roomwave` command
+does.
 """
 
 import os as _os
 
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                     "NUMEXPR_NUM_THREADS")
+
 
 def _configure_threads():
-    """Honor ROOMWAVE_NUM_THREADS before any BLAS gets loaded."""
-    value = _os.environ.get("ROOMWAVE_NUM_THREADS")
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            _os.environ.setdefault(var, value)
+    """Set every BLAS thread variable to 1 unless the caller set (to a
+    non-empty value) any of them."""
+    if not any(_os.environ.get(var) for var in _THREAD_VARIABLES):
+        _os.environ.update(dict.fromkeys(_THREAD_VARIABLES, "1"))
 
 
 _configure_threads()

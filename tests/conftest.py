@@ -1,5 +1,9 @@
 """Shared fixtures: the default room and small reusable instances."""
 
+# roomwave first: its import sets one BLAS thread, which OpenBLAS reads only
+# when numpy loads it, and the fits here are slower on more threads
+import roomwave  # noqa: F401
+
 import numpy as np
 import pytest
 

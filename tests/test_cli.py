@@ -201,18 +201,26 @@ def test_aggregate_counts_failed_runs(tmp_path, monkeypatch):
 
 
 def test_thread_variable_sets_blas_defaults_only():
-    """ROOMWAVE_NUM_THREADS fills in the BLAS thread variables that are
-    unset when the package is imported and leaves set ones alone."""
-    env = dict(os.environ, ROOMWAVE_NUM_THREADS="1", OMP_NUM_THREADS="3")
-    env.pop("OPENBLAS_NUM_THREADS", None)
+    """Importing the package sets every BLAS thread variable to 1 when none
+    is set and changes none when one is; ROOMWAVE_NUM_THREADS, which once
+    chose the count, is ignored."""
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    one_thread = dict.fromkeys(blas, "1")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH"))))
-    script = ("import os, roomwave.cli; print(os.environ['OPENBLAS_NUM_"
-              "THREADS'], os.environ['OMP_NUM_THREADS'])")
-    result = subprocess.run([sys.executable, "-c", script], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["1", "3"]
+    script = ("import json, os, roomwave.cli; print(json.dumps({k: v for k, "
+              "v in os.environ.items() if k.endswith('_THREADS')}))")
+    for given, expected in (({}, one_thread),
+                            ({"OMP_NUM_THREADS": "3"}, {}),
+                            ({"ROOMWAVE_NUM_THREADS": "4"}, one_thread)):
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_THREADS")}
+        env.update(given)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert json.loads(result.stdout) == {**given, **expected}, given
 
 
 def test_gradcheck_passes(capsys):
