@@ -41,11 +41,12 @@ class RoomSpec:
     """Axis-aligned shoebox room [0, Lx] x [0, Ly] x [0, Lz] with a point
     source strictly inside and a single pressure reflection coefficient
     shared by all six walls. The defaults are the office-scale room that
-    configs/default.yaml lists; any 3-sequence is stored as an array."""
+    configs/default.yaml lists; any 3-sequence is stored as a tuple of
+    floats, so rooms compare and hash by value."""
 
-    dimensions: np.ndarray = (5.0, 4.0, 3.0)
+    dimensions: tuple = (5.0, 4.0, 3.0)
     reflection_coefficient: float = 0.95
-    source_position: np.ndarray = (1.0, 2.0, 1.5)
+    source_position: tuple = (1.0, 2.0, 1.5)
 
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=float)
@@ -56,18 +57,18 @@ class RoomSpec:
             raise ValueError("reflection coefficient must be in [0, 1]")
         if src.shape != (3,) or not np.all((src > 0) & (src < dims)):
             raise ValueError("source must lie strictly inside the room")
-        object.__setattr__(self, "dimensions", dims)
-        object.__setattr__(self, "source_position", src)
+        object.__setattr__(self, "dimensions", tuple(dims.tolist()))
+        object.__setattr__(self, "source_position", tuple(src.tolist()))
 
     @property
     def mic_half_center(self) -> np.ndarray:
         """Centroid of the microphone half of the room (x > Lx/2)."""
-        c = self.dimensions / 2.0
+        c = np.asarray(self.dimensions) / 2.0
         c[0] = 0.75 * self.dimensions[0]
         return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCloud:
     """Boundary sample points with outward unit normals (pointing out of the
     acoustic domain, into the wall). May be empty."""
@@ -187,7 +188,7 @@ def sample_boundary(room: RoomSpec, count: int, seed: int = 0) -> BoundaryCloud:
     axis = _FACE_AXIS[faces]
     side = _FACE_SIDE[faces]
     rows = np.arange(count)
-    points[rows, axis] = side * room.dimensions[axis]
+    points[rows, axis] = side * np.asarray(room.dimensions)[axis]
     normals[rows, axis] = 2.0 * side - 1.0
     return BoundaryCloud(points, normals)
 

@@ -53,7 +53,7 @@ def fibonacci_directions(count: int) -> np.ndarray:
     return np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWaveDictionary:
     """P plane-wave atoms: unit directions (P, 3) and a wavenumber k > 0."""
 

@@ -147,7 +147,7 @@ def field_at_points(room: RoomSpec, receivers, k: float, max_order: int = 80) ->
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimSnapshot:
     """One single-frequency measurement, the record that `simulate_snapshot`
     returns and `fileio` writes and reads: the room, the microphone positions

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -16,22 +15,21 @@ SHIPPED = sorted([*ROOT.glob("configs/*.yaml"),
                   ROOT / "perfbench" / "tests" / "tiny.yaml"])
 
 
-def assert_same_config(a, b):
-    """Field-by-field equality; the room holds arrays, so `==` cannot."""
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name != "room":
-            assert getattr(a, f.name) == getattr(b, f.name), f.name
-    for f in dataclasses.fields(a.room):
-        assert np.array_equal(getattr(a.room, f.name),
-                              getattr(b.room, f.name)), f.name
-
-
 class TestSchema:
     def test_empty_document_gives_defaults(self):
-        assert_same_config(parse_config(None), ExperimentConfig())
+        assert parse_config(None) == ExperimentConfig()
 
     def test_default_yaml_lists_the_code_defaults(self):
-        assert_same_config(load_config(DEFAULT_YAML), ExperimentConfig())
+        assert load_config(DEFAULT_YAML) == ExperimentConfig()
+
+    def test_configs_compare_and_hash_by_value(self):
+        config = parse_config({"room": {"dimensions": [5, 4, 3]}})
+        assert config == ExperimentConfig()
+        assert hash(config) == hash(ExperimentConfig())
+        assert len({config, ExperimentConfig()}) == 1
+        assert config != ExperimentConfig(mic_count=50)
+        assert apply_overrides(config, ["room.reflection_coefficient=0.5"]) \
+            != config
 
     def test_schema_keys_are_the_default_yaml_keys(self):
         document = yaml.safe_load(DEFAULT_YAML.read_text(encoding="utf-8"))
@@ -114,10 +112,10 @@ class TestRetiredKeys:
     def test_implemented_value_changes_nothing(self):
         config = parse_config({"lasso": {"mode": "per_run"},
                                "benchmark": {"shared_perturbation": False}})
-        assert_same_config(config, ExperimentConfig())
+        assert config == ExperimentConfig()
         config = apply_overrides(parse_config(None), [
             "lasso.mode=per_run", "benchmark.shared_perturbation=false"])
-        assert_same_config(config, ExperimentConfig())
+        assert config == ExperimentConfig()
 
     @pytest.mark.parametrize("document, key", [
         ({"lasso": {"mode": "global"}}, "lasso.mode"),

@@ -5,6 +5,7 @@ import pytest
 from roomwave.geometry import (BoundaryCloud, RoomSpec, face_areas,
                                perturb_positions, sample_boundary,
                                sample_microphones, sample_validation_points)
+from roomwave.planewaves import PlaneWaveDictionary
 from roomwave.simulator import SimSnapshot
 
 
@@ -53,8 +54,19 @@ SAMPLE_COUNTS = (1, 16, 17, 32, 33, 500)
 
 class TestRoomSpec:
     def test_valid(self, room):
-        npt.assert_allclose(room.dimensions / 2.0, [2.5, 2.0, 1.5])
+        npt.assert_allclose(np.asarray(room.dimensions) / 2.0, [2.5, 2.0, 1.5])
         npt.assert_allclose(room.mic_half_center, [3.75, 2.0, 1.5])
+
+    def test_compares_and_hashes_by_value(self, room):
+        """Any 3-sequence is stored as a tuple of floats, so the fixture's
+        arrays, the defaults and integer lists give one room."""
+        same = RoomSpec([5, 4, 3], 0.95, [1, 2, 1.5])
+        assert room.dimensions == (5.0, 4.0, 3.0)
+        assert room == RoomSpec() == same
+        assert hash(room) == hash(same)
+        assert len({room, RoomSpec(), same}) == 1
+        assert room != RoomSpec(reflection_coefficient=0.5)
+        assert room != RoomSpec(source_position=(1.0, 2.0, 1.0))
 
     @pytest.mark.parametrize("dims", [(0.0, 4, 3), (5, -1, 3), (5, 4),
                                       (np.inf, 4, 3), (5, 4, np.nan)])
@@ -167,7 +179,7 @@ class TestBoundarySampling:
             cloud.points, room.dimensions)
         assert np.all(on_face.any(axis=1))
         outward = np.einsum("ij,ij->i", cloud.normals,
-                            cloud.points - room.dimensions / 2.0)
+                            cloud.points - np.asarray(room.dimensions) / 2.0)
         assert np.all(outward > 0)
 
     def test_single_point_axis_aligned_normal(self, room):
@@ -223,6 +235,20 @@ class TestContainers:
         with pytest.raises(ValueError, match="distinct"):
             SimSnapshot(room, np.array([[0.0, 0, 0], [0.0, 0, 0]]), 300.0,
                         np.zeros(2), np.zeros(2), 0.1, 0)
+
+    def test_array_records_compare_by_identity(self, room):
+        """Records holding arrays compare and hash by identity; comparing
+        two with equal contents gives False instead of raising."""
+        mics = np.array([[3.0, 2.0, 1.0], [4.0, 1.0, 2.0]])
+        for make in (
+                lambda: SimSnapshot(room, mics, 300.0, np.zeros(2),
+                                    np.zeros(2), 0.1, 0),
+                lambda: BoundaryCloud(mics, np.eye(3)[:2]),
+                lambda: PlaneWaveDictionary(5.0, np.eye(3))):
+            record, twin = make(), make()
+            assert record == record
+            assert record != twin
+            assert len({record, twin}) == 2
 
     def test_boundary_cloud_validation(self):
         with pytest.raises(ValueError):
