@@ -202,8 +202,8 @@ def test_aggregate_counts_failed_runs(tmp_path, monkeypatch):
 
 def test_thread_variable_sets_blas_defaults_only():
     """Importing the package sets every BLAS thread variable to 1 when none
-    is set and changes none when one is; ROOMWAVE_NUM_THREADS, which once
-    chose the count, is ignored."""
+    is set and changes none when one is; ROOMWAVE_NUM_THREADS is not one of
+    them."""
     blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
     one_thread = dict.fromkeys(blas, "1")
