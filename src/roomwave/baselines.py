@@ -9,7 +9,8 @@ iteration carries the coefficients and their residual y - Phi x as one
 state vector, forms the step-scaled adjoint once per fit, and writes every
 step into preallocated buffers: about fifteen numpy calls per iteration.
 Each fit takes its penalty, iteration cap and tolerance as arguments; the
-cross-validation fits use CV_MAX_ITERATIONS and CV_TOLERANCE.
+cross-validation fits use CV_MAX_ITERATIONS and CV_TOLERANCE, over a grid of
+CV_GRID_SIZE penalties.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# iteration budget and relative tolerance of every cross-validation fit
+# iteration budget and relative tolerance of every cross-validation fit,
+# and the number of penalties each cross-validation scores
 CV_MAX_ITERATIONS = 2000
 CV_TOLERANCE = 1e-8
+CV_GRID_SIZE = 20
 
 
 def nearest_neighbor(mic_positions, y, points) -> np.ndarray:
@@ -65,8 +68,8 @@ def tikhonov(y, phi: np.ndarray, noise_variance: float,
     limit. Deliberately a separate code path from the posterior pipeline so
     the two can be checked against each other.
     """
-    if noise_variance <= 0 or prior_variance <= 0:
-        raise ValueError("variances must be positive")
+    if not (0 < noise_variance < math.inf and 0 < prior_variance < math.inf):
+        raise ValueError("variances must be positive and finite")
     y = np.asarray(y, dtype=complex).reshape(-1)
     u, s, vh = np.linalg.svd(phi, full_matrices=False)
     gain = s / (s ** 2 + noise_variance / prior_variance)

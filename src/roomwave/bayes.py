@@ -57,12 +57,15 @@ class Hyperparameters:
     impedance: complex
 
     def __post_init__(self):
-        if not self.noise_variance > 0:
-            raise ValueError("noise_variance must be > 0")
-        if not self.prior_variance > 0:
-            raise ValueError("prior_variance must be > 0")
-        if self.boundary_weight < 0:
-            raise ValueError("boundary_weight must be >= 0")
+        # written as `not a < x < b` so that NaN fails too
+        if not 0 < self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be positive and finite")
+        if not 0 < self.prior_variance < np.inf:
+            raise ValueError("prior_variance must be positive and finite")
+        if not 0 <= self.boundary_weight < np.inf:
+            raise ValueError("boundary_weight must be >= 0 and finite")
+        if not np.isfinite(self.impedance):
+            raise ValueError("impedance must be finite")
 
 
 class PriorCovariance:

@@ -47,7 +47,6 @@ _SCHEMA = {
     "dictionary.plane_wave_count": "plane_wave_count",
     "boundary.count": "boundary_count",
     "optimizer.max_line_searches": "max_line_searches",
-    "lasso.grid_size": "lasso_grid_size",
     "lasso.folds": "lasso_folds",
     "benchmark.sweeps": "sweeps",
     "benchmark.monte_carlo_runs": "monte_carlo_runs",
@@ -59,7 +58,8 @@ _SCHEMA = {
     "reconstruct.points": "reconstruct_points",
 }
 # retired keys, accepted at their one implemented value so older files load
-_RETIRED = {"lasso.mode": "per_run", "benchmark.shared_perturbation": False}
+_RETIRED = {"lasso.mode": "per_run", "benchmark.shared_perturbation": False,
+            "lasso.grid_size": 20}
 _SECTIONS = {key.split(".")[0] for key in _SCHEMA if "." in key}
 # a decimal number with an exponent, which YAML 1.1 reads as a string unless
 # it has a dot and a signed exponent (1.0e+3 is a float, 1e3 and 1.0e3 are not)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (default_lambda_grid, lasso, nearest_neighbor,
-                        select_lambda, tikhonov)
+from .baselines import (CV_GRID_SIZE, default_lambda_grid, lasso,
+                        nearest_neighbor, select_lambda, tikhonov)
 from .bayes import build_posterior, predict, prior_covariance_from_matrices
 from .geometry import (BoundaryCloud, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
@@ -123,13 +123,12 @@ class ExperimentConfig:
     sweeps: tuple = SWEEPS
     master_seed: int = 20240901
     max_line_searches: int = 100
-    lasso_grid_size: int = 20
     lasso_folds: int = 5
     reconstruct_points: str | None = None   # file of prediction points (x y z)
 
     def __post_init__(self):
         for name in ("monte_carlo_runs", "mic_count", "validation_count",
-                     "plane_wave_count", "lasso_grid_size"):
+                     "plane_wave_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 2 <= self.lasso_folds <= self.mic_count:
@@ -299,8 +298,7 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
         alpha = tikhonov(y, phi, hp.noise_variance, hp.prior_variance)
         return evaluate_field(dictionary, alpha, targets)
     if method == "lasso":
-        # penalty cross-validated over a `lasso_grid_size`-point grid
-        grid = default_lambda_grid(y, phi, noise_variance, cfg.lasso_grid_size)
+        grid = default_lambda_grid(y, phi, noise_variance, CV_GRID_SIZE)
         penalty = select_lambda(y, phi, noise_variance, grid, cfg.lasso_folds,
                                 data.seeds["lasso_cv"])
         fit = lasso(y, phi, noise_variance, penalty)
@@ -325,8 +323,7 @@ def _timed_nmse(method, data, cfg, assumed_mics, prior_cloud):
     return error, time.perf_counter() - start
 
 
-def _assumed_geometry(cfg: ExperimentConfig, sweep: str, value,
-                      data: _RunData) -> tuple:
+def _assumed_geometry(sweep: str, value, data: _RunData) -> tuple:
     """Microphone positions and prior cloud the methods assume at one value
     of `sweep`; the simulation always keeps the true geometry."""
     mics, cloud = data.snapshot.mics, data.cloud
@@ -368,7 +365,7 @@ def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
             frequency = value if sweep == "frequency" else cfg.frequency_hz
             if data is None or sweep == "frequency":
                 data = _make_run(cfg, run, frequency, boundary_count)
-            mics, cloud = _assumed_geometry(cfg, sweep, value, data)
+            mics, cloud = _assumed_geometry(sweep, value, data)
             for method in cfg.methods:
                 key = (method if cloud_only and method != "proposed"
                        else (method, value))

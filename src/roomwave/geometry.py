@@ -196,8 +196,8 @@ def sample_boundary(room: RoomSpec, count: int, seed: int = 0) -> BoundaryCloud:
 def perturb_positions(points, magnitude: float, seed: int = 0) -> np.ndarray:
     """Displace each point by exactly `magnitude` along its own isotropic
     random direction, drawn independently per point."""
-    if magnitude < 0:
-        raise ValueError("magnitude must be >= 0")
+    if not 0 <= magnitude < np.inf:
+        raise ValueError("magnitude must be >= 0 and finite")
     pts = _as_points(points)
     rng = np.random.default_rng(seed)
     return pts + magnitude * _random_unit_vectors(len(pts), rng)

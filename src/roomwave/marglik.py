@@ -296,7 +296,11 @@ def gradient_check(num_instances: int = 20, thetas_per_instance: int = 5,
     Each theta scores ||analytic - numeric|| / max(||numeric||,
     ||analytic||, 1e-10), so a small component's central-difference
     roundoff is measured against the whole gradient, not against itself.
+    A count below one raises ValueError: it would check nothing and pass.
     """
+    if min(num_instances, thetas_per_instance) < 1:
+        raise ValueError("gradient_check needs at least one instance and "
+                         "one theta per instance")
     rng = np.random.default_rng(seed)
     m, p, b = GRADCHECK_SHAPE
     worst = 0.0

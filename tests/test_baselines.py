@@ -143,8 +143,10 @@ class TestTikhonov:
 
     def test_invalid_variances(self, rng):
         y, phi, _ = random_system(rng, 5, 4)
-        with pytest.raises(ValueError):
-            tikhonov(y, phi, 0.0, 1.0)
+        for variances in [(0.0, 1.0), (float("nan"), 1.0),
+                          (1.0, float("nan")), (1.0, float("inf"))]:
+            with pytest.raises(ValueError):
+                tikhonov(y, phi, *variances)
 
     @pytest.mark.parametrize("m, p", [(12, 40), (40, 12), (20, 20)])
     def test_svd_form_matches_normal_equations(self, rng, m, p):

@@ -51,12 +51,15 @@ def dense_sigma(psi, phi_tilde, hp):
 
 class TestHyperparameters:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Hyperparameters(0.0, 1.0, 1.0, 1.0 + 0j)
-        with pytest.raises(ValueError):
-            Hyperparameters(1.0, -1.0, 1.0, 1.0 + 0j)
-        with pytest.raises(ValueError):
-            Hyperparameters(1.0, 1.0, -0.1, 1.0 + 0j)
+        """Out-of-range values fail, and so do NaN and inf ones."""
+        nan, inf = float("nan"), float("inf")
+        for args in [(0.0, 1.0, 1.0, 1.0 + 0j), (1.0, -1.0, 1.0, 1.0 + 0j),
+                     (1.0, 1.0, -0.1, 1.0 + 0j), (nan, 1.0, 1.0, 1.0 + 0j),
+                     (1.0, inf, 1.0, 1.0 + 0j), (1.0, 1.0, nan, 1.0 + 0j),
+                     (1.0, 1.0, inf, 1.0 + 0j), (1.0, 1.0, 1.0, complex(nan)),
+                     (1.0, 1.0, 1.0, complex(1.0, inf))]:
+            with pytest.raises(ValueError):
+                Hyperparameters(*args)
 
 
 class TestPriorCovariance:

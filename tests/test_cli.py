@@ -224,20 +224,17 @@ def test_thread_variable_sets_blas_defaults_only():
 
 
 def test_gradcheck_passes(capsys):
-    assert main(["gradcheck", "--instances", "4", "--thetas", "3"]) == 0
+    """The command checks 20 instances x 5 thetas at seed 0."""
+    assert main(["gradcheck"]) == 0
     match = re.search(r"max norm-wise relative gradient error: (\S+)",
                       capsys.readouterr().out)
     assert float(match.group(1)) < GRADCHECK_TOLERANCE
 
 
-def test_gradcheck_passes_with_small_component(capsys):
+def test_gradcheck_passes_with_small_component():
     """Seed 5 draws a gradient with a -3.5e-4 component next to O(1) ones;
     its central-difference roundoff is small against the whole gradient."""
-    assert main(["gradcheck", "--instances", "4", "--thetas", "3",
-                 "--seed", "5"]) == 0
-    match = re.search(r"max norm-wise relative gradient error: (\S+)",
-                      capsys.readouterr().out)
-    assert float(match.group(1)) < GRADCHECK_TOLERANCE
+    assert marglik.gradient_check(4, 3, seed=5) < GRADCHECK_TOLERANCE
 
 
 def test_gradcheck_fails_on_perturbed_gradient(capsys, monkeypatch):
@@ -253,20 +250,26 @@ def test_gradcheck_fails_on_perturbed_gradient(capsys, monkeypatch):
 
     monkeypatch.setattr(marglik.MarginalLikelihood, "value_and_gradient",
                         perturbed)
-    assert main(["gradcheck", "--instances", "4", "--thetas", "3",
-                 "--seed", "5"]) == 3
+    assert main(["gradcheck"]) == 3
     match = re.search(r"max norm-wise relative gradient error: (\S+)",
                       capsys.readouterr().out)
     assert float(match.group(1)) > 10 * GRADCHECK_TOLERANCE
 
 
-@pytest.mark.parametrize("flag", ["--instances=0", "--thetas=-2"])
-def test_gradcheck_rejects_non_positive_counts(capsys, flag):
+@pytest.mark.parametrize("counts", [(0, 5), (20, -2)],
+                         ids=["instances=0", "thetas=-2"])
+def test_gradcheck_rejects_non_positive_counts(counts):
     """A count below one would check nothing and still report a pass."""
+    with pytest.raises(ValueError, match="at least one"):
+        marglik.gradient_check(*counts)
+
+
+def test_gradcheck_takes_no_flags(capsys):
+    """The command's scope is fixed; a count flag is a usage error."""
     with pytest.raises(SystemExit) as exc:
-        main(["gradcheck", flag])
+        main(["gradcheck", "--instances", "4"])
     assert exc.value.code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --instances 4" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(tiny, tmp_path, capsys):
@@ -276,10 +279,6 @@ def test_negative_seed_exits_2(tiny, tmp_path, capsys):
     assert main(["simulate", str(tiny), str(out), "--set", "seed=-1"]) == 2
     assert "config error: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
-    with pytest.raises(SystemExit) as exc:
-        main(["gradcheck", "--seed", "-1"])
-    assert exc.value.code == 2
-    assert "--seed: must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [

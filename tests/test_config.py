@@ -1,12 +1,12 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
 from roomwave.config import (_SCHEMA, ConfigError, apply_overrides,
                              load_config, parse_config)
 from roomwave.experiments import ExperimentConfig
+from roomwave.geometry import RoomSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_YAML = ROOT / "configs" / "default.yaml"
@@ -106,15 +106,17 @@ def test_shipped_config_loads(path):
 
 
 class TestRetiredKeys:
-    """`lasso.mode` and `benchmark.shared_perturbation` set no field; they
-    load at their one implemented value and are rejected at any other."""
+    """`lasso.mode`, `lasso.grid_size` and `benchmark.shared_perturbation`
+    set no field; they load at their one implemented value and are rejected
+    at any other."""
 
     def test_implemented_value_changes_nothing(self):
-        config = parse_config({"lasso": {"mode": "per_run"},
+        config = parse_config({"lasso": {"mode": "per_run", "grid_size": 20},
                                "benchmark": {"shared_perturbation": False}})
         assert config == ExperimentConfig()
         config = apply_overrides(parse_config(None), [
-            "lasso.mode=per_run", "benchmark.shared_perturbation=false"])
+            "lasso.mode=per_run", "lasso.grid_size=20",
+            "benchmark.shared_perturbation=false"])
         assert config == ExperimentConfig()
 
     @pytest.mark.parametrize("document, key", [
@@ -122,7 +124,8 @@ class TestRetiredKeys:
         ({"benchmark": {"shared_perturbation": True}},
          "benchmark.shared_perturbation"),
         ({"benchmark": {"shared_perturbation": 0}},
-         "benchmark.shared_perturbation")])
+         "benchmark.shared_perturbation"),
+        ({"lasso": {"grid_size": 10}}, "lasso.grid_size")])
     def test_other_value_rejected(self, document, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(document)
@@ -141,9 +144,7 @@ class TestOverrides:
     def test_room_key_keeps_the_other_room_fields(self):
         base = parse_config({"room": {"dimensions": [6.0, 5.0, 4.0]}})
         config = apply_overrides(base, ["room.reflection_coefficient=0.5"])
-        assert config.room.reflection_coefficient == 0.5
-        assert np.array_equal(config.room.dimensions, [6.0, 5.0, 4.0])
-        assert np.array_equal(config.room.source_position, [1.0, 2.0, 1.5])
+        assert config.room == RoomSpec((6.0, 5.0, 4.0), 0.5, (1.0, 2.0, 1.5))
 
     def test_room_shrinks_the_exclusion_radius_limit(self):
         """The ball of `array.exclusion_radius` must fit the microphone

@@ -101,7 +101,7 @@ class TestConfigValidation:
             tiny_config(room, mic_count=0)
 
     @pytest.mark.parametrize("overrides", [
-        dict(lasso_grid_size=0), dict(lasso_folds=1), dict(lasso_folds=15),
+        dict(lasso_folds=1), dict(lasso_folds=15),
         dict(max_image_order=-1), dict(boundary_count=-1),
         dict(boundary_counts=(0, -1))])
     def test_lasso_image_order_and_boundary_bounds(self, room, overrides):
@@ -215,10 +215,6 @@ class TestSweeps:
 
 
 class TestLassoGridSize:
-    def lasso_cfg(self, room, **overrides):
-        return tiny_config(room, methods=("lasso",), mic_perturbations=(0.0,),
-                           monte_carlo_runs=1, **overrides)
-
     def test_grid_size_sets_penalties_per_fold(self, room, monkeypatch):
         penalties = []
         original = baselines.lasso
@@ -228,10 +224,11 @@ class TestLassoGridSize:
             return original(y, phi, noise_variance, penalty, **kwargs)
 
         monkeypatch.setattr(baselines, "lasso", counting_lasso)
-        cfg = self.lasso_cfg(room, lasso_grid_size=5)
+        cfg = tiny_config(room, methods=("lasso",), mic_perturbations=(0.0,),
+                          monte_carlo_runs=1)
         sweep(cfg, "mic_perturbation")
-        assert len(penalties) == 5 * cfg.lasso_folds
-        assert len(set(penalties)) == 5
+        assert len(penalties) == baselines.CV_GRID_SIZE * cfg.lasso_folds
+        assert len(set(penalties)) == baselines.CV_GRID_SIZE
 
 
 class TestLassoConvergenceWarning:

@@ -221,8 +221,10 @@ class TestPerturbation:
         assert np.linalg.norm(mean) < 4.0 / np.sqrt(n)
 
     def test_negative_magnitude(self):
-        with pytest.raises(ValueError):
-            perturb_positions(np.zeros((2, 3)), -0.1, seed=0)
+        """Negative, NaN and infinite magnitudes all fail."""
+        for magnitude in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                perturb_positions(np.zeros((2, 3)), magnitude, seed=0)
 
 
 class TestContainers:

@@ -1,8 +1,9 @@
 """Static checks of the package source with the standard-library `ast`: no
 import goes unused and every `__all__` name is defined (the pyflakes
 checks this package relies on), no `__all__` lists a name its module
-imports, and no private module-level name is left behind with nothing in
-the package referring to it."""
+imports, no private module-level name is left behind with nothing in
+the package referring to it, and no function takes a parameter it never
+reads."""
 
 import ast
 from pathlib import Path
@@ -106,6 +107,29 @@ def unreferenced_private(trees):
                   for name in private_definitions(tree) - used)
 
 
+def unused_parameters(tree):
+    """`line: function(parameter)` for each parameter that its function's
+    body never reads. `self` is exempt, and so is a name with a leading
+    underscore: a parameter that a caller's protocol requires and the
+    function does not need."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for statement in body for n in ast.walk(statement)
+                if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "lambda")
+        found += [f"{node.lineno}: {name}({param.arg})" for param in params
+                  if param.arg not in read and param.arg != "self"
+                  and not param.arg.startswith("_")]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert not unused_imports(parse(path))
@@ -119,6 +143,11 @@ def test_all_names_are_defined(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_name_is_reexported(path):
     assert not reexports(parse(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert not unused_parameters(parse(path))
 
 
 def test_every_private_name_is_referenced():
@@ -163,3 +192,20 @@ def test_check_catches_unreferenced_private_names():
     assert unreferenced_private({"helpers.py": helpers,
                                  "caller.py": caller}) == [
         "helpers.py: _Unused", "helpers.py: _soft_threshold"]
+
+
+def test_check_catches_unused_parameters():
+    """A parameter no statement reads is caught, in a method, a nested
+    function and a lambda; one read only by a nested function is used, and
+    `self` and underscored names are exempt."""
+    tree = ast.parse("def assumed(cfg, sweep, *points, **extra):\n"
+                     "    def inner(value):\n"
+                     "        return sweep\n"
+                     "    return inner\n"
+                     "class Fit:\n"
+                     "    def run(self, _args, seed):\n"
+                     "        return self\n"
+                     "scale = lambda x, y: 2 * x\n")
+    assert sorted(unused_parameters(tree)) == [
+        "1: assumed(cfg)", "1: assumed(extra)", "1: assumed(points)",
+        "2: inner(value)", "6: run(seed)", "8: lambda(y)"]
