@@ -137,8 +137,8 @@ def sample_microphones(room: RoomSpec, count: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if exclusion_radius < 0:
-        raise ValueError("exclusion radius must be >= 0")
+    if not 0 <= exclusion_radius < np.inf:
+        raise ValueError("exclusion radius must be >= 0 and finite")
     center = room.mic_half_center
     lo = np.array([room.dimensions[0] / 2.0, 0.0, 0.0])
     return _rejection_sample(
@@ -155,8 +155,8 @@ def sample_validation_points(room: RoomSpec, count: int,
     excludes."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be > 0 and finite")
     return room.mic_half_center + _rejection_sample(
         count, -radius, radius,
         lambda draw: np.linalg.norm(draw, axis=1) < radius, 64, seed)

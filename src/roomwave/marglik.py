@@ -35,17 +35,34 @@ with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed. It is
 about half an evaluation's cost, and it is skipped where J exceeds the
 caller's `cap`: the line search never reads the gradient at trial points
 above its starting value. An evaluation releases I + mu G G^H once it is
-factorized and Psi G^H once it is multiplied, so it holds at most one B x B
-temporary besides L.
+factorized, L and V once w = L^{-H} V is formed, and Psi G^H once it is
+multiplied, so besides the Grams it holds at most two B x B matrices, and
+two only while L is being factorized.
 
-The precompute writes the Grams in place: one preallocated (4, B, B) stack
-filled by `np.matmul(..., out=)` and hermitized in place as (X + X^H) * 0.5,
-with one conjugated B x P copy alive at a time. It is bit-identical to
-stacking the separately hermitized products, and it has to be: a truncated
-fit (the benchmark's `max_line_searches` cap) can end 0.13-0.41 dB
-elsewhere in NMSE when one input moves by one ulp, so a rounding change in
-a Gram can move reported cells. tests/test_marglik.py checks the stack, the
-cross products and value_and_gradient against the direct expressions.
+The precompute writes the Grams in place, one column block at a time: a
+preallocated (4, B, B) stack is filled by `np.matmul(..., out=)` in blocks of
+GRAM_BLOCK columns, each from the conjugate of that block's rows of Psi or
+PhiTilde alone, so the largest temporary is one (GRAM_BLOCK + 1, P) copy
+instead of a conjugated (B, P) matrix. S and the hermitization
+(X + X^H) * 0.5 run over tile pairs of the same blocks, each tile computed
+from the old values, so no conjugated B x B copy is made either. The stack
+is bit-identical to stacking the separately hermitized one-shot products,
+and it has to be: a truncated fit (the benchmark's `max_line_searches` cap)
+can end 0.13-0.41 dB elsewhere in NMSE when one input moves by one ulp, so a
+rounding change in a Gram can move reported cells. Two block rules keep it
+so on OpenBLAS: every block starts at a multiple of GRAM_BLOCK (splits that
+start off a multiple of 4 round differently), and a trailing one-column
+block joins the one before it (a one-column product takes the gemv path,
+which rounds differently). A tile's mirror is summed, not written as the
+conjugate transpose of the new tile, which would turn the +0.0 imaginary
+parts on the diagonal into -0.0. tests/test_marglik.py checks the stack,
+the cross products and value_and_gradient against the direct expressions
+by bytes, at block edges included.
+
+The blocks lower the tracemalloc peak of the precompute at
+(M, P, B) = (100, 1000, 300) from 11.7 to 7.9 MB, and that of one
+`experiments.fit_and_predict` (3 line searches) from 22.9 to 19.1 MB; at
+the default size (M = 100, P = B = 1000) from 117.1 to 102.0 MB.
 
 Psi and PhiTilde are (B, P), the largest arrays of the fit, and nothing after
 the precompute reads them: the evaluator keeps only the Grams, the two
@@ -75,6 +92,7 @@ __all__ = [
 
 GRADCHECK_SHAPE = (20, 50, 30)   # M, P, B of each gradient_check instance
 GRADCHECK_STEP = 1e-6            # its central-difference step
+GRAM_BLOCK = 64                  # columns per block of the Gram precompute
 
 
 def to_hyperparameters(theta) -> Hyperparameters:
@@ -101,9 +119,27 @@ def to_hyperparameters(theta) -> Hyperparameters:
     return Hyperparameters(s2, sa2, mu, complex(beta))
 
 
+def _blocks(n: int) -> list[slice]:
+    """Slices of GRAM_BLOCK indices from 0 covering range(n); a trailing
+    one-index block joins the block before it."""
+    starts = list(range(0, n, GRAM_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
+
+
 def _hermitize_in_place(x: np.ndarray) -> None:
-    """x <- (x + x^H) * 0.5, rounding as `hermitize` does."""
-    np.add(x, x.conj().T, out=x)
+    """x <- (x + x^H) * 0.5 over tile pairs of `_blocks`, rounding as
+    `hermitize` does; each tile of a pair is summed from the old values."""
+    blocks = _blocks(len(x))
+    for i, rows in enumerate(blocks):
+        tile = x[rows, rows]
+        np.add(tile, tile.conj().T, out=tile)
+        for cols in blocks[i + 1:]:
+            upper, lower = x[rows, cols], x[cols, rows]
+            old_upper = upper.conj()
+            np.add(upper, lower.conj().T, out=upper)
+            np.add(lower, old_upper.T, out=lower)
     np.multiply(x, 0.5, out=x)
 
 
@@ -133,18 +169,23 @@ class MarginalLikelihood:
         del phi_h
         # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
         # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S, written into
-        # one stack with one conjugated (B, P) copy alive at a time
+        # one stack a column block at a time (module docstring)
         b = self.num_boundary
         self._grams = grams = np.empty((4, b, b), dtype=complex)
         c, a, h, s = grams
-        conj = phi_tilde.conj()
-        np.matmul(phi_tilde, conj.T, out=c)
-        np.matmul(psi, conj.T, out=h)                      # the cross term
-        del conj
-        conj = psi.conj()
-        np.matmul(psi, conj.T, out=a)
-        del conj
-        np.subtract(h, h.conj().T, out=s)
+        blocks = _blocks(b)
+        for cols in blocks:
+            conj = phi_tilde[cols].conj()
+            np.matmul(phi_tilde, conj.T, out=c[:, cols])
+            np.matmul(psi, conj.T, out=h[:, cols])         # the cross term
+            del conj
+            conj = psi[cols].conj()
+            np.matmul(psi, conj.T, out=a[:, cols])
+            del conj
+        for rows in blocks:
+            for cols in blocks:
+                np.subtract(h[rows, cols], h[cols, rows].conj().T,
+                            out=s[rows, cols])
         np.multiply(s, 0.5, out=s)
         for gram in (c, a, h):
             _hermitize_in_place(gram)
@@ -181,9 +222,9 @@ class MarginalLikelihood:
                     [1.0, abs(beta) ** 2, 2.0 * beta.real, 2.0j * beta.imag]))
                 a.flat[::self.num_boundary + 1] += 1.0
                 b_factor = chol_factor(a)
-                del a            # at most one B x B temporary beside L
-                g_phi = beta * self._psi_phi + self._pt_phi            # G Phi^H
-                v = b_factor.forward(g_phi)                    # L^{-1} G Phi^H
+                del a
+                v = b_factor.forward(                          # L^{-1} G Phi^H
+                    beta * self._psi_phi + self._pt_phi)
                 k -= (sa2 * mu) * (v.conj().T @ v)
                 q = k.copy()
                 q.flat[::m + 1] += s2
@@ -207,6 +248,7 @@ class MarginalLikelihood:
                 grad[0] = -0.5 * s2 * float(np.real(np.trace(weight)))
                 grad[1] = -0.5 * float(np.real(np.vdot(k, weight)))
                 w = b_factor.backward(v)
+                del b_factor, v
                 w_weight = w @ weight
                 grad[2] = 0.5 * sa2 * mu * float(np.real(np.vdot(w, w_weight)))
                 # Psi G^H = conj(beta) A + H + S, released once multiplied
@@ -254,7 +296,12 @@ def initial_theta(y, num_plane_waves: int, psi: np.ndarray,
     """
     power = float(np.mean(np.abs(np.asarray(y)) ** 2))
     power = max(power, 1e-30)
-    gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
+    # |Psi + PhiTilde|^2 filled in row blocks, then summed as one reduction
+    # over the whole array: a blockwise sum would round differently
+    squares = np.empty(psi.shape)
+    for rows in _blocks(psi.shape[0]):
+        squares[rows] = np.abs(psi[rows] + phi_tilde[rows]) ** 2
+    gram_trace = float(np.sum(squares))
     log_weight = math.log(psi.shape[0] / gram_trace) if gram_trace > 0 else 0.0
     return np.array([math.log(0.1 * power), math.log(power / num_plane_waves),
                      log_weight, 0.0, 0.0])

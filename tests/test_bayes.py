@@ -103,6 +103,26 @@ class TestPriorCovariance:
         assert np.all(eigs > 0)
         assert np.all(eigs <= 1.0 + 1e-10)
 
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_g_and_factor_bit_identical_and_inputs_kept(self, dictionary,
+                                                        room, count):
+        """G is formed in place as beta * Psi, then += PhiTilde: it rounds as
+        the expression beta * Psi + PhiTilde, and Psi and PhiTilde are left
+        as they were."""
+        hp = Hyperparameters(0.1, 1.3, 0.02, 1.5 + 0.5j)
+        boundary = sample_boundary(room, count, seed=21)
+        psi = build_psi(dictionary, boundary)
+        phi_tilde = build_phi_tilde(dictionary, boundary)
+        psi_bytes, phi_tilde_bytes = psi.tobytes(), phi_tilde.tobytes()
+        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
+        g = hp.impedance * psi + phi_tilde
+        a = hp.boundary_weight * (g @ g.conj().T)
+        a.flat[::count + 1] += 1.0
+        assert prior.g.tobytes() == g.tobytes()
+        assert prior.factor.lower.tobytes() == chol_factor(a).lower.tobytes()
+        assert psi.tobytes() == psi_bytes
+        assert phi_tilde.tobytes() == phi_tilde_bytes
+
     def test_apply_matches_matrix(self, dictionary, cloud, rng):
         hp = Hyperparameters(0.1, 1.0, 0.3, 0.5 - 0.2j)
         prior = prior_of(dictionary, cloud, hp)

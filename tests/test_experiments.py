@@ -401,14 +401,16 @@ class TestFitAndPredictLifetimes:
     def test_peak_within_the_precompute_arrays(self, room):
         """(M, P, B) = (100, 1000, 300) with 3 line searches peaks within
         5 % of what the marginal-likelihood precompute itself holds: Phi,
-        three (B, P) arrays (Psi, PhiTilde and one conjugated copy), the
-        (4, B, B) Gram stack and the two (B, M) cross products. The start
-        theta's (B, P) temporaries, computed with the Gram stack alive,
-        would add 3 MB (25.9 MB against 22.9 MB) and break the budget."""
+        Psi, PhiTilde, one conjugated block of GRAM_BLOCK rows, the
+        (4, B, B) Gram stack and the two (B, M) cross products (19.1 MB).
+        A conjugated (B, P) copy in place of the block peaks at 22.9 MB and
+        breaks the budget, and so would the start theta's (B, P)
+        temporaries computed with the Gram stack alive (25.9 MB)."""
         m, p, b = 100, 1000, 300
         cfg, data = self.run_data(room, b, mic_count=m, plane_wave_count=p,
                                   max_line_searches=3)
-        budget = 16 * (m * p + 3 * b * p + 4 * b * b + 2 * b * m)
+        budget = 16 * (m * p + 2 * b * p + marglik.GRAM_BLOCK * p
+                       + 4 * b * b + 2 * b * m)
         tracemalloc.start()
         try:
             self.call(cfg, data)
@@ -416,3 +418,23 @@ class TestFitAndPredictLifetimes:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * budget, (peak, budget)
+
+    def test_prior_stage_within_three_boundary_arrays(self, room):
+        """At (M, P, B) = (100, 1000, 300) the prior stage, as
+        `fit_and_predict` calls it on freshly built Psi and PhiTilde, peaks
+        within 5 % of three (B, P) arrays (Psi, PhiTilde and G; 14.4 MB):
+        the prior drops Psi and PhiTilde before G G^H. With both alive
+        beside G's temporaries it peaked at 20.7 MB."""
+        m, p, b = 100, 1000, 300
+        _, data = self.run_data(room, b, mic_count=m, plane_wave_count=p)
+        dictionary, cloud = data.dictionary, data.cloud
+        hp = marglik.to_hyperparameters([-1.0, 0.5, -3.0, 0.2, -0.4])
+        tracemalloc.start()
+        try:
+            prior_covariance_from_matrices(build_psi(dictionary, cloud),
+                                           build_phi_tilde(dictionary, cloud),
+                                           hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 16 * 3 * b * p, peak

@@ -120,8 +120,10 @@ class TestMicSampling:
     def test_count_validation(self, room):
         with pytest.raises(ValueError):
             sample_microphones(room, 0, seed=0)
-        with pytest.raises(ValueError):
-            sample_microphones(room, 3, exclusion_radius=-1.0, seed=0)
+        # NaN and inf used to draw 10^6 points and then raise RuntimeError
+        for radius in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="exclusion radius"):
+                sample_microphones(room, 3, exclusion_radius=radius, seed=0)
 
 
 class TestValidationSampling:
@@ -152,8 +154,10 @@ class TestValidationSampling:
                 pts, reference_validation_points(room, count, radius, seed))
 
     def test_bad_radius(self, room):
-        with pytest.raises(ValueError):
-            sample_validation_points(room, 5, radius=0.0, seed=0)
+        # NaN and inf used to raise numpy's OverflowError
+        for radius in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                sample_validation_points(room, 5, radius=radius, seed=0)
 
 
 class TestBoundarySampling:

@@ -116,19 +116,21 @@ def boundary_instance(m, p, b, seed=0):
 
 
 class TestInPlacePrecompute:
-    """The Grams are written in place; truncated fits move by tenths of a
-    dB when an input moves by one ulp, so they must equal the direct
-    expressions exactly."""
+    """The Grams are written in place, a column block at a time; truncated
+    fits move by tenths of a dB when an input moves by one ulp, so they must
+    equal the direct expressions byte for byte (signed zeros included)."""
 
-    @pytest.mark.parametrize("p", [50, 1000])
-    @pytest.mark.parametrize("b", [1, 7, 100, 300])
+    # B at and beside the 64-column block edges: 65 and 129 end in a
+    # one-column block, which joins the block before it
+    @pytest.mark.parametrize("p", [50, 200, 1000])
+    @pytest.mark.parametrize("b", [0, 1, 2, 7, 63, 64, 65, 100, 128, 129, 300])
     def test_bit_identical_to_direct_expressions(self, b, p):
         y, phi, psi, phi_tilde = boundary_instance(30, p, b, seed=b)
         ml = MarginalLikelihood(y, phi, psi, phi_tilde)
         oracle = DirectPrecompute(y, phi, psi, phi_tilde)
         for name in ("_phi_gram", "_grams", "_psi_phi", "_pt_phi"):
-            assert np.array_equal(getattr(ml, name), getattr(oracle, name)), \
-                name
+            assert getattr(ml, name).tobytes() == \
+                getattr(oracle, name).tobytes(), name
         start = initial_theta(y, p, psi, phi_tilde)
         mu_zero = start + np.array([0.0, 0.0, -800.0, 0.0, 0.0])
         assert to_hyperparameters(mu_zero).boundary_weight == 0.0
@@ -149,18 +151,48 @@ class TestInPlacePrecompute:
             tracemalloc.stop()
 
     def test_peak_memory_bounded(self):
-        """(M, P, B) = (100, 1000, 300), inputs built before tracing. The
-        direct precompute peaks at 15.7 MB (separate hermitized temporaries
-        and their np.stack copy), the in-place one at 11.7 MB; an
-        evaluation that keeps I + mu G G^H and Psi G^H alive to the end
-        peaks at 7.85 MB, one that releases them at 5.93 MB."""
-        y, phi, psi, phi_tilde = boundary_instance(100, 1000, 300)
-        assert self._peak(
-            lambda: MarginalLikelihood(y, phi, psi, phi_tilde)) < 13e6
+        """(M, P, B) = (100, 1000, 300), inputs built before tracing; each
+        budget is the arrays named below, in bytes, with 5 % slack.
+
+        The precompute holds the (4, B, B) Gram stack, the two (B, M) cross
+        products, Phi Phi^H and one conjugated block of GRAM_BLOCK rows:
+        7.9 MB (15.7 MB for the direct expressions, 11.7 MB with one
+        conjugated (B, P) copy). An evaluation holds two B x B matrices
+        while it factorizes I + mu G G^H, three (B, M) and four (M, M) work
+        arrays: 3.5 MB (7.85 MB keeping I + mu G G^H and Psi G^H alive to
+        the end, 5.93 MB keeping L, V and G Phi^H alive beside Psi G^H).
+        """
+        m, p, b = 100, 1000, 300
+        y, phi, psi, phi_tilde = boundary_instance(m, p, b)
+        precompute = 16 * (4 * b * b + 2 * b * m + m * m
+                           + marglik.GRAM_BLOCK * p)
+        assert self._peak(lambda: MarginalLikelihood(
+            y, phi, psi, phi_tilde)) <= 1.05 * precompute
         ml = MarginalLikelihood(y, phi, psi, phi_tilde)
-        hp = to_hyperparameters(initial_theta(y, 1000, psi, phi_tilde))
+        hp = to_hyperparameters(initial_theta(y, p, psi, phi_tilde))
         assert hp.boundary_weight > 0
-        assert self._peak(lambda: ml.value_and_gradient(hp)) < 6.9e6
+        evaluation = 16 * (2 * b * b + 3 * b * m + 4 * m * m)
+        assert self._peak(
+            lambda: ml.value_and_gradient(hp)) <= 1.05 * evaluation
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 128, 129, 300])
+    def test_tiled_hermitization_is_hermitize(self, n):
+        """Tile pairs round as the one-shot (X + X^H) * 0.5, and the
+        diagonal keeps hermitize's +0.0 imaginary parts (writing a tile's
+        mirror as its conjugate transpose would make them -0.0)."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = hermitize(x)
+        marglik._hermitize_in_place(x)
+        assert x.tobytes() == expected.tobytes()
+        assert not np.any(np.signbit(np.diagonal(x).imag))
+
+    @pytest.mark.parametrize("n, stops", [
+        (0, []), (1, [1]), (64, [64]), (65, [65]), (66, [64, 66]),
+        (129, [64, 129]), (300, [64, 128, 192, 256, 300])])
+    def test_blocks_start_at_multiples_of_the_block_width(self, n, stops):
+        assert marglik._blocks(n) == [
+            slice(i, j) for i, j in zip([0] + stops, stops)]
 
 
 class TestThetaVector:
@@ -460,6 +492,16 @@ class TestInitialTheta:
         assert math.exp(theta[2]) * gram_trace == pytest.approx(
             psi.shape[0], rel=1e-12)
         assert theta[3] == 0.0 and theta[4] == 0.0
+
+    @pytest.mark.parametrize("b", [0, 1, 63, 64, 65, 129, 300])
+    def test_bit_identical_to_one_line_form(self, b):
+        """The start theta fills |Psi + PhiTilde|^2 in row blocks but sums it
+        as one reduction, so it equals the one-line form exactly."""
+        y, phi, psi, phi_tilde = boundary_instance(20, 200, b, seed=b)
+        gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
+        log_weight = math.log(b / gram_trace) if b else 0.0
+        theta = initial_theta(y, 200, psi, phi_tilde)
+        assert theta[2] == log_weight
 
     def test_without_boundary(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(seed=14)
