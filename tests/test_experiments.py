@@ -424,7 +424,7 @@ class TestFitAndPredictLifetimes:
         `fit_and_predict` calls it on freshly built Psi and PhiTilde, peaks
         within 5 % of three (B, P) arrays (Psi, PhiTilde and G; 14.4 MB):
         the prior drops Psi and PhiTilde before G G^H. With both alive
-        beside G's temporaries it peaked at 20.7 MB."""
+        beside G's temporaries it peaked at 20.6 MB."""
         m, p, b = 100, 1000, 300
         _, data = self.run_data(room, b, mic_count=m, plane_wave_count=p)
         dictionary, cloud = data.dictionary, data.cloud
