@@ -6,18 +6,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-__all__ = ["FactorizationError", "CholeskyFactor", "hermitize", "chol_factor"]
+__all__ = ["FactorizationError", "CholeskyFactor", "chol_factor"]
 
 MAX_REL_JITTER = 1e-6    # largest diagonal jitter, relative to the mean diagonal
 
 
 class FactorizationError(np.linalg.LinAlgError):
     """Hermitian factorization failed even after maximal diagonal jitter."""
-
-
-def hermitize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize away the roundoff drift of a nominally Hermitian matrix."""
-    return 0.5 * (a + a.conj().T)
 
 
 class CholeskyFactor:

@@ -85,8 +85,8 @@ class LassoResult:
 
 
 def _check_noise_variance(noise_variance) -> None:
-    if not noise_variance > 0:      # written so that NaN fails too
-        raise ValueError("noise_variance must be positive")
+    if not 0 < noise_variance < math.inf:   # written so that NaN fails too
+        raise ValueError("noise_variance must be positive and finite")
 
 
 def null_threshold(y, phi, noise_variance) -> float:
@@ -126,8 +126,8 @@ def lasso(y, phi: np.ndarray, noise_variance: float, penalty: float, *,
     Every step writes into buffers allocated once per call.
     """
     _check_noise_variance(noise_variance)
-    if not penalty >= 0:    # written so that NaN fails too
-        raise ValueError("penalty must be >= 0")
+    if not 0 <= penalty < math.inf:     # written so that NaN fails too
+        raise ValueError("penalty must be >= 0 and finite")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     y = np.asarray(y, dtype=complex).reshape(-1)

@@ -107,10 +107,8 @@ def prior_covariance_from_matrices(psi: np.ndarray, phi_tilde: np.ndarray,
     rounds as the expression beta * Psi + PhiTilde does; the inputs are not
     modified. This function drops its references to Psi and PhiTilde before
     G G^H, so a caller that passes freshly built matrices (as
-    `experiments.fit_and_predict` does) has them freed there. At the default
-    size (M = 100, P = B = 1000) that stage peaks at 49.6 MB traced, as G is
-    formed beside Psi and PhiTilde; it peaked at 81.6 MB while they stayed
-    alive beside a beta * Psi temporary and G's conjugated copy.
+    `experiments.fit_and_predict` does) has them freed there; the stage
+    then peaks while G is formed beside them.
     """
     if psi.shape != phi_tilde.shape:
         raise ValueError("Psi and PhiTilde must have equal shapes")

@@ -12,10 +12,7 @@ command-line argument, 3 numerical failure (any `np.linalg.LinAlgError`,
 `FactorizationError` included, or a FloatingPointError), 4 I/O failure.
 BLAS runs on one thread unless any of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS,
 MKL_NUM_THREADS, VECLIB_MAXIMUM_THREADS or NUMEXPR_NUM_THREADS is set
-before launch (see the `roomwave` package docstring). OpenBLAS's own
-default of one thread per vCPU slows the small matrices here down: on a
-2-vCPU VM `roomwave benchmark perfbench/workloads/boundary_fit.yaml --set
-seed=25` took 18.2-18.8 s with it against 4.9-5.1 s on one thread.
+before launch; the `roomwave` package docstring says why, with timings.
 
 The modules are imported once, at the top, and their functions called as
 attributes (`config.load_config`, `experiments.fit_and_predict`, ...), so a

@@ -264,10 +264,10 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
     deterministic, so the prior sees the arrays the fit saw, bit for bit, at
     the cost of a second build.
 
-    At default size (M = 100, 3 line searches) one call peaks at 102.0 MB
-    traced, in the marginal-likelihood precompute: Phi, Psi, PhiTilde, one
-    conjugated block of `marglik.GRAM_BLOCK` rows, the 64 MB Gram stack and
-    the two (B, M) cross products. The prior stage peaks at 49.6 MB.
+    One call peaks in the marginal-likelihood precompute, which holds Phi,
+    Psi, PhiTilde, one conjugated block of `marglik.GRAM_BLOCK` rows, the
+    (4, B, B) Gram stack (64 MB at default size) and the two (B, M) cross
+    products.
     """
     phi = build_phi(dictionary, mics)
     fit = fit_hyperparameters(y, phi, build_psi(dictionary, cloud),

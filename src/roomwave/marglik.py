@@ -39,30 +39,27 @@ factorized, L and V once w = L^{-H} V is formed, and Psi G^H once it is
 multiplied, so besides the Grams it holds at most two B x B matrices, and
 two only while L is being factorized.
 
-The precompute writes the Grams in place, one column block at a time: a
-preallocated (4, B, B) stack is filled by `np.matmul(..., out=)` in blocks of
-GRAM_BLOCK columns, each from the conjugate of that block's rows of Psi or
-PhiTilde alone, so the largest temporary is one (GRAM_BLOCK + 1, P) copy
-instead of a conjugated (B, P) matrix. S and the hermitization
-(X + X^H) * 0.5 run over tile pairs of the same blocks, each tile computed
-from the old values, so no conjugated B x B copy is made either. The stack
-is bit-identical to stacking the separately hermitized one-shot products,
-and it has to be: a truncated fit (the benchmark's `max_line_searches` cap)
-can end 0.13-0.41 dB elsewhere in NMSE when one input moves by one ulp, so a
+The precompute writes the Grams in place, in two passes over column
+blocks of GRAM_BLOCK. The first fills a preallocated (4, B, B) stack with
+C, A and the raw cross term X = Psi PhiTilde^H by `np.matmul(..., out=)`,
+each block from the conjugate of that block's rows of Psi or PhiTilde
+alone, so the largest temporary is one (GRAM_BLOCK + 1, P) copy instead of
+a conjugated (B, P) matrix. The second visits each tile pair once and,
+from the old values of both tiles, writes S = (X - X^H) * 0.5 and replaces
+C, A and X by their Hermitian parts (Y + Y^H) * 0.5, so no conjugated
+B x B copy is made either; Phi Phi^H goes through the same routine. The
+stack is bit-identical to stacking the one-shot expressions, and it has to
+be: a truncated fit (the benchmark's `max_line_searches` cap) can end
+0.13-0.41 dB elsewhere in NMSE when one input moves by one ulp, so a
 rounding change in a Gram can move reported cells. Two block rules keep it
 so on OpenBLAS: every block starts at a multiple of GRAM_BLOCK (splits that
 start off a multiple of 4 round differently), and a trailing one-column
 block joins the one before it (a one-column product takes the gemv path,
-which rounds differently). A tile's mirror is summed, not written as the
-conjugate transpose of the new tile, which would turn the +0.0 imaginary
-parts on the diagonal into -0.0. tests/test_marglik.py checks the stack,
-the cross products and value_and_gradient against the direct expressions
-by bytes, at block edges included.
-
-The blocks lower the tracemalloc peak of the precompute at
-(M, P, B) = (100, 1000, 300) from 11.7 to 7.9 MB, and that of one
-`experiments.fit_and_predict` (3 line searches) from 22.9 to 19.1 MB; at
-the default size (M = 100, P = B = 1000) from 117.1 to 102.0 MB.
+which rounds differently). Writing a tile's mirror as the conjugate
+transpose of the new tile instead would turn the +0.0 imaginary parts on
+the diagonal into -0.0. tests/test_marglik.py checks the stack, the cross
+products and value_and_gradient against the direct expressions by bytes,
+at block edges included.
 
 Psi and PhiTilde are (B, P), the largest arrays of the fit, and nothing after
 the precompute reads them: the evaluator keeps only the Grams, the two
@@ -77,7 +74,7 @@ import math
 
 import numpy as np
 
-from ._linalg import FactorizationError, chol_factor, hermitize
+from ._linalg import FactorizationError, chol_factor
 from .bayes import Hyperparameters
 from .optimize import MinimizeResult, minimize
 
@@ -128,19 +125,25 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
 
 
-def _hermitize_in_place(x: np.ndarray) -> None:
-    """x <- (x + x^H) * 0.5 over tile pairs of `_blocks`, rounding as
-    `hermitize` does; each tile of a pair is summed from the old values."""
-    blocks = _blocks(len(x))
+def _hermitize_in_place(*matrices: np.ndarray,
+                        anti: np.ndarray | None = None) -> None:
+    """Each x <- (x + x^H) * 0.5, and anti <- (x - x^H) * 0.5 of the first
+    x before it changes, one tile pair of `_blocks` at a time; both tiles of
+    a pair are computed from the old values, so they round as the one-shot
+    expressions do."""
+    first = matrices[0]
+    blocks = _blocks(len(first))
     for i, rows in enumerate(blocks):
-        tile = x[rows, rows]
-        np.add(tile, tile.conj().T, out=tile)
-        for cols in blocks[i + 1:]:
-            upper, lower = x[rows, cols], x[cols, rows]
-            old_upper = upper.conj()
-            np.add(upper, lower.conj().T, out=upper)
-            np.add(lower, old_upper.T, out=lower)
-    np.multiply(x, 0.5, out=x)
+        for cols in blocks[i:]:
+            tiles = ([(rows, cols)] if rows == cols
+                     else [(rows, cols), (cols, rows)])
+            if anti is not None:
+                for r, c in tiles:
+                    anti[r, c] = (first[r, c] - first[c, r].conj().T) * 0.5
+            for x in matrices:
+                new = [(x[r, c] + x[c, r].conj().T) * 0.5 for r, c in tiles]
+                for (r, c), tile in zip(tiles, new):
+                    x[r, c] = tile
 
 
 class MarginalLikelihood:
@@ -161,34 +164,24 @@ class MarginalLikelihood:
             raise ValueError("Psi/PhiTilde shapes inconsistent with Phi")
         self.y = y
         self.num_measurements = len(y)
-        self.num_boundary = psi.shape[0]
-        self._phi_gram = hermitize(phi @ phi.conj().T)
+        self.num_boundary = b = psi.shape[0]
         phi_h = phi.conj().T
+        self._phi_gram = phi @ phi_h
         self._psi_phi = psi @ phi_h                        # (B, M)
         self._pt_phi = phi_tilde @ phi_h                   # (B, M)
         del phi_h
+        _hermitize_in_place(self._phi_gram)
         # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
         # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S, written into
         # one stack a column block at a time (module docstring)
-        b = self.num_boundary
         self._grams = grams = np.empty((4, b, b), dtype=complex)
         c, a, h, s = grams
-        blocks = _blocks(b)
-        for cols in blocks:
-            conj = phi_tilde[cols].conj()
-            np.matmul(phi_tilde, conj.T, out=c[:, cols])
-            np.matmul(psi, conj.T, out=h[:, cols])         # the cross term
-            del conj
-            conj = psi[cols].conj()
-            np.matmul(psi, conj.T, out=a[:, cols])
-            del conj
-        for rows in blocks:
-            for cols in blocks:
-                np.subtract(h[rows, cols], h[cols, rows].conj().T,
-                            out=s[rows, cols])
-        np.multiply(s, 0.5, out=s)
-        for gram in (c, a, h):
-            _hermitize_in_place(gram)
+        products = ((c, phi_tilde, phi_tilde), (a, psi, psi),
+                    (h, psi, phi_tilde))
+        for cols in _blocks(b):
+            for gram, left, right in products:
+                np.matmul(left, right[cols].conj().T, out=gram[:, cols])
+        _hermitize_in_place(h, c, a, anti=s)
 
     def value(self, hp: Hyperparameters) -> float:
         return self._evaluate(hp, cap=-math.inf)[0]

@@ -200,13 +200,13 @@ def simulate_snapshot(
     The noise variance is set from the average clean signal power across the
     array: sigma^2 = mean(|u|^2) * 10^(-snr/10); the noise is circularly
     symmetric complex Gaussian (variance sigma^2/2 per real component).
-    `snr_db=inf` yields a noiseless snapshot.
+    `snr_db` is finite or +inf, which gives sigma^2 = 0 and a noiseless
+    snapshot; -inf and NaN raise ValueError.
     """
+    if not snr_db > -math.inf:      # written so that NaN fails too
+        raise ValueError("snr_db must be a number or +inf")
     k = wavenumber(frequency_hz, speed_of_sound)
     clean = field_at_points(room, mics, k, max_order)
-    if math.isinf(snr_db):
-        return SimSnapshot(room, mics, frequency_hz, clean, clean.copy(), 0.0,
-                           seed)
     sigma2 = float(np.mean(np.abs(clean) ** 2) * 10.0 ** (-snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noise = np.sqrt(sigma2 / 2.0) * (rng.standard_normal(len(clean))

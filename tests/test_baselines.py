@@ -291,13 +291,14 @@ class TestLasso:
 
     def test_argument_validation(self, rng):
         y, phi, _ = random_system(rng, 6, 9)
-        for penalty in (-0.1, math.nan):
+        for penalty in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="penalty"):
                 lasso(y, phi, 0.5, penalty)
         with pytest.raises(ValueError, match="max_iterations"):
             lasso(y, phi, 0.5, 0.3, max_iterations=0)
-        with pytest.raises(ValueError, match="noise_variance"):
-            lasso(y, phi, 0.0, 0.3)
+        for noise_variance in (0.0, math.inf):
+            with pytest.raises(ValueError, match="noise_variance"):
+                lasso(y, phi, noise_variance, 0.3)
 
 
 class TestLipschitzArgument:
@@ -593,7 +594,7 @@ class TestSelectLambda:
         with pytest.raises(ValueError, match="grid"):
             select_lambda(y, phi, 0.2, [], folds=2, seed=0)
 
-    @pytest.mark.parametrize("noise_variance", [0.0, -0.2, math.nan])
+    @pytest.mark.parametrize("noise_variance", [0.0, -0.2, math.nan, math.inf])
     def test_noise_variance_must_be_positive(self, rng, noise_variance):
         """A noiseless snapshot (sigma^2 = 0) fails with the lasso's own
         message, not a division by zero or an all-inf grid."""

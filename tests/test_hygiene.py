@@ -1,9 +1,9 @@
 """Static checks of the package source with the standard-library `ast`: no
 import goes unused and every `__all__` name is defined (the pyflakes
 checks this package relies on), no `__all__` lists a name its module
-imports, no private module-level name is left behind with nothing in
-the package referring to it, and no function takes a parameter it never
-reads."""
+imports, no module-level name, private or public, is left behind with
+nothing in the package referring to it, and no function takes a parameter
+it never reads."""
 
 import ast
 from pathlib import Path
@@ -99,12 +99,20 @@ def references(tree):
             yield from (alias.name for alias in node.names)
 
 
-def unreferenced_private(trees):
-    """`module: name` for each private definition that no module of
-    `trees` (module name -> tree) refers to."""
+def public_definitions(tree):
+    """Public functions, classes and constants bound at module level."""
+    imports = {name for name, _ in imported(tree)}
+    return {name for name in defined(tree) - imports
+            if not name.startswith("_")}
+
+
+def unreferenced(trees, definitions):
+    """`module: name` for each name of `definitions(tree)` that no module of
+    `trees` (module name -> tree) refers to; a string in `__all__` is not a
+    reference."""
     used = {name for tree in trees.values() for name in references(tree)}
     return sorted(f"{module}: {name}" for module, tree in trees.items()
-                  for name in private_definitions(tree) - used)
+                  for name in definitions(tree) - used)
 
 
 def unused_parameters(tree):
@@ -151,8 +159,15 @@ def test_no_unused_parameters(path):
 
 
 def test_every_private_name_is_referenced():
-    assert not unreferenced_private({path.name: parse(path)
-                                     for path in MODULES})
+    assert not unreferenced({path.name: parse(path) for path in MODULES},
+                            private_definitions)
+
+
+def test_every_public_name_is_referenced():
+    """No public name is kept for the tests alone: each is read by some
+    module of the package."""
+    assert not unreferenced({path.name: parse(path) for path in MODULES},
+                            public_definitions)
 
 
 def test_checks_catch_stale_names():
@@ -189,9 +204,27 @@ def test_check_catches_unreferenced_private_names():
                         "    pass\n")
     caller = ast.parse("from .helpers import _used\n"
                        "value = _used()\n")
-    assert unreferenced_private({"helpers.py": helpers,
-                                 "caller.py": caller}) == [
+    assert unreferenced({"helpers.py": helpers, "caller.py": caller},
+                        private_definitions) == [
         "helpers.py: _Unused", "helpers.py: _soft_threshold"]
+
+
+def test_check_catches_unreferenced_public_names():
+    """A public function that only `__all__` names is caught; one read by
+    another module, or by its own, is not, and private names are the other
+    check's."""
+    helpers = ast.parse("__all__ = ['hermitize', 'chol', 'TAU']\n"
+                        "TAU = 6.28\n"
+                        "def hermitize(a):\n"
+                        "    return a\n"
+                        "def chol(a):\n"
+                        "    return TAU * a\n"
+                        "def _unused():\n"
+                        "    pass\n")
+    caller = ast.parse("from . import helpers\n"
+                       "print(helpers.chol(1.0))\n")
+    assert unreferenced({"helpers.py": helpers, "caller.py": caller},
+                        public_definitions) == ["helpers.py: hermitize"]
 
 
 def test_check_catches_unused_parameters():

@@ -3,8 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from roomwave import _linalg
-from roomwave._linalg import (MAX_REL_JITTER, FactorizationError,
-                              chol_factor, hermitize)
+from roomwave._linalg import MAX_REL_JITTER, FactorizationError, chol_factor
 
 
 def random_pd(rng, n=6):
@@ -98,9 +97,3 @@ class TestFactorOperations:
         sign, logdet = np.linalg.slogdet(a)
         assert sign == pytest.approx(1.0)
         assert factor.logdet() == pytest.approx(logdet, rel=1e-12)
-
-    def test_hermitize(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = hermitize(a)
-        npt.assert_array_equal(h, h.conj().T)
-        npt.assert_allclose(h, 0.5 * (a + a.conj().T))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roomwave import marglik
-from roomwave._linalg import FactorizationError, chol_factor, hermitize
+from roomwave._linalg import FactorizationError, chol_factor
 from roomwave.bayes import Hyperparameters
 from roomwave.geometry import RoomSpec, sample_boundary
 from roomwave.marglik import (MarginalLikelihood, central_differences,
@@ -22,6 +22,11 @@ from roomwave.planewaves import (PlaneWaveDictionary, build_phi,
                                  fibonacci_directions, wavenumber)
 
 THETA0 = np.array([-1.0, 0.5, -0.3, 0.2, -0.4])
+
+
+def hermitized(x):
+    """The one-shot Hermitian part, the oracle of the tiled precompute."""
+    return 0.5 * (x + x.conj().T)
 
 
 def dense_objective(theta, y, phi, psi, phi_tilde):
@@ -69,7 +74,7 @@ def ridge_value_and_gradient(y, phi, hp):
     """J and its gradient for the isotropic prior, evaluated in M space
     from Q = sigma_alpha^2 Phi Phi^H + sigma^2 I alone; the three boundary
     components are zero."""
-    k = hp.prior_variance * hermitize(phi @ phi.conj().T)
+    k = hp.prior_variance * hermitized(phi @ phi.conj().T)
     q = k.copy()
     q.flat[::len(y) + 1] += hp.noise_variance
     q_factor = chol_factor(q)
@@ -90,14 +95,14 @@ class DirectPrecompute(MarginalLikelihood):
         self.y = np.asarray(y, dtype=complex)
         self.num_measurements = len(self.y)
         self.num_boundary = psi.shape[0]
-        self._phi_gram = hermitize(phi @ phi.conj().T)
+        self._phi_gram = hermitized(phi @ phi.conj().T)
         self._psi_phi = psi @ phi.conj().T
         self._pt_phi = phi_tilde @ phi.conj().T
         cross = psi @ phi_tilde.conj().T
         self._grams = np.stack([
-            hermitize(phi_tilde @ phi_tilde.conj().T),
-            hermitize(psi @ psi.conj().T),
-            0.5 * (cross + cross.conj().T),
+            hermitized(phi_tilde @ phi_tilde.conj().T),
+            hermitized(psi @ psi.conj().T),
+            hermitized(cross),
             0.5 * (cross - cross.conj().T),
         ])
 
@@ -177,15 +182,33 @@ class TestInPlacePrecompute:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 128, 129, 300])
     def test_tiled_hermitization_is_hermitize(self, n):
-        """Tile pairs round as the one-shot (X + X^H) * 0.5, and the
-        diagonal keeps hermitize's +0.0 imaginary parts (writing a tile's
-        mirror as its conjugate transpose would make them -0.0)."""
+        """Tile pairs round as the one-shot (X + X^H) * 0.5 and
+        (X - X^H) * 0.5, for one matrix alone and for three in one pass
+        with the anti-Hermitian part of the first; each result is Hermitian,
+        and its diagonal keeps the one-shot +0.0 imaginary parts (writing a
+        tile's mirror as its conjugate transpose would make them -0.0)."""
         rng = np.random.default_rng(n)
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        expected = hermitize(x)
-        marglik._hermitize_in_place(x)
-        assert x.tobytes() == expected.tobytes()
-        assert not np.any(np.signbit(np.diagonal(x).imag))
+        xs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+              for _ in range(3)]
+        expected = [hermitized(x) for x in xs]
+        expected_anti = 0.5 * (xs[0] - xs[0].conj().T)
+        alone = xs[0].copy()
+        marglik._hermitize_in_place(alone)
+        anti = np.empty((n, n), dtype=complex)
+        marglik._hermitize_in_place(*xs, anti=anti)
+        assert anti.tobytes() == expected_anti.tobytes()
+        for x, want in zip([alone, *xs], [expected[0], *expected]):
+            assert x.tobytes() == want.tobytes()
+            assert np.array_equal(x, x.conj().T)
+            assert not np.any(np.signbit(np.diagonal(x).imag))
+
+    @pytest.mark.parametrize("m", [64, 65, 100, 129])
+    def test_phi_gram_bit_identical(self, m):
+        """Phi Phi^H is finished by the tiled routine too; M = 100 is the
+        workloads' microphone count and spans two tiles."""
+        y, phi, psi, phi_tilde = boundary_instance(m, 1000, 7, seed=m)
+        phi_gram = MarginalLikelihood(y, phi, psi, phi_tilde)._phi_gram
+        assert phi_gram.tobytes() == hermitized(phi @ phi.conj().T).tobytes()
 
     @pytest.mark.parametrize("n, stops", [
         (0, []), (1, [1]), (64, [64]), (65, [65]), (66, [64, 66]),

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -296,7 +297,7 @@ class TestSnapshot:
 
     def test_validation(self, room):
         """Each case fails with its own message; the valid record beside
-        them builds."""
+        them builds. `simulate_snapshot` rejects an SNR of -inf or NaN."""
         mics = np.array([[3.0, 2.0, 1.0], [4.0, 1.0, 2.0]])
         cases = [
             (mics, np.zeros(3), np.zeros(2), 0.1, "per microphone"),
@@ -317,3 +318,8 @@ class TestSnapshot:
                 SimSnapshot(room, positions, 300.0, clean, noisy,
                             noise_variance, 0)
         SimSnapshot(room, mics, 300.0, np.zeros(2), np.zeros(2), 0.1, 0)
+        for snr_db in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match="snr_db"):
+                simulate_snapshot(room, mics, 300.0, snr_db=snr_db,
+                                  max_order=2)
+
