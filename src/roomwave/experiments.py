@@ -1,19 +1,29 @@
 """Monte-Carlo benchmark harness: the NMSE metric, the proposed method's
 fit-and-predict chain, and one driver for the four sweeps.
 
-What each sweep varies, and which methods it refits per value:
-  boundary_count         size of the prior cloud (a prefix of one sampled
-                         cloud); only the proposed method is refit
-  boundary_perturbation  displacement of the prior cloud; only the proposed
-                         method is refit
+What each sweep varies in the geometry or measurement:
+  boundary_count         size of the prior cloud (a prefix of one cloud
+                         sampled at the largest swept count)
+  boundary_perturbation  displacement of the prior cloud
   mic_perturbation       displacement of the microphone positions the
-                         methods assume; every method is refit
+                         methods assume
   frequency              the frequency: wavenumber, dictionary, snapshot and
-                         truth are rebuilt; every method is refit
+                         truth
 
 The perturbation sweeps displace each point by the swept magnitude along its
 own random direction. Every lasso fit cross-validates its own penalty over
 the microphones it assumes.
+
+Each (sweep, value) is a case: the configured cloud size, cloud
+displacement, microphone displacement and frequency, with the swept one
+replaced, plus the size of the sampled cloud. The driver runs the
+Monte-Carlo runs outermost. Within a run it builds one measurement per
+(frequency, sampled cloud size) and fits each method once per distinct value
+of what that method reads: the whole case for the proposed method, the
+microphone displacement and frequency for the baselines. Cases that agree
+there, in one sweep or across sweeps, share the fit and its (nmse, seconds)
+pair. A displacement of 0.0 returns the sampled positions bit for bit, so
+every case goes through the same path.
 
 Within a run, every method sees the same noise realization and geometry, so
 method comparisons are paired; seeds are derived from (master_seed, run)
@@ -24,6 +34,7 @@ values, noise variance); the methods read it from there.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -168,8 +179,11 @@ class ExperimentConfig:
         for name in ("boundary_perturbations", "mic_perturbations"):
             if not all(0.0 <= v < math.inf for v in getattr(self, name)):
                 raise ValueError(f"{name} must be >= 0 and finite")
-        if not self.snr_db > -math.inf:     # +inf is a noiseless snapshot
-            raise ValueError("snr_db must be a number or inf")
+        # +inf is a noiseless snapshot; below about -3082.5 dB the noise
+        # ratio 10^(-snr_db/10) overflows a float
+        if not -self.snr_db / 10.0 < math.log10(np.finfo(float).max):
+            raise ValueError("snr_db must be inf or a number whose noise ratio "
+                             "10^(-snr_db/10) is a finite float")
 
 
 @dataclass
@@ -329,60 +343,53 @@ def _timed_nmse(method, data, cfg, assumed_mics, prior_cloud):
     return error, time.perf_counter() - start
 
 
-def _assumed_geometry(sweep: str, value, data: _RunData) -> tuple:
-    """Microphone positions and prior cloud the methods assume at one value
-    of `sweep`; the simulation always keeps the true geometry."""
-    mics, cloud = data.snapshot.mics, data.cloud
-    if sweep == "boundary_count":
-        cloud = cloud.subset(value)
-    elif sweep == "boundary_perturbation":
-        points = perturb_positions(cloud.points, value,
-                                   data.seeds["boundary_perturbation"])
-        cloud = BoundaryCloud(points, cloud.normals)
-    elif sweep == "mic_perturbation":
-        mics = perturb_positions(mics, value, data.seeds["mic_perturbation"])
-    return mics, cloud
-
-
-def _run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
-    """One sweep: for every run, every value, every method.
-
-    A frequency value rebuilds the run; any other value only changes the
-    geometry the methods assume. When only the prior cloud changes (the two
-    boundary sweeps), the baselines are fit once per run and their
-    (nmse, seconds) pair is recorded under every value. The lasso penalty
-    is cross-validated in every fit, from Phi at the microphone positions
-    that fit assumes.
-    """
-    values = tuple(int(v) if sweep == "boundary_count" else float(v)
-                   for v in getattr(cfg, _SWEEP_VALUES[sweep]))
-    boundary_count = (max(values) if sweep == "boundary_count"
-                      else cfg.boundary_count)
-    cloud_only = sweep in ("boundary_count", "boundary_perturbation")
-    runs = cfg.monte_carlo_runs
-    # a value listed twice shares one cell and gets one row per listing
-    cells = {(v, m): RunResult(sweep, m, float(v), [math.nan] * runs,
-                               [0.0] * runs)
-             for v in values for m in cfg.methods}
-    for run in range(runs):
-        data = None
-        fitted = {}
-        for value in values:
-            frequency = value if sweep == "frequency" else cfg.frequency_hz
-            if data is None or sweep == "frequency":
-                data = _make_run(cfg, run, frequency, boundary_count)
-            mics, cloud = _assumed_geometry(sweep, value, data)
-            for method in cfg.methods:
-                key = (method if cloud_only and method != "proposed"
-                       else (method, value))
-                if key not in fitted:
-                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud)
-                error, seconds = fitted[key]
-                cells[(value, method)].nmse_per_run[run] = error
-                cells[(value, method)].seconds_per_run[run] = seconds
-    return [cells[(v, m)] for v in values for m in cfg.methods]
-
-
 def run_sweeps(cfg: ExperimentConfig) -> dict:
-    """Run `cfg.sweeps` and return {sweep name: list of RunResult}."""
-    return {name: _run_sweep(cfg, name) for name in cfg.sweeps}
+    """Run `cfg.sweeps` and return {sweep name: list of RunResult}, one row
+    per listed (value, method) in that order.
+
+    A case holds one coordinate per sweep, in SWEEPS order (cloud size,
+    cloud displacement, microphone displacement, frequency), then the
+    sampled cloud size: the largest swept count in the boundary-count sweep,
+    `cfg.boundary_count` elsewhere. Runs are the outer loop. Within a run,
+    a measurement is built once per (frequency, sampled size), and a method
+    is fit once per distinct value of the coordinates it reads: all of them
+    for the proposed method, the microphone displacement and frequency for
+    the baselines. Every case that shares a fit, in any sweep, records its
+    (nmse, seconds) pair.
+    """
+    runs = cfg.monte_carlo_runs
+    results, cases = {}, []
+    for sweep in cfg.sweeps:
+        values = [int(v) if sweep == "boundary_count" else float(v)
+                  for v in getattr(cfg, _SWEEP_VALUES[sweep])]
+        # a value listed twice shares one cell and gets one row per listing
+        cells = {(v, m): RunResult(sweep, m, float(v), [math.nan] * runs,
+                                   [0.0] * runs)
+                 for v in values for m in cfg.methods}
+        results[sweep] = [cells[(v, m)] for v in values for m in cfg.methods]
+        sampled = (max(values) if sweep == "boundary_count"
+                   else cfg.boundary_count)
+        for value in values:
+            case = [cfg.boundary_count, 0.0, 0.0, cfg.frequency_hz, sampled]
+            case[SWEEPS.index(sweep)] = value
+            cases.append((tuple(case), [(m, cells[(value, m)])
+                                        for m in cfg.methods]))
+    for run in range(runs):
+        build = functools.cache(functools.partial(_make_run, cfg, run))
+        fitted = {}
+        for case, row in cases:
+            size, cloud_shift, mic_shift, frequency, sampled = case
+            for method, cell in row:
+                key = (method, *(case if method == "proposed" else case[2:4]))
+                if key not in fitted:
+                    data = build(frequency, sampled)
+                    seeds, cloud = data.seeds, data.cloud.subset(size)
+                    mics = perturb_positions(data.snapshot.mics, mic_shift,
+                                             seeds["mic_perturbation"])
+                    cloud = BoundaryCloud(
+                        perturb_positions(cloud.points, cloud_shift,
+                                          seeds["boundary_perturbation"]),
+                        cloud.normals)
+                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud)
+                cell.nmse_per_run[run], cell.seconds_per_run[run] = fitted[key]
+    return results

@@ -201,10 +201,13 @@ def simulate_snapshot(
     array: sigma^2 = mean(|u|^2) * 10^(-snr/10); the noise is circularly
     symmetric complex Gaussian (variance sigma^2/2 per real component).
     `snr_db` is finite or +inf, which gives sigma^2 = 0 and a noiseless
-    snapshot; -inf and NaN raise ValueError.
+    snapshot; -inf, NaN and an SNR low enough (about -3082.5 dB) that
+    10^(-snr/10) overflows a float raise ValueError.
     """
-    if not snr_db > -math.inf:      # written so that NaN fails too
-        raise ValueError("snr_db must be a number or +inf")
+    # written so that NaN fails too
+    if not -snr_db / 10.0 < math.log10(np.finfo(float).max):
+        raise ValueError("snr_db must be +inf or a number whose noise ratio "
+                         "10^(-snr_db/10) is a finite float")
     k = wavenumber(frequency_hz, speed_of_sound)
     clean = field_at_points(room, mics, k, max_order)
     sigma2 = float(np.mean(np.abs(clean) ** 2) * 10.0 ** (-snr_db / 10.0))

@@ -281,6 +281,16 @@ def test_negative_seed_exits_2(tiny, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_snr_exits_2(tiny, tmp_path, capsys):
+    """An SNR so low that 10^(-snr/10) overflows a float is a usage error
+    (exit 2) naming `snr_db`, not an OverflowError traceback."""
+    out = tmp_path / "out"
+    assert main(["simulate", str(tiny), str(out),
+                 "--set", "simulation.snr_db=-4000"]) == 2
+    assert "config error: snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     "benchmark.monte_carlo_runs=0", "array.mic_count=0", "lasso.mode=bogus",
     "room.reflection_coefficient=1.5", "lasso.folds=1", "lasso.grid_size=0",
@@ -288,7 +298,8 @@ def test_negative_seed_exits_2(tiny, tmp_path, capsys):
     "medium.speed_of_sound=-343", "simulation.frequency_hz=0",
     "simulation.frequency_hz=.nan", "array.exclusion_radius=-1",
     "array.exclusion_radius=50",
-    "simulation.snr_db=.nan", "optimizer.max_line_searches=-3",
+    "simulation.snr_db=.nan", "simulation.snr_db=-4000",
+    "optimizer.max_line_searches=-3",
     "lasso.mode=global", "benchmark.shared_perturbation=true"])
 def test_bad_config_value_exits_2(tiny, tmp_path, capsys, override):
     code = main(["benchmark", str(tiny), str(tmp_path / "out"),

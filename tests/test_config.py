@@ -97,6 +97,13 @@ class TestSchema:
         with pytest.raises(ConfigError, match="lasso_folds"):
             parse_config({"lasso": {"folds": 1}})
 
+    def test_overflowing_snr_is_config_error(self):
+        """Below about -3082.5 dB the noise ratio 10^(-snr/10) overflows a
+        float; the config rejects such an SNR before anything is drawn."""
+        with pytest.raises(ConfigError, match="snr_db"):
+            parse_config({"simulation": {"snr_db": -4000.0}})
+        assert parse_config({"simulation": {"snr_db": -3082.0}}).snr_db == -3082.0
+
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_shipped_config_loads(path):

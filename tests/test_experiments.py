@@ -116,7 +116,7 @@ class TestConfigValidation:
         dict(exclusion_radius=1.3),
         dict(boundary_perturbations=(0.0, float("nan"))),
         dict(mic_perturbations=(-0.01,)), dict(snr_db=float("nan")),
-        dict(snr_db=-float("inf"))])
+        dict(snr_db=-float("inf")), dict(snr_db=-4000.0)])
     def test_physical_values_out_of_range(self, room, overrides):
         """Each check is written so that NaN fails it too."""
         with pytest.raises(ValueError, match=next(iter(overrides))):
@@ -305,6 +305,57 @@ class TestDriver:
         proposed = {tuple(r.seconds_per_run) for r in rows
                     if r.method == "proposed"}
         assert len(proposed) == len(rows) // len(cfg.methods)
+
+    def test_four_sweeps_together_equal_each_sweep_alone(self, room):
+        """Sharing fits across sweeps changes no bit of any sweep, with
+        repeated values and a `boundary_count` that is not the largest
+        swept count (so the boundary-count sweep samples its own cloud)."""
+        cfg = tiny_config(room, boundary_count=20,
+                          boundary_counts=(0, 12, 5, 12),
+                          boundary_perturbations=(0.0, 0.05, 0.0),
+                          mic_perturbations=(0.05, 0.0),
+                          frequencies_hz=(250.0, 200.0, 250.0))
+        together = run_sweeps(cfg)
+        assert list(together) == list(experiments.SWEEPS)
+        for name, rows in together.items():
+            alone = sweep(cfg, name)
+            assert ([(r.sweep, r.method, r.value) for r in rows]
+                    == [(r.sweep, r.method, r.value) for r in alone])
+            for a, b in zip(rows, alone):
+                assert (np.asarray(a.nmse_per_run).tobytes()
+                        == np.asarray(b.nmse_per_run).tobytes()), (name, a)
+
+    def test_calls_per_run_on_the_default_layout(self, room, monkeypatch):
+        """Six boundary counts (the largest equal to `boundary_count`), six
+        cloud and six microphone displacements and seven frequencies: one
+        measurement per frequency, and one fit per distinct case a method
+        reads. Run separately, the four sweeps made 10 measurements, 25
+        proposed fits and 15 fits of each baseline per run."""
+        defaults = ExperimentConfig()
+        cfg = tiny_config(room, boundary_count=12,
+                          boundary_counts=(0, 1, 2, 4, 8, 12),
+                          boundary_perturbations=defaults.boundary_perturbations,
+                          mic_perturbations=defaults.mic_perturbations,
+                          frequencies_hz=(150.0, 200.0, 250.0, 300.0, 350.0,
+                                          400.0, 450.0),
+                          max_line_searches=2)
+        calls = dict.fromkeys(("_make_run", "fit_and_predict", "select_lambda",
+                               "tikhonov", "nearest_neighbor"), 0)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name,
+                                counting(name, getattr(experiments, name)))
+        run_sweeps(cfg)
+        runs = cfg.monte_carlo_runs
+        assert calls == {"_make_run": 7 * runs, "fit_and_predict": 22 * runs,
+                         "select_lambda": 12 * runs, "tikhonov": 12 * runs,
+                         "nearest_neighbor": 12 * runs}
 
 
 class TestFitAndPredictLifetimes:

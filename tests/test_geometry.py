@@ -211,6 +211,18 @@ class TestPerturbation:
         pts = rng.uniform(size=(40, 3))
         npt.assert_array_equal(perturb_positions(pts, 0.0, seed=1), pts)
 
+    def test_zero_magnitude_keeps_sampled_positions_bit_for_bit(self, room):
+        """The sweep driver displaces every sampled position, by 0.0 where
+        its case does not move it, and reuses fits across such cases; the
+        bits, signed zeros of the wall coordinates included, must stay."""
+        for seed in range(200):
+            cloud = sample_boundary(room, 50, seed)
+            assert np.any(cloud.points == 0.0)
+            mics = sample_microphones(room, 20, 0.5, seed)
+            for points in (cloud.points, mics):
+                moved = perturb_positions(points, 0.0, seed + 1)
+                assert moved.tobytes() == points.tobytes(), seed
+
     def test_exact_displacement_norm(self, rng):
         pts = rng.uniform(size=(200, 3))
         moved = perturb_positions(pts, 0.1, seed=3)

@@ -318,7 +318,8 @@ class TestSnapshot:
                 SimSnapshot(room, positions, 300.0, clean, noisy,
                             noise_variance, 0)
         SimSnapshot(room, mics, 300.0, np.zeros(2), np.zeros(2), 0.1, 0)
-        for snr_db in (-math.inf, math.nan):
+        # below about -3082.5 dB, 10^(-snr/10) overflows a float
+        for snr_db in (-math.inf, math.nan, -4000.0, -3082.55):
             with pytest.raises(ValueError, match="snr_db"):
                 simulate_snapshot(room, mics, 300.0, snr_db=snr_db,
                                   max_order=2)
