@@ -12,7 +12,7 @@ from roomwave.bayes import (build_posterior, predict,
                             prior_covariance_from_matrices)
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
                                   run_seeds, run_sweeps, to_db)
-from roomwave.geometry import perturb_positions
+from roomwave.geometry import perturb_positions, sample_boundary
 from roomwave.planewaves import build_phi, build_phi_tilde, build_psi
 
 
@@ -308,10 +308,12 @@ class TestDriver:
 
     def test_four_sweeps_together_equal_each_sweep_alone(self, room):
         """Sharing fits across sweeps changes no bit of any sweep, with
-        repeated values and a `boundary_count` that is not the largest
-        swept count (so the boundary-count sweep samples its own cloud)."""
-        cfg = tiny_config(room, boundary_count=20,
-                          boundary_counts=(0, 12, 5, 12),
+        repeated values and a `boundary_count` that is swept but is not the
+        largest swept count: the boundary-count sweep then takes its
+        12-point prior from a 20-point cloud, the other sweeps from a
+        12-point one."""
+        cfg = tiny_config(room, boundary_count=12,
+                          boundary_counts=(0, 20, 12, 20),
                           boundary_perturbations=(0.0, 0.05, 0.0),
                           mic_perturbations=(0.05, 0.0),
                           frequencies_hz=(250.0, 200.0, 250.0))
@@ -325,11 +327,36 @@ class TestDriver:
                 assert (np.asarray(a.nmse_per_run).tobytes()
                         == np.asarray(b.nmse_per_run).tobytes()), (name, a)
 
+    def test_boundary_count_sweep_takes_prefixes_of_its_largest_cloud(
+            self, room, monkeypatch):
+        """The boundary-count sweep fits on prefixes of one cloud sampled
+        at its largest count; the other sweeps on the cloud sampled at
+        `boundary_count`, even where the two prior sizes agree."""
+        clouds = []
+        original = experiments.fit_and_predict
+
+        def recording(y, dictionary, mics, cloud, *args):
+            clouds.append(cloud.points)
+            return original(y, dictionary, mics, cloud, *args)
+
+        monkeypatch.setattr(experiments, "fit_and_predict", recording)
+        cfg = tiny_config(room, methods=("proposed",), monte_carlo_runs=1,
+                          boundary_counts=(0, 20, 12, 20),
+                          boundary_perturbations=(0.0,),
+                          sweeps=("boundary_count", "boundary_perturbation"))
+        run_sweeps(cfg)
+        seed = run_seeds(cfg.master_seed, 0)["boundary"]
+        largest = sample_boundary(room, 20, seed).points
+        own = sample_boundary(room, cfg.boundary_count, seed).points
+        expected = [largest[:0], largest, largest[:12], own]
+        assert [c.tobytes() for c in clouds] == [c.tobytes() for c in expected]
+        assert largest[:12].tobytes() != own.tobytes()
+
     def test_calls_per_run_on_the_default_layout(self, room, monkeypatch):
         """Six boundary counts (the largest equal to `boundary_count`), six
         cloud and six microphone displacements and seven frequencies: one
         measurement per frequency, and one fit per distinct case a method
-        reads. Run separately, the four sweeps made 10 measurements, 25
+        reads. Each sweep run on its own would make 10 measurements, 25
         proposed fits and 15 fits of each baseline per run."""
         defaults = ExperimentConfig()
         cfg = tiny_config(room, boundary_count=12,
