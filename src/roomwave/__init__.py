@@ -19,6 +19,13 @@ MKL_NUM_THREADS, VECLIB_MAXIMUM_THREADS or NUMEXPR_NUM_THREADS before
 launch; the package then changes none of them. The default takes effect
 only when `roomwave` is imported before numpy, as the `roomwave` command
 does.
+
+The CPUs go to processes instead: `roomwave benchmark`
+(`experiments.run_sweeps`) runs its Monte-Carlo runs in one process per CPU
+of the process's affinity mask, at most one per run, each process on one
+BLAS thread (spawned children inherit the thread variables). To run them
+serially in one process, give it one CPU: `taskset -c 0 roomwave benchmark
+...`.
 """
 
 import os as _os

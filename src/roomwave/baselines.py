@@ -219,7 +219,7 @@ def default_lambda_grid(y, phi, noise_variance, size: int) -> np.ndarray:
 
 
 def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
-                  folds: int, seed: int) -> float:
+                  folds: int, seed: int, label: str = "select_lambda") -> float:
     """Penalty of `grid` minimizing `folds`-fold cross-validated squared
     prediction error over microphones; ties favor the larger penalty. The
     folds are a `seed`-seeded random partition.
@@ -227,8 +227,9 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
     `lasso` runs once per (fold, penalty), warm-started down the descending
     grid, with CV_MAX_ITERATIONS and CV_TOLERANCE; each fold's Lipschitz
     constant is computed once and passed to all of that fold's fits. A fit
-    that stops at the iteration cap still scores, and one warning per call
-    gives how many did.
+    that stops at the iteration cap still scores, and one warning per call,
+    starting with `label` (the benchmark passes its run and case), gives
+    how many did.
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     m = len(y)
@@ -263,8 +264,8 @@ def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
             errors[j] += float(np.sum(np.abs(residual) ** 2))
     if unconverged:
         # their errors then depend on where FISTA stopped
-        logger.warning("select_lambda: %d of %d cross-validation lasso fits "
-                       "did not converge in %d iterations", unconverged,
+        logger.warning("%s: %d of %d cross-validation lasso fits did not "
+                       "converge in %d iterations", label, unconverged,
                        folds * len(penalties), CV_MAX_ITERATIONS)
     # descending grid: argmin favors the larger penalty on ties
     return float(penalties[int(np.argmin(errors))])

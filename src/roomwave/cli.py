@@ -12,7 +12,8 @@ command-line argument, 3 numerical failure (any `np.linalg.LinAlgError`,
 `FactorizationError` included, or a FloatingPointError), 4 I/O failure.
 BLAS runs on one thread unless any of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS,
 MKL_NUM_THREADS, VECLIB_MAXIMUM_THREADS or NUMEXPR_NUM_THREADS is set
-before launch; the `roomwave` package docstring says why, with timings.
+before launch; the `roomwave` package docstring says why, with timings,
+and how `benchmark` spreads its runs over the CPUs.
 
 The modules are imported once, at the top, and their functions called as
 attributes (`config.load_config`, `experiments.fit_and_predict`, ...), so a

@@ -30,15 +30,34 @@ method comparisons are paired; seeds are derived from (master_seed, run)
 only, which makes each run identical across sweeps and sweep values. A run
 holds its measurement as one `SimSnapshot` (microphone positions, noisy
 values, noise variance); the methods read it from there.
+
+Runs are independent, so the driver spreads them over one process per CPU
+in this process's affinity mask (at most one per run): this process and
+spawned children, each on one BLAS thread (see the package docstring), take
+the next run index from one shared counter. Under `taskset -c 0`, or with
+one run, every run happens in this process and no child is started. The
+NMSE values do not depend on which process ran a run. Each run holds back
+its warnings and `roomwave` log records, and the driver emits them in run
+order once the runs are done, so the output matches a serial run; after a
+run raises, no process starts another, and the first exception in run order
+propagates (from a child, without the child's traceback; `taskset -c 0`
+gives the full one). A script that calls `run_sweeps` with more than one
+CPU needs the `if __name__ == "__main__":` guard, since spawned children
+import the main module.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import logging
 import math
+import multiprocessing
+import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,9 +316,10 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
 
 
 def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
-                 assumed_mics: np.ndarray,
-                 prior_cloud: BoundaryCloud) -> np.ndarray:
-    """Field prediction of one method at the validation points."""
+                 assumed_mics: np.ndarray, prior_cloud: BoundaryCloud,
+                 mic_shift: float) -> np.ndarray:
+    """Field prediction of one method at the validation points, from
+    microphones assumed `mic_shift` m from where they are."""
     dictionary = data.dictionary
     targets = data.validation
     y, noise_variance = data.snapshot.noisy, data.snapshot.noise_variance
@@ -319,8 +339,11 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
         return evaluate_field(dictionary, alpha, targets)
     if method == "lasso":
         grid = default_lambda_grid(y, phi, noise_variance, CV_GRID_SIZE)
-        penalty = select_lambda(y, phi, noise_variance, grid, cfg.lasso_folds,
-                                data.seeds["lasso_cv"])
+        penalty = select_lambda(
+            y, phi, noise_variance, grid, cfg.lasso_folds,
+            data.seeds["lasso_cv"],
+            label=(f"run {data.run} at {data.snapshot.frequency_hz:g} Hz, "
+                   f"microphones shifted {mic_shift:g} m"))
         fit = lasso(y, phi, noise_variance, penalty)
         if not fit.converged:
             # its result then depends on where FISTA stopped
@@ -331,16 +354,161 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
     raise ValueError(f"unknown method '{method}'")
 
 
-def _timed_nmse(method, data, cfg, assumed_mics, prior_cloud):
+def _timed_nmse(method, data, cfg, assumed_mics, prior_cloud, mic_shift):
     start = time.perf_counter()
     try:
-        prediction = _reconstruct(method, data, cfg, assumed_mics, prior_cloud)
+        prediction = _reconstruct(method, data, cfg, assumed_mics,
+                                  prior_cloud, mic_shift)
         error = nmse(prediction, data.truth)
     except Exception:
         logger.warning("run %d: method '%s' failed", data.run, method,
                        exc_info=True)
         error = float("nan")
     return error, time.perf_counter() - start
+
+
+def _fit_key(method: str, case: tuple) -> tuple:
+    """What a method's fit reads of a case: all of it for the proposed
+    method, the microphone displacement and frequency for the baselines."""
+    return (method, *(case if method == "proposed" else case[2:4]))
+
+
+class _EventLog(logging.Handler):
+    """Appends each record to a list, its traceback formatted into
+    `exc_text`, because a traceback does not pickle."""
+
+    def __init__(self, events: list):
+        super().__init__()
+        self.events = events
+
+    def emit(self, record):
+        if record.exc_info:
+            record.exc_text = logging.Formatter().formatException(
+                record.exc_info)
+            record.exc_info = None
+        self.events.append(record)
+
+
+@contextlib.contextmanager
+def _held_back():
+    """Hold back every warning and every record of a `roomwave` logger
+    emitted inside the block; yields the list that gets them in order.
+    Warnings are recorded whatever the filters, so a run's results do not
+    depend on them; `_replay` applies them."""
+    package = logging.getLogger(__package__)
+    with warnings.catch_warnings(record=True) as events:
+        warnings.simplefilter("always")
+        handler = _EventLog(events)
+        package.addHandler(handler)
+        propagate, package.propagate = package.propagate, False
+        try:
+            yield events
+        finally:
+            package.removeHandler(handler)
+            package.propagate = propagate
+
+
+def _replay(event, registry: dict):
+    """Emit a held-back record through its logger, or a held-back warning
+    through this process's warning filters, with `registry` as the record
+    of warnings already shown."""
+    if isinstance(event, logging.LogRecord):
+        logging.getLogger(event.name).handle(event)
+    else:
+        warnings.warn_explicit(event.message, event.category, event.filename,
+                               event.lineno, registry=registry)
+
+
+def _one_run(cfg: ExperimentConfig, cases: list, run: int) -> tuple:
+    """Run `run` of every case: ({fit key: (nmse, seconds)}, the warnings
+    and log records it emitted, in order, and the exception that ended it,
+    or None)."""
+    build = functools.cache(functools.partial(_make_run, cfg, run))
+    fitted = {}
+    with _held_back() as events:
+        try:
+            for case in cases:
+                size, cloud_shift, mic_shift, frequency, sampled = case
+                for method in cfg.methods:
+                    key = _fit_key(method, case)
+                    if key in fitted:
+                        continue
+                    data = build(frequency, sampled)
+                    seeds, cloud = data.seeds, data.cloud.subset(size)
+                    mics = perturb_positions(data.snapshot.mics, mic_shift,
+                                             seeds["mic_perturbation"])
+                    cloud = BoundaryCloud(
+                        perturb_positions(cloud.points, cloud_shift,
+                                          seeds["boundary_perturbation"]),
+                        cloud.normals)
+                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud,
+                                              mic_shift)
+        except Exception as exc:
+            return fitted, events, exc
+    return fitted, events, None
+
+
+def _take_runs(cfg: ExperimentConfig, cases: list, counter, lock) -> dict:
+    """Take the next run index from `counter` (read and advanced under
+    `lock`) and run it, until the indices are used up or a run fails:
+    {run: `_one_run`'s result}. Leaving sets the counter to the run count,
+    so once a run has failed, no process starts another."""
+    runs = cfg.monte_carlo_runs
+    done = {}
+    try:
+        while True:
+            with lock:
+                run = counter.value
+                counter.value = run + 1
+            if run >= runs:
+                return done
+            done[run] = _one_run(cfg, cases, run)
+            if done[run][2] is not None:
+                return done
+    finally:
+        with lock:
+            counter.value = runs
+
+
+_counter = None     # in a spawned child: the counter it shares, set at start
+
+
+def _share_counter(counter):
+    global _counter
+    _counter = counter
+
+
+def _child_runs(cfg: ExperimentConfig, cases: list) -> dict:
+    return _take_runs(cfg, cases, _counter, _counter.get_lock())
+
+
+def _worker_count(runs: int) -> int:
+    """Processes to spread `runs` runs over: one per CPU in this process's
+    affinity mask, at most one per run."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask outside Linux
+        cpus = os.cpu_count() or 1
+    return min(runs, cpus)
+
+
+def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
+    """`_take_runs` in this process and in `workers` - 1 spawned children,
+    all on one counter; one result per process, this one's first. The
+    children are started before this process takes its first run, so it
+    fits while they import."""
+    if workers == 1:
+        return [_take_runs(cfg, cases, ctypes.c_int(0),
+                           contextlib.nullcontext())]
+    context = multiprocessing.get_context("spawn")
+    counter = context.Value("i", 0)
+    with ProcessPoolExecutor(workers - 1, mp_context=context,
+                             initializer=_share_counter,
+                             initargs=(counter,)) as pool:
+        children = [pool.submit(_child_runs, cfg, cases)
+                    for _ in range(workers - 1)]
+        own = _take_runs(cfg, cases, counter, counter.get_lock())
+        return [own] + [child.result() for child in children]
 
 
 def run_sweeps(cfg: ExperimentConfig) -> dict:
@@ -350,11 +518,12 @@ def run_sweeps(cfg: ExperimentConfig) -> dict:
     A case holds one coordinate per sweep, in SWEEPS order (cloud size,
     cloud displacement, microphone displacement, frequency), then the
     sampled cloud size: the largest swept count in the boundary-count sweep,
-    `cfg.boundary_count` elsewhere. Runs are the outer loop. Within a run,
-    a measurement is built once per (frequency, sampled size), and a method
-    is fit once per distinct value of the coordinates it reads: all of them
-    for the proposed method, the microphone displacement and frequency for
-    the baselines. Every case that shares a fit, in any sweep, records its
+    `cfg.boundary_count` elsewhere. Runs are the outer loop, spread over
+    processes as the module docstring says. Within a run, a measurement is
+    built once per (frequency, sampled size), and a method is fit once per
+    distinct value of the coordinates it reads: all of them for the
+    proposed method, the microphone displacement and frequency for the
+    baselines. Every case that shares a fit, in any sweep, records its
     (nmse, seconds) pair.
     """
     runs = cfg.monte_carlo_runs
@@ -374,22 +543,18 @@ def run_sweeps(cfg: ExperimentConfig) -> dict:
             case[SWEEPS.index(sweep)] = value
             cases.append((tuple(case), [(m, cells[(value, m)])
                                         for m in cfg.methods]))
+    outcomes, shown = {}, {}
+    for done in _run_all(cfg, [case for case, _ in cases],
+                         _worker_count(runs)):
+        outcomes.update(done)
     for run in range(runs):
-        build = functools.cache(functools.partial(_make_run, cfg, run))
-        fitted = {}
+        fitted, events, error = outcomes[run]
+        for event in events:
+            _replay(event, shown)
+        if error is not None:
+            raise error
         for case, row in cases:
-            size, cloud_shift, mic_shift, frequency, sampled = case
             for method, cell in row:
-                key = (method, *(case if method == "proposed" else case[2:4]))
-                if key not in fitted:
-                    data = build(frequency, sampled)
-                    seeds, cloud = data.seeds, data.cloud.subset(size)
-                    mics = perturb_positions(data.snapshot.mics, mic_shift,
-                                             seeds["mic_perturbation"])
-                    cloud = BoundaryCloud(
-                        perturb_positions(cloud.points, cloud_shift,
-                                          seeds["boundary_perturbation"]),
-                        cloud.normals)
-                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud)
-                cell.nmse_per_run[run], cell.seconds_per_run[run] = fitted[key]
+                cell.nmse_per_run[run], cell.seconds_per_run[run] = (
+                    fitted[_fit_key(method, case)])
     return results

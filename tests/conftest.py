@@ -34,3 +34,10 @@ def complex_instance(rng):
         return y, phi, psi, phi_tilde
 
     return make
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Every Monte-Carlo run in this process, where monkeypatches apply."""
+    from roomwave import experiments
+    monkeypatch.setattr(experiments, "_worker_count", lambda runs: 1)

@@ -527,8 +527,9 @@ class TestSelectLambda:
         assert None not in fits and len(set(fits)) == 3
 
     @staticmethod
-    def recorded_call(monkeypatch, caplog, seed=3):
-        """select_lambda on one small system; (penalty, fits, warnings)."""
+    def recorded_call(monkeypatch, caplog, seed=3, **label):
+        """select_lambda on one small system, with `label` passed on;
+        (fits, warnings)."""
         gen = np.random.default_rng(seed)
         y, phi, _ = random_system(gen, 24, 40, sparse=5)
         grid = default_lambda_grid(y, phi, 0.2, size=6)
@@ -540,7 +541,8 @@ class TestSelectLambda:
 
         monkeypatch.setattr(baselines, "lasso", recording_lasso)
         with caplog.at_level(logging.WARNING, logger=baselines.__name__):
-            chosen = select_lambda(y, phi, 0.2, grid=grid, folds=4, seed=seed)
+            chosen = select_lambda(y, phi, 0.2, grid=grid, folds=4, seed=seed,
+                                   **label)
         expected, _ = reference_select_lambda(
             y, phi, 0.2, grid, folds=4, seed=seed,
             max_iterations=baselines.CV_MAX_ITERATIONS)
@@ -556,6 +558,14 @@ class TestSelectLambda:
         assert messages == [f"select_lambda: {unconverged} of 24 "
                             "cross-validation lasso fits did not converge "
                             "in 2 iterations"]
+
+    def test_warning_starts_with_the_label(self, monkeypatch, caplog):
+        monkeypatch.setattr(baselines, "CV_MAX_ITERATIONS", 2)
+        label = "run 1 at 300 Hz, microphones shifted 0.1 m"
+        fits, messages = self.recorded_call(monkeypatch, caplog, label=label)
+        unconverged = sum(not fit.converged for fit in fits)
+        assert messages == [f"{label}: {unconverged} of 24 cross-validation "
+                            "lasso fits did not converge in 2 iterations"]
 
     def test_converged_call_logs_nothing(self, monkeypatch, caplog):
         fits, messages = self.recorded_call(monkeypatch, caplog)

@@ -167,7 +167,7 @@ def test_repeated_sweep_value_keeps_its_rows(tmp_path):
     assert rows[:per_value] == rows[2 * per_value:]
 
 
-def test_aggregate_counts_failed_runs(tmp_path, monkeypatch):
+def test_aggregate_counts_failed_runs(tmp_path, monkeypatch, in_process):
     """A method that raises in one run is counted in `failed`, and its mean
     NMSE is taken over the runs that did not fail."""
     config = tmp_path / "fail.yaml"

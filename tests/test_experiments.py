@@ -1,18 +1,24 @@
+import concurrent.futures
+import csv
 import dataclasses
 import logging
+import math
+import multiprocessing
+import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roomwave import baselines, experiments, marglik
+from roomwave import baselines, experiments, fileio, marglik
 from roomwave.bayes import (build_posterior, predict,
                             prior_covariance_from_matrices)
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
                                   run_seeds, run_sweeps, to_db)
-from roomwave.geometry import perturb_positions, sample_boundary
+from roomwave.geometry import RoomSpec, perturb_positions, sample_boundary
 from roomwave.planewaves import build_phi, build_phi_tilde, build_psi
 
 
@@ -233,7 +239,8 @@ class TestLassoGridSize:
 
 class TestLassoConvergenceWarning:
     def test_unconverged_final_fit_names_run_and_penalty(self, room,
-                                                         monkeypatch, caplog):
+                                                         monkeypatch, caplog,
+                                                         in_process):
         fits = []
         original = experiments.lasso
 
@@ -255,6 +262,18 @@ class TestLassoConvergenceWarning:
                     if not converged]
         assert messages == expected and expected
 
+    def test_cross_validation_warning_names_run_and_case(self, room,
+                                                         monkeypatch, caplog,
+                                                         in_process):
+        monkeypatch.setattr(baselines, "CV_MAX_ITERATIONS", 2)
+        cfg = tiny_config(room, methods=("lasso",), mic_perturbations=(0.05,))
+        with caplog.at_level(logging.WARNING, logger=baselines.__name__):
+            sweep(cfg, "mic_perturbation")
+        starts = [r.getMessage().split(":")[0] for r in caplog.records
+                  if r.name == baselines.__name__]
+        assert starts == [f"run {run} at 250 Hz, microphones shifted 0.05 m"
+                          for run in range(cfg.monte_carlo_runs)]
+
     def test_converged_final_fit_is_silent(self, room, caplog):
         cfg = tiny_config(room, methods=("lasso",), mic_perturbations=(0.0,),
                           monte_carlo_runs=1)
@@ -269,7 +288,7 @@ class TestDriver:
     replaced."""
 
     def test_lasso_penalty_per_fit_from_assumed_mics(self, room,
-                                                     monkeypatch):
+                                                     monkeypatch, in_process):
         """Every lasso fit cross-validates its own penalty, from Phi at the
         microphone positions that fit assumes."""
         phis = []
@@ -352,7 +371,8 @@ class TestDriver:
         assert [c.tobytes() for c in clouds] == [c.tobytes() for c in expected]
         assert largest[:12].tobytes() != own.tobytes()
 
-    def test_calls_per_run_on_the_default_layout(self, room, monkeypatch):
+    def test_calls_per_run_on_the_default_layout(self, room, monkeypatch,
+                                                 in_process):
         """Six boundary counts (the largest equal to `boundary_count`), six
         cloud and six microphone displacements and seven frequencies: one
         measurement per frequency, and one fit per distinct case a method
@@ -383,6 +403,167 @@ class TestDriver:
         assert calls == {"_make_run": 7 * runs, "fit_and_predict": 22 * runs,
                          "select_lambda": 12 * runs, "tikhonov": 12 * runs,
                          "nearest_neighbor": 12 * runs}
+
+
+def wait_for_a_child(monkeypatch):
+    """Hold this process back from the run counter until a spawned child
+    has taken a run (at most 60 s), so the children do take runs however
+    fast this process is."""
+    original = experiments._take_runs
+
+    def patient(cfg, cases, counter, lock):
+        deadline = time.monotonic() + 60.0
+        while counter.value == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return original(cfg, cases, counter, lock)
+
+    monkeypatch.setattr(experiments, "_take_runs", patient)
+
+
+@dataclasses.dataclass(frozen=True)
+class ChildFailingRoom(RoomSpec):
+    """A room whose microphone half-centre cannot be found in a spawned
+    child: a failure that reaches the children, which monkeypatching does
+    not."""
+
+    @property
+    def mic_half_center(self):
+        if multiprocessing.parent_process() is not None:
+            raise RuntimeError("injected failure in a child process")
+        return super().mic_half_center
+
+
+def join_race(counter, barrier):
+    global shared
+    shared = counter, barrier
+
+
+def race(cfg):
+    """Wait for every racer, then take runs from the shared counter."""
+    counter, barrier = shared
+    barrier.wait(timeout=60)
+    return sorted(experiments._take_runs(cfg, [], counter,
+                                         counter.get_lock()))
+
+
+class TestRunsAcrossProcesses:
+    """Runs spread over spawned children give what one process gives."""
+
+    @staticmethod
+    def outputs(results, out):
+        """(aggregate CSV bytes, runs CSV rows without `seconds`) of a
+        benchmark's results, written under `out`."""
+        out.mkdir()
+        aggregate, runs = {}, {}
+        for name, rows in results.items():
+            fileio.write_aggregate_csv(out / f"{name}_aggregate.csv", rows)
+            fileio.write_runs_csv(out / f"{name}_runs.csv", rows)
+            aggregate[name] = (out / f"{name}_aggregate.csv").read_bytes()
+            with open(out / f"{name}_runs.csv", newline="",
+                      encoding="utf-8") as handle:
+                runs[name] = [{k: v for k, v in row.items() if k != "seconds"}
+                              for row in csv.DictReader(handle)]
+        return aggregate, runs
+
+    def test_pooled_runs_match_in_process_runs(self, room, monkeypatch,
+                                               caplog, tmp_path):
+        """Three runs of all four sweeps, in this process and then over
+        three processes: the same CSVs and the same log records in the same
+        order, with every lasso fit failing (no noise) and logging its
+        traceback."""
+        cfg = tiny_config(room, monte_carlo_runs=3, snr_db=math.inf)
+        assert cfg.sweeps == experiments.SWEEPS
+        seen = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(experiments, "_worker_count",
+                                lambda runs, workers=workers: workers)
+            if workers > 1:
+                wait_for_a_child(monkeypatch)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="roomwave"):
+                results = run_sweeps(cfg)
+            records = [(r.name, r.levelno, r.getMessage(), r.exc_text)
+                       for r in caplog.records]
+            seen[workers] = (*self.outputs(results, tmp_path / str(workers)),
+                             records)
+        assert seen[3] == seen[1]
+        failed = [r for r in seen[1][2] if "method 'lasso' failed" in r[2]]
+        assert len(failed) == 3 * 3          # runs x distinct lasso fits
+        assert all("noise_variance must be positive" in r[3] for r in failed)
+        assert [r[2][:6] for r in failed] == [f"run {run}:" for run in
+                                              (0, 0, 0, 1, 1, 1, 2, 2, 2)]
+
+    def test_warnings_come_out_with_the_records_after_the_runs(
+            self, room, monkeypatch, caplog, in_process):
+        """A warning inside a run is held back with the run's log records
+        and comes out with them in run order, through the filters in force
+        when the runs are done: an `error` filter raises then, after every
+        run, and fails no method."""
+        original = experiments.nearest_neighbor
+        calls = []
+
+        def warning(*args):
+            calls.append(len(calls) + 1)
+            warnings.warn(f"call {calls[-1]}")
+            experiments.logger.warning("record %d", calls[-1])
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "nearest_neighbor", warning)
+        cfg = tiny_config(room, methods=("nearest",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            logging.captureWarnings(True)
+            try:
+                with caplog.at_level(logging.WARNING):
+                    rows = sweep(cfg, "frequency")
+            finally:
+                logging.captureWarnings(False)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2 * len(calls) == 8
+        for i, call in enumerate(calls):
+            assert f"UserWarning: call {call}" in messages[2 * i]
+            assert messages[2 * i + 1] == f"record {call}"
+        assert all(np.isfinite(r.nmse_per_run).all() for r in rows)
+
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="call 1"):
+                sweep(cfg, "frequency")
+        assert calls == [1, 2, 3, 4]
+
+    def test_exception_in_a_child_run_propagates(self, monkeypatch):
+        cfg = tiny_config(ChildFailingRoom(), methods=("nearest",),
+                          monte_carlo_runs=3, sweeps=("frequency",))
+        monkeypatch.setattr(experiments, "_worker_count", lambda runs: 2)
+        wait_for_a_child(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_sweeps(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_every_run_taken_once_by_more_processes_than_cores(self, room):
+        """Processes that start together and do nothing but take runs, two
+        more of them than this process may run on: each run index is taken
+        by exactly one."""
+        racers = experiments._worker_count(1_000) + 2
+        cfg = tiny_config(room, monte_carlo_runs=3_000)
+        context = multiprocessing.get_context("spawn")
+        counter = context.Value("i", 0)
+        barrier = context.Barrier(racers)
+        pool = concurrent.futures.ProcessPoolExecutor(
+            racers, mp_context=context, initializer=join_race,
+            initargs=(counter, barrier))
+        try:
+            futures = [pool.submit(race, cfg) for _ in range(racers)]
+            taken = [f.result(timeout=120) for f in futures]
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+            for child in multiprocessing.active_children():
+                child.join(timeout=30)
+        assert sorted(run for runs in taken for run in runs) == list(
+            range(cfg.monte_carlo_runs))
+        assert sum(bool(runs) for runs in taken) >= 2
+        assert multiprocessing.active_children() == []
 
 
 class TestFitAndPredictLifetimes:

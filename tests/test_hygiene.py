@@ -1,11 +1,15 @@
-"""Static checks of the package source with the standard-library `ast`: no
-import goes unused and every `__all__` name is defined (the pyflakes
-checks this package relies on), no `__all__` lists a name its module
-imports, no module-level name, private or public, is left behind with
-nothing in the package referring to it, and no function takes a parameter
-it never reads."""
+"""Checks of the package source. Static ones, with the standard-library
+`ast`: no import goes unused and every `__all__` name is defined (the
+pyflakes checks this package relies on), no `__all__` lists a name its
+module imports, no module-level name, private or public, is left behind
+with nothing in the package referring to it, and no function takes a
+parameter it never reads. One at run time: importing the package starts no
+thread and no process."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -242,3 +246,28 @@ def test_check_catches_unused_parameters():
     assert sorted(unused_parameters(tree)) == [
         "1: assumed(cfg)", "1: assumed(extra)", "1: assumed(points)",
         "2: inner(value)", "6: run(seed)", "8: lambda(y)"]
+
+
+def test_import_starts_no_thread_or_process():
+    """Importing every module in a fresh interpreter, with no BLAS thread
+    variable set, leaves it with one thread (as the operating system counts
+    them, where /proc says) and no child process."""
+    names = [f"roomwave.{path.stem}" for path in MODULES
+             if path.stem != "__init__"]
+    code = ("import importlib, os, threading\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module(name)\n"
+            "tasks = (len(os.listdir('/proc/self/task'))\n"
+            "         if os.path.isdir('/proc/self/task') else 1)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    children = 'children'\n"
+            "except ChildProcessError:\n"
+            "    children = 'none'\n"
+            "print(threading.active_count(), tasks, children)\n")
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["1", "1", "none"], done.stderr
