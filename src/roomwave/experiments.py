@@ -492,14 +492,14 @@ def _worker_count(runs: int) -> int:
     return min(runs, cpus)
 
 
-def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
+def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> dict:
     """`_take_runs` in this process and in `workers` - 1 spawned children,
-    all on one counter; one result per process, this one's first. The
+    all on one counter: {run: `_one_run`'s result} over every process. The
     children are started before this process takes its first run, so it
     fits while they import."""
     if workers == 1:
-        return [_take_runs(cfg, cases, ctypes.c_int(0),
-                           contextlib.nullcontext())]
+        return _take_runs(cfg, cases, ctypes.c_int(0),
+                          contextlib.nullcontext())
     context = multiprocessing.get_context("spawn")
     counter = context.Value("i", 0)
     with ProcessPoolExecutor(workers - 1, mp_context=context,
@@ -507,8 +507,10 @@ def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
                              initargs=(counter,)) as pool:
         children = [pool.submit(_child_runs, cfg, cases)
                     for _ in range(workers - 1)]
-        own = _take_runs(cfg, cases, counter, counter.get_lock())
-        return [own] + [child.result() for child in children]
+        done = _take_runs(cfg, cases, counter, counter.get_lock())
+        for child in children:
+            done.update(child.result())
+        return done
 
 
 def run_sweeps(cfg: ExperimentConfig) -> dict:
@@ -543,10 +545,9 @@ def run_sweeps(cfg: ExperimentConfig) -> dict:
             case[SWEEPS.index(sweep)] = value
             cases.append((tuple(case), [(m, cells[(value, m)])
                                         for m in cfg.methods]))
-    outcomes, shown = {}, {}
-    for done in _run_all(cfg, [case for case, _ in cases],
-                         _worker_count(runs)):
-        outcomes.update(done)
+    outcomes = _run_all(cfg, [case for case, _ in cases],
+                        _worker_count(runs))
+    shown = {}      # warnings shown, for the filters' `default` action
     for run in range(runs):
         fitted, events, error = outcomes[run]
         for event in events:

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import multiprocessing
+import os
 import time
 import tracemalloc
 import warnings
@@ -433,9 +434,11 @@ class ChildFailingRoom(RoomSpec):
         return super().mic_half_center
 
 
-def join_race(counter, barrier):
+def join_race(counter, barrier, cores):
     global shared
     shared = counter, barrier
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cores)
 
 
 def race(cfg):
@@ -543,16 +546,18 @@ class TestRunsAcrossProcesses:
 
     def test_every_run_taken_once_by_more_processes_than_cores(self, room):
         """Processes that start together and do nothing but take runs, two
-        more of them than this process may run on: each run index is taken
-        by exactly one."""
-        racers = experiments._worker_count(1_000) + 2
+        more of them than the cores they may run on (at most four of this
+        process's): each run index is taken by exactly one."""
+        cores = sorted(os.sched_getaffinity(0))[:4] if hasattr(
+            os, "sched_getaffinity") else range(experiments._worker_count(4))
+        racers = len(cores) + 2
         cfg = tiny_config(room, monte_carlo_runs=3_000)
         context = multiprocessing.get_context("spawn")
         counter = context.Value("i", 0)
         barrier = context.Barrier(racers)
         pool = concurrent.futures.ProcessPoolExecutor(
             racers, mp_context=context, initializer=join_race,
-            initargs=(counter, barrier))
+            initargs=(counter, barrier, cores))
         try:
             futures = [pool.submit(race, cfg) for _ in range(racers)]
             taken = [f.result(timeout=120) for f in futures]
