@@ -219,7 +219,8 @@ def default_lambda_grid(y, phi, noise_variance, size: int) -> np.ndarray:
 
 
 def select_lambda(y, phi: np.ndarray, noise_variance: float, grid,
-                  folds: int, seed: int, label: str = "select_lambda") -> float:
+                  folds: int, seed: int,
+                  label: str = "select_lambda") -> float:
     """Penalty of `grid` minimizing `folds`-fold cross-validated squared
     prediction error over microphones; ties favor the larger penalty. The
     folds are a `seed`-seeded random partition.

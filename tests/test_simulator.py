@@ -129,6 +129,7 @@ class TestImageEnumeration:
     def test_peak_memory_bounded(self, room):
         """Order 80 (695,681 images): the dense cube and its mask peak at
         110 MB under tracemalloc, the per-pair enumeration at 62 MB."""
+        image_lattice.cache_clear()     # measure a build, not a cache hit
         tracemalloc.start()
         try:
             image_lattice(room, 80)
@@ -136,6 +137,20 @@ class TestImageEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 80e6
+
+    def test_last_lattice_cached_read_only(self, room):
+        """One (room, order) is kept per process, as read-only arrays equal
+        to a fresh build; another order replaces it."""
+        first = image_lattice(room, 6)
+        assert all(a is b for a, b in zip(image_lattice(room, 6), first))
+        for array in first:
+            with pytest.raises(ValueError):
+                array[0] = 0
+        fresh = image_lattice.__wrapped__(room, 6)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in fresh]
+        image_lattice(room, 5)
+        assert image_lattice.cache_info().currsize == 1
+        assert image_lattice(room, 6)[0] is not first[0]
 
     def test_negative_order_rejected(self, room):
         with pytest.raises(ValueError):
