@@ -31,25 +31,28 @@ only, which makes each run identical across sweeps and sweep values. A run
 holds its measurement as one `SimSnapshot` (microphone positions, noisy
 values, noise variance); the methods read it from there.
 
-Runs are independent, so the driver spreads them over one process per CPU
-in this process's affinity mask (at most one per run): this process and
-spawned children, each on one BLAS thread (see the package docstring), take
-the next run index from one shared counter. Under `taskset -c 0`, or with
-one run, every run happens in this process and no child is started. The
-NMSE values do not depend on which process ran a run. Each run holds back
-its warnings and `roomwave` log records, and the driver emits them in run
-order once the runs are done, so the output matches a serial run; after a
-run raises, no process starts another, and the first exception in run order
-propagates (from a child, without the child's traceback; `taskset -c 0`
-gives the full one). A script that calls `run_sweeps` with more than one
-CPU needs the `if __name__ == "__main__":` guard, since spawned children
-import the main module.
+Runs are independent, so the driver maps them over a pool of forked
+children, one per CPU in this process's affinity mask (at most one per
+run), each on the parent's one BLAS thread (see the package docstring);
+this process fits nothing while they run. A forked child starts from this
+process's memory, so a script needs no `if __name__ == "__main__":` guard
+and a patched module attribute applies in the children too. Forking needs
+no other thread to be running here: the pool forks every child before it
+starts its own threads, and OpenBLAS shuts its thread pool down at a fork;
+a caller that runs threads of its own should use `taskset -c 0`. Under
+`taskset -c 0`, with one run, or outside Linux, every run happens in this
+process and no child is started. The NMSE values do not depend on which
+process ran a run. Each run holds back its warnings and `roomwave` log
+records, and the driver emits them in run order once the runs are done, so
+the output matches a serial run. At the first run in run order that raised,
+the runs not yet started are cancelled and its exception propagates (from a
+child, without the child's traceback; `taskset -c 0` gives the full one). A
+child that dies raises `BrokenProcessPool`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import logging
 import math
@@ -448,68 +451,36 @@ def _one_run(cfg: ExperimentConfig, cases: list, run: int) -> tuple:
     return fitted, events, None
 
 
-def _take_runs(cfg: ExperimentConfig, cases: list, counter, lock) -> dict:
-    """Take the next run index from `counter` (read and advanced under
-    `lock`) and run it, until the indices are used up or a run fails:
-    {run: `_one_run`'s result}. Leaving sets the counter to the run count,
-    so once a run has failed, no process starts another."""
-    runs = cfg.monte_carlo_runs
-    done = {}
-    try:
-        while True:
-            with lock:
-                run = counter.value
-                counter.value = run + 1
-            if run >= runs:
-                return done
-            done[run] = _one_run(cfg, cases, run)
-            if done[run][2] is not None:
-                return done
-    finally:
-        with lock:
-            counter.value = runs
-
-
-_counter = None     # in a spawned child: the counter it shares, set at start
-
-
-def _share_counter(counter):
-    global _counter
-    _counter = counter
-
-
-def _child_runs(cfg: ExperimentConfig, cases: list) -> dict:
-    return _take_runs(cfg, cases, _counter, _counter.get_lock())
-
-
 def _worker_count(runs: int) -> int:
     """Processes to spread `runs` runs over: one per CPU in this process's
-    affinity mask, at most one per run."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity mask outside Linux
-        cpus = os.cpu_count() or 1
-    return min(runs, cpus)
+    affinity mask, at most one per run. Without an affinity mask (outside
+    Linux, so where `fork` is missing or unsafe) it is 1, which runs them
+    in this process."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(runs, len(os.sched_getaffinity(0)))
 
 
-def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> dict:
-    """`_take_runs` in this process and in `workers` - 1 spawned children,
-    all on one counter: {run: `_one_run`'s result} over every process. The
-    children are started before this process takes its first run, so it
-    fits while they import."""
-    if workers == 1:
-        return _take_runs(cfg, cases, ctypes.c_int(0),
-                          contextlib.nullcontext())
-    context = multiprocessing.get_context("spawn")
-    counter = context.Value("i", 0)
-    with ProcessPoolExecutor(workers - 1, mp_context=context,
-                             initializer=_share_counter,
-                             initargs=(counter,)) as pool:
-        children = [pool.submit(_child_runs, cfg, cases)
-                    for _ in range(workers - 1)]
-        done = _take_runs(cfg, cases, counter, counter.get_lock())
-        for child in children:
-            done.update(child.result())
+def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
+    """`_one_run`'s result of each run, in run order, up to the first that
+    holds an exception: over the builtin `map` for one worker, else over
+    the `map` of `workers` forked children, closed at that failure so that
+    the runs not yet started are cancelled."""
+    one_run = functools.partial(_one_run, cfg, cases)
+    runs = range(cfg.monte_carlo_runs)
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            outcomes = map(one_run, runs)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")))
+            outcomes = stack.enter_context(
+                contextlib.closing(pool.map(one_run, runs)))
+        done = []
+        for outcome in outcomes:
+            done.append(outcome)
+            if outcome[2] is not None:
+                break
         return done
 
 
@@ -548,8 +519,7 @@ def run_sweeps(cfg: ExperimentConfig) -> dict:
     outcomes = _run_all(cfg, [case for case, _ in cases],
                         _worker_count(runs))
     shown = {}      # warnings shown, for the filters' `default` action
-    for run in range(runs):
-        fitted, events, error = outcomes[run]
+    for run, (fitted, events, error) in enumerate(outcomes):
         for event in events:
             _replay(event, shown)
         if error is not None:

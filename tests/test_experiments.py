@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import logging
@@ -9,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +19,7 @@ from roomwave.bayes import (build_posterior, predict,
                             prior_covariance_from_matrices)
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
                                   run_seeds, run_sweeps, to_db)
-from roomwave.geometry import RoomSpec, perturb_positions, sample_boundary
+from roomwave.geometry import perturb_positions, sample_boundary
 from roomwave.planewaves import build_phi, build_phi_tilde, build_psi
 
 
@@ -406,51 +406,8 @@ class TestDriver:
                          "nearest_neighbor": 12 * runs}
 
 
-def wait_for_a_child(monkeypatch):
-    """Hold this process back from the run counter until a spawned child
-    has taken a run (at most 60 s), so the children do take runs however
-    fast this process is."""
-    original = experiments._take_runs
-
-    def patient(cfg, cases, counter, lock):
-        deadline = time.monotonic() + 60.0
-        while counter.value == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return original(cfg, cases, counter, lock)
-
-    monkeypatch.setattr(experiments, "_take_runs", patient)
-
-
-@dataclasses.dataclass(frozen=True)
-class ChildFailingRoom(RoomSpec):
-    """A room whose microphone half-centre cannot be found in a spawned
-    child: a failure that reaches the children, which monkeypatching does
-    not."""
-
-    @property
-    def mic_half_center(self):
-        if multiprocessing.parent_process() is not None:
-            raise RuntimeError("injected failure in a child process")
-        return super().mic_half_center
-
-
-def join_race(counter, barrier, cores):
-    global shared
-    shared = counter, barrier
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, cores)
-
-
-def race(cfg):
-    """Wait for every racer, then take runs from the shared counter."""
-    counter, barrier = shared
-    barrier.wait(timeout=60)
-    return sorted(experiments._take_runs(cfg, [], counter,
-                                         counter.get_lock()))
-
-
 class TestRunsAcrossProcesses:
-    """Runs spread over spawned children give what one process gives."""
+    """Runs mapped over forked children give what one process gives."""
 
     @staticmethod
     def outputs(results, out):
@@ -480,8 +437,6 @@ class TestRunsAcrossProcesses:
         for workers in (1, 3):
             monkeypatch.setattr(experiments, "_worker_count",
                                 lambda runs, workers=workers: workers)
-            if workers > 1:
-                wait_for_a_child(monkeypatch)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="roomwave"):
                 results = run_sweeps(cfg)
@@ -535,40 +490,75 @@ class TestRunsAcrossProcesses:
                 sweep(cfg, "frequency")
         assert calls == [1, 2, 3, 4]
 
-    def test_exception_in_a_child_run_propagates(self, monkeypatch):
-        cfg = tiny_config(ChildFailingRoom(), methods=("nearest",),
-                          monte_carlo_runs=3, sweeps=("frequency",))
+    def test_exception_in_a_child_run_propagates(self, room, monkeypatch,
+                                                 tmp_path):
+        """Of 12 runs over two forked children, run 1 fails at once and run
+        0 soon after, before any other run ends: run 0's exception
+        propagates, the runs not yet started never start, the main process
+        runs none and no child is left."""
+        original = experiments._make_run
+
+        def marked(cfg, run, *args):
+            (tmp_path / str(run)).write_text(str(os.getpid()))
+            if run == 0:
+                time.sleep(0.2)     # so that run 1's failure arrives first
+            if run < 2:
+                raise RuntimeError(f"injected failure in run {run}")
+            time.sleep(0.5)
+            return original(cfg, run, *args)
+
+        monkeypatch.setattr(experiments, "_make_run", marked)
         monkeypatch.setattr(experiments, "_worker_count", lambda runs: 2)
-        wait_for_a_child(monkeypatch)
-        with pytest.raises(RuntimeError, match="injected failure"):
+        cfg = tiny_config(room, methods=("nearest",), monte_carlo_runs=12,
+                          sweeps=("frequency",))
+        with pytest.raises(RuntimeError, match="in run 0"):
             run_sweeps(cfg)
+        started = {int(p.name): int(p.read_text()) for p in tmp_path.iterdir()}
+        assert {0, 1} <= set(started) and len(started) < 12
+        assert os.getpid() not in started.values()
         assert multiprocessing.active_children() == []
 
-    def test_every_run_taken_once_by_more_processes_than_cores(self, room):
-        """Processes that start together and do nothing but take runs, two
-        more of them than the cores they may run on (at most four of this
-        process's): each run index is taken by exactly one."""
-        cores = sorted(os.sched_getaffinity(0))[:4] if hasattr(
-            os, "sched_getaffinity") else range(experiments._worker_count(4))
-        racers = len(cores) + 2
-        cfg = tiny_config(room, monte_carlo_runs=3_000)
-        context = multiprocessing.get_context("spawn")
-        counter = context.Value("i", 0)
-        barrier = context.Barrier(racers)
-        pool = concurrent.futures.ProcessPoolExecutor(
-            racers, mp_context=context, initializer=join_race,
-            initargs=(counter, barrier, cores))
-        try:
-            futures = [pool.submit(race, cfg) for _ in range(racers)]
-            taken = [f.result(timeout=120) for f in futures]
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-            for child in multiprocessing.active_children():
-                child.join(timeout=30)
-        assert sorted(run for runs in taken for run in runs) == list(
-            range(cfg.monte_carlo_runs))
-        assert sum(bool(runs) for runs in taken) >= 2
+    def test_killed_child_breaks_the_pool(self, room, monkeypatch):
+        """A child that dies in a run raises `BrokenProcessPool` instead of
+        hanging, and leaves no child behind."""
+        original = experiments._make_run
+
+        def dying(cfg, run, *args):
+            if run == 0 and multiprocessing.parent_process() is not None:
+                os._exit(1)
+            return original(cfg, run, *args)
+
+        monkeypatch.setattr(experiments, "_make_run", dying)
+        monkeypatch.setattr(experiments, "_worker_count", lambda runs: 2)
+        cfg = tiny_config(room, methods=("nearest",), monte_carlo_runs=12,
+                          sweeps=("frequency",))
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            run_sweeps(cfg)
+        assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
+
+
+class TestWorkerCount:
+    def test_one_per_cpu_at_most_one_per_run(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert [experiments._worker_count(runs) for runs in (1, 2, 3, 10)] == [
+            1, 2, 3, 3]
+
+    def test_no_affinity_mask_runs_in_this_process(self, room, monkeypatch):
+        """Without `os.sched_getaffinity` (outside Linux) every run happens
+        in this process, which starts no pool."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert experiments._worker_count(10) == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        cfg = tiny_config(room, methods=("nearest",), sweeps=("frequency",))
+        rows = run_sweeps(cfg)["frequency"]
+        assert all(np.isfinite(r.nmse_per_run).all() for r in rows)
 
 
 class TestFitAndPredictLifetimes:
