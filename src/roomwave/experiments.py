@@ -31,29 +31,30 @@ only, which makes each run identical across sweeps and sweep values. A run
 holds its measurement as one `SimSnapshot` (microphone positions, noisy
 values, noise variance); the methods read it from there.
 
-Runs are independent, so the driver maps them over a pool of forked
-children, one per CPU in this process's affinity mask (at most one per
-run), each on the parent's one BLAS thread (see the package docstring);
-this process fits nothing while they run. A forked child starts from this
-process's memory, so a script needs no `if __name__ == "__main__":` guard
-and a patched module attribute applies in the children too. Forking needs
-no other thread to be running here: the pool forks every child before it
-starts its own threads, and OpenBLAS shuts its thread pool down at a fork;
-a caller that runs threads of its own should use `taskset -c 0`. Under
-`taskset -c 0`, with one run, or outside Linux, every run happens in this
-process and no child is started. The NMSE values do not depend on which
-process ran a run. Each run holds back its warnings and `roomwave` log
-records, and the driver emits them in run order once the runs are done, so
-the output matches a serial run. At the first run in run order that raised,
-the runs not yet started are cancelled and its exception propagates (from a
+Runs are independent, so the driver spreads them over one process per CPU in
+this process's affinity mask (at most one per run), each on one BLAS thread
+(spawned children inherit the thread variables; see the package docstring).
+This process runs the first share of the runs while the others are mapped
+over spawned children, which start about 0.4 s late (each imports numpy and
+scipy again); this process's share is rounded up for that. Under
+`taskset -c 0`, or with one run, every run happens in this process and no
+child is started. The NMSE values do not depend on which process ran a run.
+Each run holds back its warnings and `roomwave` log records, and the driver
+emits them in run order once the runs are done, so the output matches a
+serial run. Results are read in run order: at the first run that raised, the
+runs not yet started are cancelled and its exception propagates (from a
 child, without the child's traceback; `taskset -c 0` gives the full one). A
-child that dies raises `BrokenProcessPool`.
+child that dies raises `BrokenProcessPool`. A script that calls `run_sweeps`
+with more than one CPU needs the `if __name__ == "__main__":` guard, since
+spawned children import the main module; a module attribute patched here
+applies to this process's share of the runs only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import logging
 import math
 import multiprocessing
@@ -453,31 +454,35 @@ def _one_run(cfg: ExperimentConfig, cases: list, run: int) -> tuple:
 
 def _worker_count(runs: int) -> int:
     """Processes to spread `runs` runs over: one per CPU in this process's
-    affinity mask, at most one per run. Without an affinity mask (outside
-    Linux, so where `fork` is missing or unsafe) it is 1, which runs them
-    in this process."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(runs, len(os.sched_getaffinity(0)))
+    affinity mask, at most one per run."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask outside Linux
+        cpus = os.cpu_count() or 1
+    return min(runs, cpus)
 
 
 def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
     """`_one_run`'s result of each run, in run order, up to the first that
-    holds an exception: over the builtin `map` for one worker, else over
-    the `map` of `workers` forked children, closed at that failure so that
-    the runs not yet started are cancelled."""
+    holds an exception. This process runs the first ceil(runs / `workers`)
+    runs; the others go to the `map` of `workers` - 1 spawned children,
+    which start late by their imports. The map is closed at the first
+    failure, so that the runs not yet started are cancelled; a run that
+    fails while an earlier one is still going does not stop the children
+    until that earlier one is read, so a failing benchmark takes longer,
+    but its outcome is the same."""
     one_run = functools.partial(_one_run, cfg, cases)
     runs = range(cfg.monte_carlo_runs)
+    mine = -(-len(runs) // workers)
     with contextlib.ExitStack() as stack:
-        if workers == 1:
-            outcomes = map(one_run, runs)
-        else:
+        theirs = ()
+        if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")))
-            outcomes = stack.enter_context(
-                contextlib.closing(pool.map(one_run, runs)))
+                workers - 1, mp_context=multiprocessing.get_context("spawn")))
+            theirs = stack.enter_context(
+                contextlib.closing(pool.map(one_run, runs[mine:])))
         done = []
-        for outcome in outcomes:
+        for outcome in itertools.chain(map(one_run, runs[:mine]), theirs):
             done.append(outcome)
             if outcome[2] is not None:
                 break

@@ -38,7 +38,6 @@ def complex_instance(rng):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Every Monte-Carlo run in this process, so that what a patched
-    function records during the runs reaches the test."""
+    """Every Monte-Carlo run in this process, where monkeypatches apply."""
     from roomwave import experiments
     monkeypatch.setattr(experiments, "_worker_count", lambda runs: 1)

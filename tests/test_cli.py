@@ -225,10 +225,10 @@ def test_thread_variable_sets_blas_defaults_only():
 
 
 @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
-def test_forked_runs_beside_a_blas_thread_pool(tmp_path):
-    """With a two-thread OpenBLAS loaded before the children fork, a pooled
-    two-run benchmark neither hangs nor changes a byte of the aggregate
-    CSVs that the same run writes serially on one CPU."""
+def test_pooled_runs_beside_a_blas_thread_pool(tmp_path):
+    """With a two-thread OpenBLAS in the main process and in the children,
+    a pooled two-run benchmark neither hangs nor changes a byte of the
+    aggregate CSVs that the same run writes serially on one CPU."""
     root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = "2"

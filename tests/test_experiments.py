@@ -4,6 +4,7 @@ import logging
 import math
 import multiprocessing
 import os
+import sys
 import time
 import tracemalloc
 import warnings
@@ -19,7 +20,7 @@ from roomwave.bayes import (build_posterior, predict,
                             prior_covariance_from_matrices)
 from roomwave.experiments import (ExperimentConfig, RunResult, nmse,
                                   run_seeds, run_sweeps, to_db)
-from roomwave.geometry import perturb_positions, sample_boundary
+from roomwave.geometry import RoomSpec, perturb_positions, sample_boundary
 from roomwave.planewaves import build_phi, build_phi_tilde, build_psi
 
 
@@ -406,8 +407,55 @@ class TestDriver:
                          "nearest_neighbor": 12 * runs}
 
 
+def current_run():
+    """The run index of the `_one_run` call that this is called under."""
+    frame = sys._getframe()
+    while frame.f_code is not experiments._one_run.__code__:
+        frame = frame.f_back
+    return frame.f_locals["run"]
+
+
+@dataclasses.dataclass(frozen=True)
+class FailingRoom(RoomSpec):
+    """A room that carries a failure into whatever process runs a run,
+    spawned children included, which a monkeypatch does not reach. With
+    `die`, a child that starts any run ends at once. Otherwise each run
+    marks its start with a file under `marks`, named after the run and
+    holding the process id; run `first` + 1 fails at once, run `first`
+    fails 0.2 s after run `first` + 1 has started (so that the later run's
+    failure arrives first), every run after them takes 0.5 s longer and
+    the runs before them are untouched."""
+
+    marks: str = ""
+    die: bool = False
+    first: int = 0
+
+    @property
+    def mic_half_center(self):
+        run = current_run()
+        mark = os.path.join(self.marks, str(run))
+        if self.die:
+            if multiprocessing.parent_process() is not None:
+                os._exit(1)
+        elif not os.path.exists(mark):
+            with open(mark, "w") as handle:
+                handle.write(str(os.getpid()))
+            later = os.path.join(self.marks, str(self.first + 1))
+            if run == self.first:
+                deadline = time.monotonic() + 60.0
+                while (not os.path.exists(later)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                time.sleep(0.2)
+            if run in (self.first, self.first + 1):
+                raise RuntimeError(f"injected failure in run {run}")
+            if run > self.first:
+                time.sleep(0.5)
+        return super().mic_half_center
+
+
 class TestRunsAcrossProcesses:
-    """Runs mapped over forked children give what one process gives."""
+    """Runs mapped over spawned children give what one process gives."""
 
     @staticmethod
     def outputs(results, out):
@@ -490,48 +538,30 @@ class TestRunsAcrossProcesses:
                 sweep(cfg, "frequency")
         assert calls == [1, 2, 3, 4]
 
-    def test_exception_in_a_child_run_propagates(self, room, monkeypatch,
+    def test_exception_in_a_child_run_propagates(self, monkeypatch,
                                                  tmp_path):
-        """Of 12 runs over two forked children, run 1 fails at once and run
-        0 soon after, before any other run ends: run 0's exception
-        propagates, the runs not yet started never start, the main process
-        runs none and no child is left."""
-        original = experiments._make_run
-
-        def marked(cfg, run, *args):
-            (tmp_path / str(run)).write_text(str(os.getpid()))
-            if run == 0:
-                time.sleep(0.2)     # so that run 1's failure arrives first
-            if run < 2:
-                raise RuntimeError(f"injected failure in run {run}")
-            time.sleep(0.5)
-            return original(cfg, run, *args)
-
-        monkeypatch.setattr(experiments, "_make_run", marked)
-        monkeypatch.setattr(experiments, "_worker_count", lambda runs: 2)
-        cfg = tiny_config(room, methods=("nearest",), monte_carlo_runs=12,
+        """Of 12 runs over three processes, this one runs runs 0-3 and two
+        spawned children the others. Run 5 fails at once and run 4 soon
+        after, before any later run ends: run 4's exception propagates, the
+        runs not yet started never start and no child is left."""
+        monkeypatch.setattr(experiments, "_worker_count", lambda runs: 3)
+        cfg = tiny_config(FailingRoom(marks=str(tmp_path), first=4),
+                          methods=("nearest",), monte_carlo_runs=12,
                           sweeps=("frequency",))
-        with pytest.raises(RuntimeError, match="in run 0"):
+        with pytest.raises(RuntimeError, match="in run 4"):
             run_sweeps(cfg)
         started = {int(p.name): int(p.read_text()) for p in tmp_path.iterdir()}
-        assert {0, 1} <= set(started) and len(started) < 12
-        assert os.getpid() not in started.values()
+        assert set(range(6)) <= set(started) and len(started) < 12
+        assert [run for run, pid in sorted(started.items())
+                if pid == os.getpid()] == [0, 1, 2, 3]
         assert multiprocessing.active_children() == []
 
-    def test_killed_child_breaks_the_pool(self, room, monkeypatch):
+    def test_killed_child_breaks_the_pool(self, monkeypatch):
         """A child that dies in a run raises `BrokenProcessPool` instead of
         hanging, and leaves no child behind."""
-        original = experiments._make_run
-
-        def dying(cfg, run, *args):
-            if run == 0 and multiprocessing.parent_process() is not None:
-                os._exit(1)
-            return original(cfg, run, *args)
-
-        monkeypatch.setattr(experiments, "_make_run", dying)
         monkeypatch.setattr(experiments, "_worker_count", lambda runs: 2)
-        cfg = tiny_config(room, methods=("nearest",), monte_carlo_runs=12,
-                          sweeps=("frequency",))
+        cfg = tiny_config(FailingRoom(die=True), methods=("nearest",),
+                          monte_carlo_runs=12, sweeps=("frequency",))
         start = time.monotonic()
         with pytest.raises(BrokenProcessPool):
             run_sweeps(cfg)
@@ -546,19 +576,15 @@ class TestWorkerCount:
         assert [experiments._worker_count(runs) for runs in (1, 2, 3, 10)] == [
             1, 2, 3, 3]
 
-    def test_no_affinity_mask_runs_in_this_process(self, room, monkeypatch):
-        """Without `os.sched_getaffinity` (outside Linux) every run happens
-        in this process, which starts no pool."""
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        """Without `os.sched_getaffinity` (outside Linux) every CPU counts,
+        and one process runs them all when the count is unknown."""
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [experiments._worker_count(runs) for runs in (1, 2, 10)] == [
+            1, 2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert experiments._worker_count(10) == 1
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
-        cfg = tiny_config(room, methods=("nearest",), sweeps=("frequency",))
-        rows = run_sweeps(cfg)["frequency"]
-        assert all(np.isfinite(r.nmse_per_run).all() for r in rows)
 
 
 class TestFitAndPredictLifetimes:
