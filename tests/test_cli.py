@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -222,31 +221,6 @@ def test_thread_variable_sets_blas_defaults_only():
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, check=True)
         assert json.loads(result.stdout) == {**given, **expected}, given
-
-
-@pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
-def test_pooled_runs_beside_a_blas_thread_pool(tmp_path):
-    """With a two-thread OpenBLAS in the main process and in the children,
-    a pooled two-run benchmark neither hangs nor changes a byte of the
-    aggregate CSVs that the same run writes serially on one CPU."""
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
-    env["OPENBLAS_NUM_THREADS"] = "2"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
-    aggregates = {}
-    for name, prefix in (("pooled", []), ("one_cpu", ["taskset", "-c", "0"])):
-        out = tmp_path / name
-        done = subprocess.run(
-            [*prefix, sys.executable, "-m", "roomwave.cli", "benchmark",
-             str(root / "perfbench/tests/tiny.yaml"), str(out),
-             "--set", "benchmark.monte_carlo_runs=2"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        aggregates[name] = {p.name: p.read_bytes()
-                            for p in sorted(out.glob("*_aggregate.csv"))}
-    assert len(aggregates["pooled"]) == 2
-    assert aggregates["pooled"] == aggregates["one_cpu"]
 
 
 def test_gradcheck_passes(capsys):
