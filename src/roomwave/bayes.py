@@ -1,5 +1,6 @@
-"""Bayesian plane-wave reconstruction: boundary-informed prior covariance,
-posterior factorization, MAP coefficients and predictive mean/variance.
+"""Bayesian plane-wave reconstruction: the boundary-informed prior, read
+as the prior covariance of the field, the posterior conditioned on the
+measurements, and the predictive mean and variance.
 
 The coefficient prior is zero-mean complex Gaussian with covariance
 
@@ -8,12 +9,24 @@ The coefficient prior is zero-mean complex Gaussian with covariance
 
 i.e. fields whose impedance boundary residual is large are penalized. With
 boundary_weight = 0 (or an empty cloud) the prior reduces to the isotropic
-ridge/Tikhonov prior; the Woodbury form below gives its values exactly, as
-scale * (x - 0), without a separate code path.
+ridge/Tikhonov prior, on the same path: its boundary terms are zero-weighted
+or empty.
 
-Sigma is held in boundary space (Woodbury form, see PriorCovariance): the
-prior, the posterior and the predictions factorize only the B x B matrix
-I + boundary_weight * G G^H and the M x M matrix Q, never a P x P matrix.
+Nothing here forms Sigma or any P-space matrix. The posterior is read off
+the `marglik.MarginalLikelihood` evaluator at the fitted hyperparameters,
+from its own factorization: with L the Cholesky factor of the B x B matrix
+I + mu G G^H and V = L^{-1} G Phi^H (`MarginalLikelihood.prior`), and the
+prediction rows phi_r, whose boundary products the evaluator formed before
+the fit,
+
+    U = L^{-1} (beta Psi phi_r^H + PhiTilde phi_r^H),
+    T = sigma_alpha^2 (phi_r Phi^H - mu U^H V)      (phi_r Sigma Phi^H),
+    prior variance = sigma_alpha^2 (||phi_r||^2 - mu ||U||^2),
+
+the mean is T xi and the variance is the prior variance minus
+diag(T Q^{-1} T^H), where Q = K + sigma^2 I is the M x M matrix the fit
+factorizes and xi = Q^{-1} y. `build_posterior` forms Q's factor and xi for
+the evaluator's value path as well.
 """
 
 from __future__ import annotations
@@ -27,11 +40,11 @@ from .planewaves import PlaneWaveDictionary, build_phi
 
 __all__ = [
     "Hyperparameters",
-    "PriorCovariance",
+    "target_rows",
+    "FieldPrior",
     "PosteriorModel",
     "prior_covariance_from_matrices",
     "build_posterior",
-    "map_coefficients",
     "predict",
 ]
 
@@ -68,113 +81,76 @@ class Hyperparameters:
             raise ValueError("impedance must be finite")
 
 
-class PriorCovariance:
-    """Coefficient prior covariance held in boundary space.
-
-    By the Woodbury identity
-
-        Sigma = scale * (I_P - weight * G^H (I_B + weight * G G^H)^{-1} G),
-
-    so only G (B x P) and the Cholesky factor F of the B x B matrix
-    I_B + weight * G G^H are stored: a product with Sigma costs two B x P
-    products and two B x B triangular solves, and no P x P matrix is ever
-    formed or factorized.
-    """
-
-    def __init__(self, scale: float, weight: float, g: np.ndarray,
-                 factor: CholeskyFactor):
-        self.scale = scale
-        self.weight = weight
-        self.g = g
-        self.factor = factor
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[1]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Sigma @ x."""
-        correction = self.g.conj().T @ self.factor.solve(self.g @ x)
-        return self.scale * (x - self.weight * correction)
+def target_rows(dictionary: PlaneWaveDictionary, points) -> np.ndarray:
+    """Rows phi(r) (J, P) of the points to predict at: `fit_hyperparameters`
+    forms their products in its precompute, and `predict` gives the
+    posterior there. They are built here, in the prediction's module, where
+    `perfbench/tracer.py` times them as the prediction's dictionary build."""
+    return build_phi(dictionary, points)
 
 
-def prior_covariance_from_matrices(psi: np.ndarray, phi_tilde: np.ndarray,
-                                   hp: Hyperparameters) -> PriorCovariance:
-    """Prior covariance from prebuilt boundary matrices (B x P each); the
-    only factorization is the B x B Cholesky of I_B + mu G G^H.
+@dataclass(frozen=True)
+class FieldPrior:
+    """Prior covariance of the field u(r) = phi(r) alpha at the microphones
+    and at the prediction points."""
 
-    G is formed in one new array, as beta * Psi and then += PhiTilde, which
-    rounds as the expression beta * Psi + PhiTilde does; the inputs are not
-    modified. This function drops its references to Psi and PhiTilde before
-    G G^H, so a caller that passes freshly built matrices (as
-    `experiments.fit_and_predict` does) has them freed there; the stage
-    then peaks while G is formed beside them.
-    """
-    if psi.shape != phi_tilde.shape:
-        raise ValueError("Psi and PhiTilde must have equal shapes")
-    g = hp.impedance * psi
-    g += phi_tilde
-    del psi, phi_tilde
-    mu = hp.boundary_weight
-    a = mu * (g @ g.conj().T)
-    a.flat[::g.shape[0] + 1] += 1.0
-    return PriorCovariance(hp.prior_variance, mu, g, chol_factor(a))
+    mics: np.ndarray        # K = Phi Sigma Phi^H, (M, M)
+    cross: np.ndarray       # T = phi_r Sigma Phi^H, (J, M)
+    variance: np.ndarray    # diag(phi_r Sigma phi_r^H), (J,)
+
+
+def prior_covariance_from_matrices(ml, hp: Hyperparameters) -> FieldPrior:
+    """The field's prior covariance at `hp` from the products that the
+    evaluator `ml` holds; its largest arrays are the evaluator's B x B
+    factor and the matrix it factorizes, beside the Gram stack."""
+    b_factor, v, k = ml.prior(hp)
+    sa2, mu = hp.prior_variance, hp.boundary_weight
+    u = b_factor.forward(hp.impedance * ml.psi_targets + ml.pt_targets)
+    cross = sa2 * (ml.targets_phi - mu * (u.conj().T @ v))
+    variance = sa2 * (ml.target_power - mu * np.sum(np.abs(u) ** 2, axis=0))
+    return FieldPrior(k, cross, variance)
 
 
 @dataclass(frozen=True)
 class PosteriorModel:
-    """Posterior state: factorized Q = sigma^2 I + Phi Sigma Phi^H together
-    with xi = Q^{-1} y and the cached cross-covariance Sigma Phi^H."""
+    """Factorized Q = K + sigma^2 I and xi = Q^{-1} y."""
 
-    dictionary: PlaneWaveDictionary
-    prior: PriorCovariance
-    cross: np.ndarray           # Sigma Phi^H, (P, M)
     q_factor: CholeskyFactor
     xi: np.ndarray
 
 
-def build_posterior(y, phi: np.ndarray, prior: PriorCovariance,
-                    hp: Hyperparameters,
-                    dictionary: PlaneWaveDictionary) -> PosteriorModel:
-    """Factorize Q = sigma^2 I + Phi Sigma Phi^H (M x M) and precompute
-    everything prediction needs; Sigma Phi^H comes from the boundary-space
-    prior, so no P x P matrix is formed. Needs M >= 1 measurements."""
+def build_posterior(y, k: np.ndarray, noise_variance: float) -> PosteriorModel:
+    """Condition on the measurements y: factorize Q = K + sigma^2 I (M x M),
+    K the prior covariance of the field at the microphones, and solve
+    xi = Q^{-1} y. Needs M >= 1 measurements."""
     y = np.asarray(y, dtype=complex).reshape(-1)
     if len(y) < 1:
         raise ValueError("need at least one measurement")
-    if phi.shape != (len(y), prior.dim):
-        raise ValueError(f"Phi shape {phi.shape} inconsistent with "
-                         f"M={len(y)}, P={prior.dim}")
-    cross = prior.apply(phi.conj().T)
-    q = phi @ cross
-    q.flat[::len(y) + 1] += hp.noise_variance
+    if k.shape != (len(y), len(y)):
+        raise ValueError(f"K shape {k.shape} inconsistent with M={len(y)}")
+    q = k.copy()
+    q.flat[::len(y) + 1] += noise_variance
     q_factor = chol_factor(q)
-    return PosteriorModel(dictionary, prior, cross, q_factor, q_factor.solve(y))
+    return PosteriorModel(q_factor, q_factor.solve(y))
 
 
-def map_coefficients(posterior: PosteriorModel) -> np.ndarray:
-    """MAP coefficient vector via the dual form Sigma Phi^H Q^{-1} y."""
-    return posterior.cross @ posterior.xi
+def predict(prior: FieldPrior,
+            posterior: PosteriorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive mean and variance of the field at the prediction points.
 
-
-def predict(posterior: PosteriorModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean and variance of the field at the given points.
-
-    The mean is phi(r)^T alpha_MAP; the variance is the prior variance
-    phi^T Sigma phi* minus the information gained from the measurements.
-    Tiny negative variances from roundoff are clamped to zero; a negative
+    The mean is T xi; the variance is the prior variance minus the
+    information gained from the measurements, diag(T Q^{-1} T^H). Tiny
+    negative variances from roundoff are clamped to zero; a negative
     excursion beyond 1e-8 of the prior variance raises FactorizationError.
     """
-    phi_r = build_phi(posterior.dictionary, points)
-    mean = phi_r @ map_coefficients(posterior)
+    t = prior.cross
+    mean = t @ posterior.xi
+    reduction = np.einsum("jm,mj->j", t,
+                          posterior.q_factor.solve(t.conj().T)).real
+    variance = prior.variance - reduction
 
-    sig_phi = posterior.prior.apply(phi_r.conj().T)        # Sigma phi*, (P, J)
-    prior_var = np.einsum("jp,pj->j", phi_r, sig_phi).real
-    t = phi_r @ posterior.cross                            # phi^T Sigma Phi^H, (J, M)
-    reduction = np.einsum("jm,mj->j", t, posterior.q_factor.solve(t.conj().T)).real
-    variance = prior_var - reduction
-
-    tolerance = VARIANCE_CLAMP_REL * np.maximum(prior_var, 0.0) + VARIANCE_CLAMP_ABS
+    tolerance = (VARIANCE_CLAMP_REL * np.maximum(prior.variance, 0.0)
+                 + VARIANCE_CLAMP_ABS)
     if np.any(variance < -tolerance):
         worst = float(np.min(variance))
         raise FactorizationError(

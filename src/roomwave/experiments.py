@@ -68,7 +68,8 @@ import numpy as np
 
 from .baselines import (CV_GRID_SIZE, default_lambda_grid, lasso,
                         nearest_neighbor, select_lambda, tikhonov)
-from .bayes import build_posterior, predict, prior_covariance_from_matrices
+from .bayes import (build_posterior, predict,
+                    prior_covariance_from_matrices, target_rows)
 from .geometry import (BoundaryCloud, RoomSpec, perturb_positions,
                        sample_boundary, sample_microphones,
                        sample_validation_points)
@@ -294,28 +295,27 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
 
     Returns (fit, predictive mean, predictive variance).
 
-    Psi and PhiTilde are built twice, each time passed straight into the one
-    call that reads them, so neither is alive while the optimizer runs: at
-    default size (P = B = 1000) they are 32 MB. The prior drops them once G
-    is formed, so they are freed before G G^H as well. The builders are
-    deterministic, so the prior sees the arrays the fit saw, bit for bit, at
-    the cost of a second build.
+    Psi and PhiTilde are built once, each passed straight into the fit,
+    which reads them only in its precompute, so neither is alive while the
+    optimizer runs: at default size (P = B = 1000) they are 32 MB. The
+    precompute also forms the targets' boundary products, and the posterior
+    is read off the fit's evaluator from its own factorization at the
+    fitted theta (see `bayes`).
 
     One call peaks in the marginal-likelihood precompute, which holds Phi,
     Psi, PhiTilde, one conjugated block of `marglik.GRAM_BLOCK` rows, the
-    (4, B, B) Gram stack (64 MB at default size) and the two (B, M) cross
-    products.
+    (4, B, B) Gram stack (64 MB at default size), the two (B, M) cross
+    products and the two (B, J) target products.
     """
     phi = build_phi(dictionary, mics)
-    fit = fit_hyperparameters(y, phi, build_psi(dictionary, cloud),
-                              build_phi_tilde(dictionary, cloud),
-                              max_line_searches=max_line_searches)
+    fit, ml = fit_hyperparameters(y, phi, build_psi(dictionary, cloud),
+                                  build_phi_tilde(dictionary, cloud),
+                                  max_line_searches,
+                                  target_rows(dictionary, targets))
     hp = to_hyperparameters(fit.x)
-    prior = prior_covariance_from_matrices(build_psi(dictionary, cloud),
-                                           build_phi_tilde(dictionary, cloud),
-                                           hp)
-    posterior = build_posterior(y, phi, prior, hp, dictionary)
-    mean, variance = predict(posterior, targets)
+    prior = prior_covariance_from_matrices(ml, hp)
+    posterior = build_posterior(y, prior.mics, hp.noise_variance)
+    mean, variance = predict(prior, posterior)
     return fit, mean, variance
 
 
@@ -336,8 +336,8 @@ def _reconstruct(method: str, data: _RunData, cfg: ExperimentConfig,
     phi = build_phi(dictionary, assumed_mics)
     if method == "tikhonov":
         empty = np.zeros((0, dictionary.size), dtype=complex)
-        fit = fit_hyperparameters(y, phi, empty, empty,
-                                  max_line_searches=cfg.max_line_searches)
+        fit, _ = fit_hyperparameters(y, phi, empty, empty,
+                                     max_line_searches=cfg.max_line_searches)
         hp = to_hyperparameters(fit.x)
         alpha = tikhonov(y, phi, hp.noise_variance, hp.prior_variance)
         return evaluate_field(dictionary, alpha, targets)

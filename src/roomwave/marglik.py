@@ -12,10 +12,11 @@ magnitude. Throughout, theta is the optimizer's real 5-array
 [a, b, d, Re eta, Im eta]; `to_hyperparameters` is its one map to the model's
 `Hyperparameters`, which `MarginalLikelihood.value` and `value_and_gradient`
 take, and `fit_hyperparameters` returns the optimizer's `MinimizeResult`,
-whose `x` is the fitted theta. Every gradient component is the trace form
--(1/2) tr((xi xi^H - Q^{-1}) dQ/dtheta_i); the impedance component is the
-derivative with respect to eta* of the (non-holomorphic) real objective, and
-the real-coordinate gradient is (2 Re g, 2 Im g) for that complex derivative.
+whose `x` is the fitted theta, with the evaluator. Every gradient component
+is the trace form -(1/2) tr((xi xi^H - Q^{-1}) dQ/dtheta_i); the impedance
+component is the derivative with respect to eta* of the (non-holomorphic)
+real objective, and the real-coordinate gradient is (2 Re g, 2 Im g) for
+that complex derivative.
 
 Evaluation works in measurement space: Q is only M x M, and all
 boundary-dependent quantities reduce to four B x B Grams, PhiTilde PhiTilde^H,
@@ -29,12 +30,15 @@ of J costs
   - its B x B Cholesky factor L,
   - one B x M forward solve V = L^{-1} G Phi^H, giving
     K = sigma_alpha^2 (Phi Phi^H - mu V^H V), and the M x M Cholesky of Q.
-The gradient adds the back solve w = L^{-H} V, a second Gram pass for
-Psi G^H and one B x B times B x M product; every trace is an inner product
-with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is formed. It is
-about half an evaluation's cost, and it is skipped where J exceeds the
-caller's `cap`: the line search never reads the gradient at trial points
-above its starting value. An evaluation releases I + mu G G^H once it is
+`MarginalLikelihood.prior` forms L, V and K, and `bayes.build_posterior`
+the factor of Q = K + sigma^2 I and xi = Q^{-1} y. The posterior after the
+fit reads the same two calls at the fitted theta, so it factorizes nothing
+the fit did not. The gradient adds the back solve w = L^{-H} V, a second
+Gram pass for Psi G^H and one B x B times B x M product; every trace is an
+inner product with w W, W = xi xi^H - Q^{-1}, so no derivative matrix dQ is
+formed. It is about half an evaluation's cost, and it is skipped where J
+exceeds the caller's `cap`: the line search never reads the gradient at
+trial points above its starting value. An evaluation releases I + mu G G^H once it is
 factorized, L and V once w = L^{-H} V is formed, and Psi G^H once it is
 multiplied, so besides the Grams it holds at most two B x B matrices, and
 two only while L is being factorized.
@@ -65,7 +69,11 @@ Psi and PhiTilde are (B, P), the largest arrays of the fit, and nothing after
 the precompute reads them: the evaluator keeps only the Grams, the two
 (B, M) cross products and Phi Phi^H, and `fit_hyperparameters` releases its
 references before the optimizer starts, so the loop holds no (B, P) matrix
-unless the caller keeps one.
+unless the caller keeps one. Given the rows phi_r (J, P) of the points to
+predict at, the precompute also forms the products that only the posterior
+reads: Psi phi_r^H and PhiTilde phi_r^H (B, J), phi_r Phi^H (J, M) and
+||phi_r||^2. They are separate products, so the fit's own arrays keep
+their bytes.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ import math
 import numpy as np
 
 from ._linalg import FactorizationError, chol_factor
-from .bayes import Hyperparameters
+from .bayes import Hyperparameters, build_posterior
 from .optimize import MinimizeResult, minimize
 
 __all__ = [
@@ -147,14 +155,16 @@ def _hermitize_in_place(*matrices: np.ndarray,
 
 
 class MarginalLikelihood:
-    """Evaluator bound to one dataset (y, Phi, Psi, PhiTilde).
+    """Evaluator bound to one dataset (y, Phi, Psi, PhiTilde) and the rows
+    of the prediction points (none by default).
 
     Construction precomputes the Gram blocks; value() and
     value_and_gradient() may then be called for many hyperparameter
     settings at M/B-space cost.
     """
 
-    def __init__(self, y, phi: np.ndarray, psi: np.ndarray, phi_tilde: np.ndarray):
+    def __init__(self, y, phi: np.ndarray, psi: np.ndarray,
+                 phi_tilde: np.ndarray, targets: np.ndarray | None = None):
         y = np.asarray(y, dtype=complex).reshape(-1)
         if len(y) < 1:
             raise ValueError("need at least one measurement")
@@ -162,14 +172,24 @@ class MarginalLikelihood:
             raise ValueError("Phi row count must match y")
         if psi.shape != phi_tilde.shape or psi.shape[1] != phi.shape[1]:
             raise ValueError("Psi/PhiTilde shapes inconsistent with Phi")
+        if targets is None:
+            targets = np.zeros((0, phi.shape[1]), dtype=complex)
+        if targets.ndim != 2 or targets.shape[1] != phi.shape[1]:
+            raise ValueError("prediction rows inconsistent with Phi")
         self.y = y
-        self.num_measurements = len(y)
         self.num_boundary = b = psi.shape[0]
         phi_h = phi.conj().T
         self._phi_gram = phi @ phi_h
         self._psi_phi = psi @ phi_h                        # (B, M)
         self._pt_phi = phi_tilde @ phi_h                   # (B, M)
+        # the prediction points' products, which only the posterior reads
+        self.targets_phi = targets @ phi_h                 # (J, M)
         del phi_h
+        targets_h = targets.conj().T
+        self.psi_targets = psi @ targets_h                 # (B, J)
+        self.pt_targets = phi_tilde @ targets_h            # (B, J)
+        self.target_power = np.sum(np.abs(targets) ** 2, axis=1)
+        del targets_h
         _hermitize_in_place(self._phi_gram)
         # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
         # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S, written into
@@ -191,6 +211,27 @@ class MarginalLikelihood:
         J > cap; the value is the same either way."""
         return self._evaluate(hp, cap)
 
+    def prior(self, hp: Hyperparameters):
+        """(L, V, K) at `hp`: the Cholesky factor L of I + mu G G^H, formed
+        from the Grams, V = L^{-1} G Phi^H and K = sigma_alpha^2 (Phi Phi^H
+        - mu V^H V), the prior covariance of the field at the microphones.
+        `bayes.build_posterior(y, K, sigma^2)` completes the value path."""
+        sa2 = hp.prior_variance
+        mu = hp.boundary_weight
+        beta = hp.impedance
+        # I + mu G G^H with G G^H = C + |beta|^2 A + 2 Re(beta) H
+        # + 2i Im(beta) S, every term Hermitian; Cholesky reads only
+        # the lower triangle, so no symmetrization is needed
+        a = self._combine(mu * np.array(
+            [1.0, abs(beta) ** 2, 2.0 * beta.real, 2.0j * beta.imag]))
+        a.flat[::self.num_boundary + 1] += 1.0
+        b_factor = chol_factor(a)
+        del a
+        v = b_factor.forward(beta * self._psi_phi + self._pt_phi)
+        k = sa2 * self._phi_gram
+        k -= (sa2 * mu) * (v.conj().T @ v)
+        return b_factor, v, k
+
     def _combine(self, coefficients) -> np.ndarray:
         """sum_i c_i * Gram_i as one pass over the stacked Grams."""
         return np.tensordot(coefficients, self._grams, axes=1)
@@ -200,30 +241,15 @@ class MarginalLikelihood:
         sa2 = hp.prior_variance
         mu = hp.boundary_weight
         beta = hp.impedance
-        m = self.num_measurements
 
         # assembly, value and gradient all run with overflow and invalid
         # operations raising, so an extreme theta is reported as not
         # evaluable instead of printing numpy warnings
         with np.errstate(over="raise", invalid="raise"):
             try:
-                k = sa2 * self._phi_gram
-                # I + mu G G^H with G G^H = C + |beta|^2 A + 2 Re(beta) H
-                # + 2i Im(beta) S, every term Hermitian; Cholesky reads only
-                # the lower triangle, so no symmetrization is needed
-                a = self._combine(mu * np.array(
-                    [1.0, abs(beta) ** 2, 2.0 * beta.real, 2.0j * beta.imag]))
-                a.flat[::self.num_boundary + 1] += 1.0
-                b_factor = chol_factor(a)
-                del a
-                v = b_factor.forward(                          # L^{-1} G Phi^H
-                    beta * self._psi_phi + self._pt_phi)
-                k -= (sa2 * mu) * (v.conj().T @ v)
-                q = k.copy()
-                q.flat[::m + 1] += s2
-                q_factor = chol_factor(q)
-
-                xi = q_factor.solve(self.y)
+                b_factor, v, k = self.prior(hp)
+                posterior = build_posterior(self.y, k, s2)
+                q_factor, xi = posterior.q_factor, posterior.xi
                 value = (0.5 * float(np.real(self.y.conj() @ xi))
                          + 0.5 * q_factor.logdet())
                 if not math.isfinite(value):
@@ -300,10 +326,13 @@ def initial_theta(y, num_plane_waves: int, psi: np.ndarray,
                      log_weight, 0.0, 0.0])
 
 
-def fit_hyperparameters(y, phi, psi, phi_tilde,
-                        max_line_searches: int = 100) -> MinimizeResult:
+def fit_hyperparameters(y, phi, psi, phi_tilde, max_line_searches: int = 100,
+                        targets: np.ndarray | None = None
+                        ) -> tuple[MinimizeResult, MarginalLikelihood]:
     """Minimize J over theta with Polak-Ribiere conjugate gradients from
-    `initial_theta`; the result's `x` is the fitted theta.
+    `initial_theta`; returns the optimizer's result, whose `x` is the fitted
+    theta, and the evaluator, built with the prediction rows `targets`
+    (J, P), so that `bayes` reads the posterior off it.
 
     Points where the factorization fails are reported to the optimizer as
     non-evaluable, so its line search backtracks past them. Each optimizer
@@ -316,7 +345,7 @@ def fit_hyperparameters(y, phi, psi, phi_tilde,
     loop holds no (B, P) matrix unless the caller keeps one.
     """
     theta0 = initial_theta(y, phi.shape[1], psi, phi_tilde)
-    ml = MarginalLikelihood(y, phi, psi, phi_tilde)
+    ml = MarginalLikelihood(y, phi, psi, phi_tilde, targets)
     del psi, phi_tilde
 
     def fun(x, cap):
@@ -325,7 +354,7 @@ def fit_hyperparameters(y, phi, psi, phi_tilde,
         except FactorizationError:
             return math.inf, None
 
-    return minimize(fun, theta0, max_line_searches=max_line_searches)
+    return minimize(fun, theta0, max_line_searches=max_line_searches), ml
 
 
 def gradient_check(num_instances: int = 20, thetas_per_instance: int = 5,

@@ -12,9 +12,9 @@ from roomwave import baselines
 from roomwave.baselines import (LassoResult, _lipschitz, default_lambda_grid,
                                 lasso, nearest_neighbor, null_threshold,
                                 select_lambda, tikhonov)
-from roomwave.bayes import (Hyperparameters, build_posterior,
-                            map_coefficients, prior_covariance_from_matrices)
-from roomwave.planewaves import PlaneWaveDictionary, fibonacci_directions
+from roomwave.bayes import (Hyperparameters, build_posterior, predict,
+                            prior_covariance_from_matrices)
+from roomwave.marglik import MarginalLikelihood
 
 
 def random_system(rng, m, p, noise=0.1, sparse=0):
@@ -165,17 +165,19 @@ class TestTikhonov:
        log_noise=st.floats(-2.0, 0.0), log_prior=st.floats(-1.0, 1.0))
 def test_posterior_mean_without_boundary_is_tikhonov(m, p, seed, log_noise,
                                                      log_prior):
-    """At mu = 0 the posterior mean (dual form, through the prior and Q)
-    equals the independently coded SVD ridge, on both sides of M = P."""
+    """At mu = 0 the posterior mean (measurement-space form, through the
+    evaluator, the prior and Q) equals the independently coded SVD ridge, on
+    both sides of M = P. The prediction rows are the identity, so the mean
+    is the coefficient vector itself."""
     y, phi, _ = random_system(np.random.default_rng(seed), m, p)
     hp = Hyperparameters(10.0 ** log_noise, 10.0 ** log_prior, 0.0, 1.0 + 0j)
     empty = np.zeros((0, p), dtype=complex)
-    prior = prior_covariance_from_matrices(empty, empty, hp)
-    dictionary = PlaneWaveDictionary(1.0, fibonacci_directions(p))
-    posterior = build_posterior(y, phi, prior, hp, dictionary)
+    ml = MarginalLikelihood(y, phi, empty, empty, np.eye(p, dtype=complex))
+    prior = prior_covariance_from_matrices(ml, hp)
+    mean, _ = predict(prior, build_posterior(y, prior.mics,
+                                             hp.noise_variance))
     ridge = tikhonov(y, phi, hp.noise_variance, hp.prior_variance)
-    dual = map_coefficients(posterior)
-    assert np.linalg.norm(dual - ridge) <= 1e-9 * np.linalg.norm(ridge)
+    assert np.linalg.norm(mean - ridge) <= 1e-9 * np.linalg.norm(ridge)
 
 
 class TestLasso:

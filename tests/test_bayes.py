@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from roomwave._linalg import FactorizationError, chol_factor
 from roomwave.bayes import (VARIANCE_CLAMP_ABS, VARIANCE_CLAMP_REL,
-                            Hyperparameters, build_posterior,
-                            map_coefficients, predict,
-                            prior_covariance_from_matrices)
+                            Hyperparameters, build_posterior, predict,
+                            prior_covariance_from_matrices, target_rows)
 from roomwave.baselines import tikhonov
 from roomwave.geometry import (RoomSpec, sample_boundary,
                                sample_microphones)
+from roomwave.marglik import MarginalLikelihood
 from roomwave.planewaves import (PlaneWaveDictionary, build_phi,
                                  build_phi_tilde, build_psi, evaluate_field,
                                  fibonacci_directions, wavenumber)
@@ -31,22 +31,39 @@ def cloud(room):
     return sample_boundary(room, 40, seed=21)
 
 
-def prior_of(dictionary, cloud, hp):
-    """Boundary-informed prior covariance of the dictionary coefficients."""
-    return prior_covariance_from_matrices(
-        build_psi(dictionary, cloud), build_phi_tilde(dictionary, cloud), hp)
+def chain(y, phi, psi, phi_tilde, rows, hp):
+    """(prior, posterior) at `hp` through the evaluator, as
+    `experiments.fit_and_predict` reads them after the fit."""
+    ml = MarginalLikelihood(y, phi, psi, phi_tilde, rows)
+    prior = prior_covariance_from_matrices(ml, hp)
+    return prior, build_posterior(y, prior.mics, hp.noise_variance)
 
 
-def sigma_matrix(prior):
-    """Sigma as a P x P matrix: the prior applied to the identity."""
-    return prior.apply(np.eye(prior.dim, dtype=complex))
+def predicted(y, phi, psi, phi_tilde, rows, hp):
+    return predict(*chain(y, phi, psi, phi_tilde, rows, hp))
+
+
+def boundary(dictionary, cloud):
+    return build_psi(dictionary, cloud), build_phi_tilde(dictionary, cloud)
 
 
 def dense_sigma(psi, phi_tilde, hp):
+    """Sigma = sigma_alpha^2 (I + mu G^H G)^{-1} as a P x P matrix."""
     p = psi.shape[1]
     g = hp.impedance * psi + phi_tilde
     a = np.eye(p) + hp.boundary_weight * (g.conj().T @ g)
     return hp.prior_variance * np.linalg.inv(a)
+
+
+def dense_posterior(y, phi, rows, sigma, noise_variance):
+    """Predictive mean and variance at `rows` from the dense Sigma."""
+    q = noise_variance * np.eye(len(y)) + phi @ sigma @ phi.conj().T
+    cross = rows @ sigma @ phi.conj().T
+    mean = cross @ np.linalg.solve(q, y)
+    prior_var = np.einsum("jp,pq,jq->j", rows, sigma, rows.conj()).real
+    reduction = np.einsum("jm,mj->j", cross,
+                          np.linalg.solve(q, cross.conj().T)).real
+    return mean, prior_var - reduction
 
 
 class TestHyperparameters:
@@ -62,177 +79,223 @@ class TestHyperparameters:
                 Hyperparameters(*args)
 
 
-class TestPriorCovariance:
-    def test_mu_zero_is_isotropic(self, dictionary, cloud):
-        hp = Hyperparameters(0.1, 2.5, 0.0, 1.0 + 0j)
-        prior = prior_of(dictionary, cloud, hp)
-        npt.assert_allclose(sigma_matrix(prior),
-                            2.5 * np.eye(dictionary.size), atol=1e-10)
+def field_problem(dictionary, rng, m=25, j=9):
+    """Microphone rows Phi, prediction rows phi_r and data y."""
+    mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(m, 3))
+    points = rng.uniform([0.0, 0.0, 0.0], [5.0, 4.0, 3.0], size=(j, 3))
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return build_phi(dictionary, mics), target_rows(dictionary, points), y
 
-    def test_empty_boundary_is_isotropic(self, dictionary, cloud):
+
+class TestPriorCovariance:
+    """The field's prior covariance at the microphones (K), between the
+    prediction points and the microphones (T) and at the prediction points
+    (its diagonal), read off the evaluator."""
+
+    def test_mu_zero_is_isotropic(self, dictionary, cloud, rng):
+        hp = Hyperparameters(0.1, 2.5, 0.0, 1.0 + 0j)
+        phi, rows, y = field_problem(dictionary, rng)
+        prior, _ = chain(y, phi, *boundary(dictionary, cloud), rows, hp)
+        npt.assert_allclose(prior.mics, 2.5 * phi @ phi.conj().T, rtol=1e-12)
+        npt.assert_allclose(prior.cross, 2.5 * rows @ phi.conj().T,
+                            rtol=1e-12)
+        npt.assert_allclose(prior.variance, 2.5 * dictionary.size,
+                            rtol=1e-12)
+
+    def test_empty_boundary_is_isotropic(self, dictionary, cloud, rng):
+        """An empty cloud gives the isotropic prior at any weight; without
+        prediction rows the evaluator has J = 0 points to predict at."""
         hp = Hyperparameters(0.1, 0.7, 5.0, 2.0 - 1.0j)
-        prior = prior_of(dictionary, cloud.subset(0), hp)
-        npt.assert_allclose(sigma_matrix(prior),
-                            0.7 * np.eye(dictionary.size), atol=1e-12)
+        phi, rows, y = field_problem(dictionary, rng)
+        psi, phi_tilde = boundary(dictionary, cloud.subset(0))
+        prior, _ = chain(y, phi, psi, phi_tilde, rows, hp)
+        npt.assert_allclose(prior.mics, 0.7 * phi @ phi.conj().T,
+                            rtol=1e-12)
+        npt.assert_allclose(prior.cross, 0.7 * rows @ phi.conj().T,
+                            rtol=1e-12)
+        npt.assert_allclose(prior.variance, 0.7 * dictionary.size,
+                            rtol=1e-12)
+        bare = prior_covariance_from_matrices(
+            MarginalLikelihood(y, phi, psi, phi_tilde), hp)
+        assert bare.cross.shape == (0, len(y))
+        assert bare.variance.shape == (0,)
 
     @pytest.mark.parametrize("case", ["empty cloud", "mu = 0"])
     def test_no_boundary_term_applies_scale_exactly(self, dictionary, cloud,
                                                     rng, case):
+        """Without a boundary term the prior is the scale times the
+        evaluator's products, bit for bit: the boundary terms are empty or
+        zero-weighted, and x - 0 = x."""
         mu = 5.0 if case == "empty cloud" else 0.0
         hp = Hyperparameters(0.1, 0.7, mu, 2.0 - 1.0j)
-        prior = prior_of(dictionary,
-                         cloud.subset(0) if case == "empty cloud" else cloud,
-                         hp)
-        x = rng.standard_normal((dictionary.size, 4)) * (1 - 2j)
-        assert np.array_equal(prior.apply(x), 0.7 * x)
+        phi, rows, y = field_problem(dictionary, rng)
+        psi, phi_tilde = boundary(
+            dictionary, cloud.subset(0) if case == "empty cloud" else cloud)
+        ml = MarginalLikelihood(y, phi, psi, phi_tilde, rows)
+        prior = prior_covariance_from_matrices(ml, hp)
+        assert np.array_equal(prior.cross, 0.7 * ml.targets_phi)
+        assert np.array_equal(prior.variance, 0.7 * ml.target_power)
 
-    def test_matches_dense_inverse(self, dictionary, cloud):
+    def test_matches_dense_inverse(self, dictionary, cloud, rng):
         hp = Hyperparameters(0.1, 1.3, 0.02, 1.5 + 0.5j)
-        psi = build_psi(dictionary, cloud)
-        phi_tilde = build_phi_tilde(dictionary, cloud)
-        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
-        npt.assert_allclose(sigma_matrix(prior),
-                            dense_sigma(psi, phi_tilde, hp), rtol=1e-9,
-                            atol=1e-12)
+        phi, rows, y = field_problem(dictionary, rng)
+        psi, phi_tilde = boundary(dictionary, cloud)
+        prior, _ = chain(y, phi, psi, phi_tilde, rows, hp)
+        sigma = dense_sigma(psi, phi_tilde, hp)
+        npt.assert_allclose(prior.mics, phi @ sigma @ phi.conj().T,
+                            rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(prior.cross, rows @ sigma @ phi.conj().T,
+                            rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(prior.variance, np.einsum(
+            "jp,pq,jq->j", rows, sigma, rows.conj()).real, rtol=1e-9)
 
-    def test_hermitian_and_eigenvalues_shrink(self, dictionary, cloud):
+    def test_hermitian_and_eigenvalues_shrink(self, dictionary, cloud, rng):
+        """K is Hermitian, positive semidefinite and below the isotropic
+        sigma_alpha^2 Phi Phi^H: the boundary term only removes prior
+        variance."""
         hp = Hyperparameters(0.1, 1.0, 0.5, 1.0 + 2.0j)
-        sigma = sigma_matrix(prior_of(dictionary, cloud, hp))
-        npt.assert_allclose(sigma, sigma.conj().T, atol=1e-12)
-        eigs = np.linalg.eigvalsh(sigma) / hp.prior_variance
-        assert np.all(eigs > 0)
-        assert np.all(eigs <= 1.0 + 1e-10)
+        phi, rows, y = field_problem(dictionary, rng)
+        prior, _ = chain(y, phi, *boundary(dictionary, cloud), rows, hp)
+        k = prior.mics
+        npt.assert_allclose(k, k.conj().T, atol=1e-12)
+        scale = np.linalg.norm(phi, 2) ** 2
+        assert np.linalg.eigvalsh(k).min() >= -1e-12 * scale
+        shrink = np.linalg.eigvalsh(phi @ phi.conj().T - k)
+        assert shrink.min() >= -1e-12 * scale
+        assert np.all(prior.variance <= dictionary.size * (1 + 1e-12))
 
     @pytest.mark.parametrize("count", [0, 1, 40])
-    def test_g_and_factor_bit_identical_and_inputs_kept(self, dictionary,
-                                                        room, count):
-        """G is formed in place as beta * Psi, then += PhiTilde: it rounds as
-        the expression beta * Psi + PhiTilde, and Psi and PhiTilde are left
-        as they were."""
+    def test_prior_is_the_fits_and_evaluator_kept(self, dictionary, room,
+                                                  rng, count):
+        """The posterior conditions the K of the fit's own value path: its
+        factor and xi give the evaluator's J bit for bit. Reading the prior
+        leaves the evaluator's arrays as they were."""
         hp = Hyperparameters(0.1, 1.3, 0.02, 1.5 + 0.5j)
-        boundary = sample_boundary(room, count, seed=21)
-        psi = build_psi(dictionary, boundary)
-        phi_tilde = build_phi_tilde(dictionary, boundary)
-        psi_bytes, phi_tilde_bytes = psi.tobytes(), phi_tilde.tobytes()
-        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
-        g = hp.impedance * psi + phi_tilde
-        a = hp.boundary_weight * (g @ g.conj().T)
-        a.flat[::count + 1] += 1.0
-        assert prior.g.tobytes() == g.tobytes()
-        assert prior.factor.lower.tobytes() == chol_factor(a).lower.tobytes()
-        assert psi.tobytes() == psi_bytes
-        assert phi_tilde.tobytes() == phi_tilde_bytes
-
-    def test_apply_matches_matrix(self, dictionary, cloud, rng):
-        hp = Hyperparameters(0.1, 1.0, 0.3, 0.5 - 0.2j)
-        prior = prior_of(dictionary, cloud, hp)
-        x = rng.standard_normal((dictionary.size, 3)) * (1 + 1j)
-        npt.assert_allclose(prior.apply(x), sigma_matrix(prior) @ x,
-                            rtol=1e-9, atol=1e-12)
-
-
-def make_problem(room, dictionary, cloud, rng, m=25, noise=0.05, mu=0.1):
-    hp = Hyperparameters(noise, 1.2, mu, -2.0 + 1.0j)
-    mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(m, 3))
-    phi = build_phi(dictionary, mics)
-    alpha_true = rng.standard_normal(dictionary.size) * 0.1
-    y = phi @ alpha_true + noise ** 0.5 * (
-        rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-    prior = prior_of(dictionary, cloud, hp)
-    posterior = build_posterior(y, phi, prior, hp, dictionary)
-    return hp, mics, phi, y, prior, posterior
+        phi, rows, y = field_problem(dictionary, rng)
+        psi, phi_tilde = boundary(dictionary, sample_boundary(room, count,
+                                                              seed=21))
+        ml = MarginalLikelihood(y, phi, psi, phi_tilde, rows)
+        arrays = {name: value.tobytes() for name, value in vars(ml).items()
+                  if isinstance(value, np.ndarray)}
+        prior = prior_covariance_from_matrices(ml, hp)
+        posterior = build_posterior(y, prior.mics, hp.noise_variance)
+        value = (0.5 * float(np.real(y.conj() @ posterior.xi))
+                 + 0.5 * posterior.q_factor.logdet())
+        assert value == ml.value(hp)
+        assert {name: getattr(ml, name).tobytes() for name in arrays} == arrays
 
 
 class TestPosterior:
-    def test_q_solve_residual(self, room, dictionary, cloud, rng):
-        hp, _, phi, y, prior, posterior = make_problem(room, dictionary,
-                                                       cloud, rng)
+    def test_q_solve_residual(self, dictionary, cloud, rng):
+        hp = Hyperparameters(0.05, 1.2, 0.1, -2.0 + 1.0j)
+        phi, rows, y = field_problem(dictionary, rng)
+        psi, phi_tilde = boundary(dictionary, cloud)
+        _, posterior = chain(y, phi, psi, phi_tilde, rows, hp)
         q = (hp.noise_variance * np.eye(len(y))
-             + phi @ sigma_matrix(prior) @ phi.conj().T)
+             + phi @ dense_sigma(psi, phi_tilde, hp) @ phi.conj().T)
         residual = np.linalg.norm(q @ posterior.xi - y) / np.linalg.norm(y)
         assert residual < 1e-10
 
     def test_vanishing_prior_gives_diagonal_q(self, dictionary, cloud, rng):
         hp = Hyperparameters(0.3, 1e-14, 0.0, 1.0 + 0j)
-        phi = build_phi(dictionary, rng.uniform(size=(8, 3)))
-        y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        prior = prior_of(dictionary, cloud, hp)
-        posterior = build_posterior(y, phi, prior, hp, dictionary)
+        phi, rows, y = field_problem(dictionary, rng, m=8)
+        _, posterior = chain(y, phi, *boundary(dictionary, cloud), rows, hp)
         npt.assert_allclose(posterior.xi, y / hp.noise_variance, rtol=1e-10)
 
-    def test_dimension_check(self, dictionary, cloud, rng):
-        hp = Hyperparameters(0.1, 1.0, 0.0, 1.0 + 0j)
-        prior = prior_of(dictionary, cloud, hp)
-        with pytest.raises(ValueError):
-            build_posterior(np.zeros(4), np.zeros((5, dictionary.size)),
-                            prior, hp, dictionary)
+    def test_dimension_check(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            build_posterior(np.zeros(4), np.eye(5), 0.1)
 
 
 class TestMapCoefficients:
-    def test_zero_data(self, room, dictionary, cloud, rng):
-        hp, _, phi, y, prior, _ = make_problem(room, dictionary, cloud, rng)
-        posterior = build_posterior(np.zeros_like(y), phi, prior, hp,
-                                    dictionary)
-        npt.assert_allclose(map_coefficients(posterior), 0.0, atol=1e-15)
+    """The MAP estimate, checked through the field it predicts: the mean at
+    the prediction rows is phi_r alpha_MAP."""
 
-    def test_primal_dual_equivalence(self, room, dictionary, cloud, rng):
-        """Dual form Sigma Phi^H Q^{-1} y against the primal normal-equation
-        form computed independently from the dense prior."""
-        hp, _, phi, y, prior, posterior = make_problem(room, dictionary,
-                                                       cloud, rng)
-        dual = map_coefficients(posterior)
-        sigma = sigma_matrix(prior)
+    def test_zero_data(self, dictionary, cloud, rng):
+        hp = Hyperparameters(0.05, 1.2, 0.1, -2.0 + 1.0j)
+        phi, rows, y = field_problem(dictionary, rng)
+        mean, _ = predicted(np.zeros_like(y), phi,
+                            *boundary(dictionary, cloud), rows, hp)
+        assert np.array_equal(mean, np.zeros_like(mean))
+
+    def test_primal_dual_equivalence(self, dictionary, cloud, rng):
+        """The measurement-space mean T xi against the field of the primal
+        normal-equation solution, computed independently from the dense
+        prior."""
+        hp = Hyperparameters(0.05, 1.2, 0.1, -2.0 + 1.0j)
+        phi, rows, y = field_problem(dictionary, rng)
+        psi, phi_tilde = boundary(dictionary, cloud)
+        mean, _ = predicted(y, phi, psi, phi_tilde, rows, hp)
+        sigma = dense_sigma(psi, phi_tilde, hp)
         lhs = phi.conj().T @ phi / hp.noise_variance + np.linalg.inv(sigma)
         primal = np.linalg.solve(lhs, phi.conj().T @ y) / hp.noise_variance
-        assert np.linalg.norm(dual - primal) / np.linalg.norm(primal) < 1e-8
+        expected = rows @ primal
+        error = np.linalg.norm(mean - expected) / np.linalg.norm(expected)
+        assert error < 1e-8
 
-    def test_noiseless_single_atom_recovery(self, room, dictionary, cloud, rng):
+    def test_noiseless_single_atom_recovery(self, dictionary, cloud, rng):
         hp = Hyperparameters(1e-10, 1.0, 0.01, 1.0 + 1.0j)
         mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(30, 3))
         phi = build_phi(dictionary, mics)
-        alpha = np.zeros(dictionary.size, dtype=complex)
-        alpha[0] = 1.0
-        y = phi @ alpha
-        prior = prior_of(dictionary, cloud, hp)
-        posterior = build_posterior(y, phi, prior, hp, dictionary)
-        reconstructed = phi @ map_coefficients(posterior)
-        assert np.linalg.norm(reconstructed - y) / np.linalg.norm(y) < 1e-3
+        y = phi[:, 0].copy()        # the field of atom 0 alone
+        mean, _ = predicted(y, phi, *boundary(dictionary, cloud), phi, hp)
+        assert np.linalg.norm(mean - y) / np.linalg.norm(y) < 1e-3
 
 
 class TestPredict:
-    def test_interpolates_at_low_noise(self, room, dictionary, cloud, rng):
-        hp, mics, phi, y, prior, _ = make_problem(room, dictionary, cloud,
-                                                  rng, noise=1e-10)
-        posterior = build_posterior(y, phi, prior, hp, dictionary)
-        mean, _ = predict(posterior, mics)
+    @pytest.mark.parametrize("case", ["generic", "empty cloud", "mu = 0"])
+    def test_matches_dense_posterior(self, dictionary, cloud, rng, case):
+        """Mean and variance against Sigma = sigma_alpha^2 (I + mu G^H G)^-1
+        formed and inverted densely at P = 60."""
+        hp = Hyperparameters(0.05, 1.3, 0.0 if case == "mu = 0" else 0.02,
+                             1.5 + 0.5j)
+        phi, rows, y = field_problem(dictionary, rng, j=15)
+        psi, phi_tilde = boundary(
+            dictionary, cloud.subset(0) if case == "empty cloud" else cloud)
+        mean, variance = predicted(y, phi, psi, phi_tilde, rows, hp)
+        expected_mean, expected_variance = dense_posterior(
+            y, phi, rows, dense_sigma(psi, phi_tilde, hp), hp.noise_variance)
+        npt.assert_allclose(mean, expected_mean, rtol=1e-9,
+                            atol=1e-12 * np.abs(expected_mean).max())
+        npt.assert_allclose(variance, expected_variance, rtol=1e-8,
+                            atol=1e-10 * hp.prior_variance)
+
+    def test_interpolates_at_low_noise(self, dictionary, cloud, rng):
+        hp = Hyperparameters(1e-10, 1.2, 0.1, -2.0 + 1.0j)
+        mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(25, 3))
+        phi = build_phi(dictionary, mics)
+        y = phi @ (rng.standard_normal(dictionary.size) * 0.1)
+        mean, _ = predicted(y, phi, *boundary(dictionary, cloud), phi, hp)
         assert np.linalg.norm(mean - y) / np.linalg.norm(y) < 1e-3
 
-    def test_no_data_rejected(self, dictionary, cloud):
-        hp = Hyperparameters(0.1, 1.0, 0.05, 1.0 + 0j)
-        prior = prior_of(dictionary, cloud, hp)
+    def test_no_data_rejected(self):
         with pytest.raises(ValueError, match="at least one measurement"):
-            build_posterior(np.zeros(0), np.zeros((0, dictionary.size)),
-                            prior, hp, dictionary)
+            build_posterior(np.zeros(0), np.zeros((0, 0)), 0.1)
 
-    def test_mean_equals_field_of_map(self, room, dictionary, cloud, rng):
-        hp, _, phi, y, prior, posterior = make_problem(room, dictionary,
-                                                       cloud, rng)
+    def test_mean_equals_field_of_map(self, dictionary, cloud, rng):
+        """The mean is the field of the dense MAP coefficients,
+        Sigma Phi^H Q^{-1} y, through `evaluate_field`."""
+        hp = Hyperparameters(0.05, 1.2, 0.1, -2.0 + 1.0j)
+        phi, _, y = field_problem(dictionary, rng)
+        psi, phi_tilde = boundary(dictionary, cloud)
         pts = rng.uniform([2.5, 0, 0], [5, 4, 3], size=(9, 3))
-        mean, _ = predict(posterior, pts)
-        field = evaluate_field(dictionary, map_coefficients(posterior), pts)
-        npt.assert_allclose(mean, field, rtol=1e-8)
+        mean, _ = predicted(y, phi, psi, phi_tilde,
+                            target_rows(dictionary, pts), hp)
+        sigma = dense_sigma(psi, phi_tilde, hp)
+        q = hp.noise_variance * np.eye(len(y)) + phi @ sigma @ phi.conj().T
+        alpha = sigma @ phi.conj().T @ np.linalg.solve(q, y)
+        npt.assert_allclose(mean, evaluate_field(dictionary, alpha, pts),
+                            rtol=1e-8)
 
-    def test_variance_nonnegative_and_below_prior(self, room, dictionary,
-                                                  cloud, rng):
-        hp, _, phi, y, prior, posterior = make_problem(room, dictionary,
-                                                       cloud, rng)
-        pts = rng.uniform([2.5, 0, 0], [5, 4, 3], size=(40, 3))
-        _, variance = predict(posterior, pts)
+    def test_variance_nonnegative_and_below_prior(self, dictionary, cloud,
+                                                  rng):
+        hp = Hyperparameters(0.05, 1.2, 0.1, -2.0 + 1.0j)
+        phi, rows, y = field_problem(dictionary, rng, j=40)
+        prior, posterior = chain(y, phi, *boundary(dictionary, cloud), rows,
+                                 hp)
+        _, variance = predict(prior, posterior)
         assert np.all(variance >= 0)
-        phi_r = build_phi(dictionary, pts)
-        prior_var = np.einsum("jp,pj->j", phi_r,
-                              sigma_matrix(prior) @ phi_r.conj().T).real
-        assert np.all(variance <= prior_var + 1e-10)
+        assert np.all(variance <= prior.variance + 1e-10)
 
 
 class TestVarianceClamp:
@@ -241,42 +304,47 @@ class TestVarianceClamp:
     one beyond it raises."""
 
     @staticmethod
-    def with_q_over(posterior, phi, hp, scale):
+    def setup(dictionary, cloud, rng):
+        hp = Hyperparameters(0.05, 1.2, 0.1, -2.0 + 1.0j)
+        mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(25, 3))
+        phi = build_phi(dictionary, mics)
+        y = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        return hp, chain(y, phi, *boundary(dictionary, cloud), phi[:3], hp)
+
+    @staticmethod
+    def with_q_over(prior, posterior, hp, scale):
         """The posterior with Q replaced by Q / scale, so that every
         variance reduction is multiplied by `scale`."""
-        q = phi @ posterior.cross
+        q = prior.mics.copy()
         q.flat[::len(q) + 1] += hp.noise_variance
         return dataclasses.replace(posterior,
                                    q_factor=chol_factor(q / scale))
 
-    def test_excursion_below_floor_raises(self, room, dictionary, cloud,
-                                          rng):
-        hp, mics, phi, _, _, posterior = make_problem(room, dictionary,
-                                                      cloud, rng)
+    def test_excursion_below_floor_raises(self, dictionary, cloud, rng):
+        hp, (prior, posterior) = self.setup(dictionary, cloud, rng)
         with pytest.raises(FactorizationError, match="numerical floor"):
-            predict(self.with_q_over(posterior, phi, hp, 10.0), mics[:3])
+            predict(prior, self.with_q_over(prior, posterior, hp, 10.0))
 
-    def test_excursion_inside_tolerance_clamped(self, room, dictionary,
-                                                cloud, rng):
-        hp, mics, phi, _, prior, posterior = make_problem(room, dictionary,
-                                                          cloud, rng)
-        point = mics[:1]
-        phi_r = build_phi(dictionary, point)
-        prior_var = float(np.real(phi_r @ prior.apply(phi_r.conj().T))[0, 0])
-        t = phi_r @ posterior.cross
+    def test_excursion_inside_tolerance_clamped(self, dictionary, cloud,
+                                                rng):
+        hp, (prior, posterior) = self.setup(dictionary, cloud, rng)
+        prior = dataclasses.replace(prior, cross=prior.cross[:1],
+                                    variance=prior.variance[:1])
+        prior_var = float(prior.variance[0])
+        t = prior.cross
         reduction = float(np.real(
             t @ posterior.q_factor.solve(t.conj().T))[0, 0])
         tolerance = VARIANCE_CLAMP_REL * prior_var + VARIANCE_CLAMP_ABS
         # the reduction overshoots the prior variance by half the tolerance
-        inside = self.with_q_over(posterior, phi, hp,
+        inside = self.with_q_over(prior, posterior, hp,
                                   (prior_var + 0.5 * tolerance) / reduction)
-        _, variance = predict(inside, point)
+        _, variance = predict(prior, inside)
         assert variance.tolist() == [0.0]
         # ... and by twice the tolerance
-        outside = self.with_q_over(posterior, phi, hp,
+        outside = self.with_q_over(prior, posterior, hp,
                                    (prior_var + 2.0 * tolerance) / reduction)
         with pytest.raises(FactorizationError, match="numerical floor"):
-            predict(outside, point)
+            predict(prior, outside)
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,9 +371,7 @@ def test_variance_at_microphones_near_singular_q(seed, mics, log_noise_ratio,
     phi = build_phi(dictionary, positions)
     y = gen.standard_normal(mics) + 1j * gen.standard_normal(mics)
     try:
-        posterior = build_posterior(y, phi, prior_of(dictionary, cloud, hp),
-                                    hp, dictionary)
-        _, variance = predict(posterior, positions)
+        _, variance = predicted(y, phi, *boundary(dictionary, cloud), phi, hp)
     except FactorizationError:
         return
     assert np.all(np.isfinite(variance))
@@ -313,29 +379,29 @@ def test_variance_at_microphones_near_singular_q(seed, mics, log_noise_ratio,
 
 
 class TestTikhonovReduction:
-    def test_matches_independent_ridge(self, room, dictionary, cloud, rng):
+    def test_matches_independent_ridge(self, dictionary, cloud, rng):
         """mu = 0 collapses the whole pipeline to ridge regression; the
-        posterior (dual) path and the independently coded primal ridge agree
-        to near machine precision."""
+        posterior mean and the field of the independently coded SVD ridge
+        agree to near machine precision."""
         hp = Hyperparameters(0.05, 2.0, 0.0, 1.0 + 0j)
-        mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(30, 3))
-        phi = build_phi(dictionary, mics)
-        y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        prior = prior_of(dictionary, cloud, hp)
-        posterior = build_posterior(y, phi, prior, hp, dictionary)
-        dual = map_coefficients(posterior)
-        ridge = tikhonov(y, phi, hp.noise_variance, hp.prior_variance)
-        assert np.linalg.norm(dual - ridge) / np.linalg.norm(ridge) < 1e-10
+        phi, _, y = field_problem(dictionary, rng, m=30)
+        pts = rng.uniform([2.5, 0, 0], [5, 4, 3], size=(12, 3))
+        mean, _ = predicted(y, phi, *boundary(dictionary, cloud),
+                            target_rows(dictionary, pts), hp)
+        ridge = evaluate_field(
+            dictionary, tikhonov(y, phi, hp.noise_variance,
+                                 hp.prior_variance), pts)
+        assert np.linalg.norm(mean - ridge) / np.linalg.norm(ridge) < 1e-10
 
 
 class TestBoundaryResidualMonotonicity:
     def test_residual_decreases_with_mu(self, room, dictionary, rng):
         """On noiseless data from a coefficient vector in the nullspace of
         the boundary operator, increasing the boundary weight monotonically
-        shrinks the boundary residual of the MAP estimate."""
+        shrinks the boundary residual G alpha_MAP of the MAP estimate, read
+        as the posterior mean at the rows of G."""
         cloud = sample_boundary(room, 25, seed=33)   # B < P: nullspace exists
-        psi = build_psi(dictionary, cloud)
-        phi_tilde = build_phi_tilde(dictionary, cloud)
+        psi, phi_tilde = boundary(dictionary, cloud)
         beta = -39.0 + 0.0j
         g = beta * psi + phi_tilde
         _, _, vh = np.linalg.svd(g)
@@ -346,9 +412,8 @@ class TestBoundaryResidualMonotonicity:
         residuals = []
         for mu in [0.0, 0.01, 0.1, 1.0, 10.0]:
             hp = Hyperparameters(1e-8, 1.0, mu, beta)
-            prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
-            posterior = build_posterior(y, phi, prior, hp, dictionary)
-            residuals.append(np.linalg.norm(g @ map_coefficients(posterior)))
+            mean, _ = predict(*chain(y, phi, psi, phi_tilde, g, hp))
+            residuals.append(np.linalg.norm(mean))
         diffs = np.diff(residuals)
         assert np.all(diffs <= 1e-9 * residuals[0])
 
@@ -362,8 +427,7 @@ def wide_boundary(room, dictionary, scale):
     """B = 80 boundary points against P = 60 plane waves, with the boundary
     weight set so that mu * ||G||_2^2 equals `scale`."""
     cloud = sample_boundary(room, 80, seed=5)
-    psi = build_psi(dictionary, cloud)
-    phi_tilde = build_phi_tilde(dictionary, cloud)
+    psi, phi_tilde = boundary(dictionary, cloud)
     beta = 0.7 - 1.3j
     norm = np.linalg.norm(beta * psi + phi_tilde, 2)
     hp = Hyperparameters(1e-3, 1.7, scale / norm ** 2, beta)
@@ -375,38 +439,36 @@ class TestWideBoundary:
     def test_prior_matches_dense_sigma(self, room, dictionary, scale, rng):
         psi, phi_tilde, hp = wide_boundary(room, dictionary, scale)
         assert psi.shape == (80, 60)
-        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
+        phi, rows, y = field_problem(dictionary, rng, m=40, j=12)
+        prior, _ = chain(y, phi, psi, phi_tilde, rows, hp)
         dense = dense_sigma(psi, phi_tilde, hp)
-        atol = 1e-12 * hp.prior_variance
-        npt.assert_allclose(sigma_matrix(prior), dense, rtol=1e-9,
-                            atol=atol)
-        x = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
-        npt.assert_allclose(prior.apply(x), dense @ x, rtol=1e-9,
-                            atol=atol * np.abs(x).max())
+        atol = 1e-12 * hp.prior_variance * dictionary.size
+        npt.assert_allclose(prior.mics, phi @ dense @ phi.conj().T,
+                            rtol=1e-9, atol=atol)
+        npt.assert_allclose(prior.cross, rows @ dense @ phi.conj().T,
+                            rtol=1e-9, atol=atol)
+        npt.assert_allclose(prior.variance, np.einsum(
+            "jp,pq,jq->j", rows, dense, rows.conj()).real, rtol=1e-9,
+            atol=atol)
 
     def test_variance_nonnegative_at_largest_weight(self, room, dictionary,
                                                     rng):
-        """Predictive variance from the boundary-space prior matches the
-        dense posterior covariance to within the clamp tolerance, so the
+        """Predictive variance from the evaluator's factorization matches
+        the dense posterior covariance to within the clamp tolerance, so the
         clamp neither raises nor hides a negative excursion."""
         psi, phi_tilde, hp = wide_boundary(room, dictionary,
                                            BOUNDARY_SCALES[-1])
         mics = rng.uniform([2.5, 0.2, 0.2], [4.8, 3.8, 2.8], size=(40, 3))
         phi = build_phi(dictionary, mics)
         y = phi @ (rng.standard_normal(60) + 1j * rng.standard_normal(60))
-        prior = prior_covariance_from_matrices(psi, phi_tilde, hp)
-        posterior = build_posterior(y, phi, prior, hp, dictionary)
         pts = np.vstack([mics[:10], rng.uniform([0, 0, 0], [5, 4, 3],
                                                 size=(20, 3))])
-        _, variance = predict(posterior, pts)
+        rows = target_rows(dictionary, pts)
+        _, variance = predicted(y, phi, psi, phi_tilde, rows, hp)
 
         sigma = dense_sigma(psi, phi_tilde, hp)
-        q = hp.noise_variance * np.eye(len(y)) + phi @ sigma @ phi.conj().T
-        cross = sigma @ phi.conj().T
-        post = sigma - cross @ np.linalg.solve(q, cross.conj().T)
-        phi_r = build_phi(dictionary, pts)
-        prior_var = np.einsum("jp,pq,jq->j", phi_r, sigma, phi_r.conj()).real
-        expected = np.einsum("jp,pq,jq->j", phi_r, post, phi_r.conj()).real
+        _, expected = dense_posterior(y, phi, rows, sigma, hp.noise_variance)
+        prior_var = np.einsum("jp,pq,jq->j", rows, sigma, rows.conj()).real
         assert np.all(variance >= 0)
         tolerance = VARIANCE_CLAMP_REL * prior_var + VARIANCE_CLAMP_ABS
         assert np.all(np.abs(variance - expected) <= tolerance)

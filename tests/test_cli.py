@@ -581,13 +581,10 @@ def test_sweep_and_reconstruct_share_one_traceable_chain(simulated, tmp_path,
                               sweeps=("boundary_count",))
     experiments.run_sweeps(cfg)
     # two proposed fits (one per count) and one Tikhonov fit; each proposed
-    # fit builds Psi and PhiTilde twice, once for the fit and once for the
-    # prior
+    # fit builds Psi and PhiTilde once, for the fit's precompute
     assert calls["fit_hyperparameters"] == 3
-    for name in CHAIN[1:]:
+    for name in CHAIN[1:] + ("build_psi", "build_phi_tilde"):
         assert calls[name] == 2, name
-    for name in ("build_psi", "build_phi_tilde"):
-        assert calls[name] == 4, name
     assert all(calls[name] > 0 for name in TRACED
                if name != "perturb_positions"), calls
 
@@ -595,7 +592,5 @@ def test_sweep_and_reconstruct_share_one_traceable_chain(simulated, tmp_path,
     assert main(["reconstruct", str(data / "snapshot.txt"),
                  str(data / "boundary.txt"), str(config),
                  str(tmp_path / "out")]) == 0
-    for name in CHAIN + ("build_phi",):
+    for name in CHAIN + ("build_phi", "build_psi", "build_phi_tilde"):
         assert calls[name] == 1, name
-    for name in ("build_psi", "build_phi_tilde"):
-        assert calls[name] == 2, name

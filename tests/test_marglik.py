@@ -93,7 +93,6 @@ class DirectPrecompute(MarginalLikelihood):
 
     def __init__(self, y, phi, psi, phi_tilde):
         self.y = np.asarray(y, dtype=complex)
-        self.num_measurements = len(self.y)
         self.num_boundary = psi.shape[0]
         self._phi_gram = hermitized(phi @ phi.conj().T)
         self._psi_phi = psi @ phi.conj().T
@@ -291,6 +290,8 @@ class TestObjective:
         y, phi, psi, phi_tilde = complex_instance(seed=7)
         with pytest.raises(ValueError):
             MarginalLikelihood(y, phi, psi[:, :-1], phi_tilde[:, :-1])
+        with pytest.raises(ValueError, match="prediction rows"):
+            MarginalLikelihood(y, phi, psi, phi_tilde, phi[:, :-1])
         with pytest.raises(ValueError):
             MarginalLikelihood(y[:-1], phi, psi, phi_tilde)
 
@@ -446,7 +447,8 @@ class TestGradientCap:
 
         monkeypatch.setattr(marglik.MarginalLikelihood, "value_and_gradient",
                             counting)
-        fit = fit_hyperparameters(y, phi, psi, phi_tilde, max_line_searches=40)
+        fit, _ = fit_hyperparameters(y, phi, psi, phi_tilde,
+                                     max_line_searches=40)
         for name, value in dataclasses.asdict(fit).items():
             npt.assert_array_equal(value, getattr(full, name), name)
         assert skipped[0] > 0
@@ -537,15 +539,53 @@ class TestInitialTheta:
 class TestFit:
     def test_fit_improves_and_traces_decrease(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=18, p=40, b=25, seed=15)
-        fit = fit_hyperparameters(y, phi, psi, phi_tilde,
-                                  max_line_searches=40)
+        fit, _ = fit_hyperparameters(y, phi, psi, phi_tilde,
+                                     max_line_searches=40)
         trace = np.asarray(fit.trace)
         assert np.all(np.diff(trace) <= 0)
         assert fit.value <= trace[0]
 
     def test_zero_line_searches_returns_initial(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(m=10, p=20, b=12, seed=16)
-        fit = fit_hyperparameters(y, phi, psi, phi_tilde, max_line_searches=0)
+        fit, _ = fit_hyperparameters(y, phi, psi, phi_tilde,
+                                     max_line_searches=0)
         npt.assert_array_equal(fit.x, initial_theta(y, phi.shape[1], psi,
                                                     phi_tilde))
         assert len(fit.trace) == 1
+
+
+class TestPredictionRows:
+    """The prediction rows add products that only the posterior reads; the
+    fit's own arrays and results keep their bytes."""
+
+    @pytest.mark.parametrize("b", [0, 65])
+    def test_value_and_gradient_unchanged(self, b):
+        y, phi, psi, phi_tilde = boundary_instance(20, 200, b, seed=b)
+        rows = np.random.default_rng(b).standard_normal((7, 200)) * (1 + 1j)
+        hp = to_hyperparameters(THETA0)
+        bare = MarginalLikelihood(y, phi, psi, phi_tilde)
+        with_rows = MarginalLikelihood(y, phi, psi, phi_tilde, rows)
+        value, grad = bare.value_and_gradient(hp)
+        value_rows, grad_rows = with_rows.value_and_gradient(hp)
+        assert value == value_rows
+        assert grad.tobytes() == grad_rows.tobytes()
+        npt.assert_allclose(with_rows.psi_targets, psi @ rows.conj().T,
+                            rtol=1e-12)
+        npt.assert_allclose(with_rows.pt_targets, phi_tilde @ rows.conj().T,
+                            rtol=1e-12)
+        npt.assert_allclose(with_rows.targets_phi, rows @ phi.conj().T,
+                            rtol=1e-12)
+        npt.assert_allclose(with_rows.target_power,
+                            np.linalg.norm(rows, axis=1) ** 2, rtol=1e-12)
+
+    def test_fit_unchanged(self):
+        y, phi, psi, phi_tilde = boundary_instance(20, 200, 65, seed=3)
+        rows = build_phi(PlaneWaveDictionary(wavenumber(300.0, 343.0),
+                                             fibonacci_directions(200)),
+                         np.full((5, 3), 1.5))
+        fit, bare = fit_hyperparameters(y, phi, psi, phi_tilde, 8)
+        fit_rows, ml = fit_hyperparameters(y, phi, psi, phi_tilde, 8, rows)
+        assert fit.x.tobytes() == fit_rows.x.tobytes()
+        assert fit.trace == fit_rows.trace
+        assert bare.psi_targets.shape == (65, 0)
+        assert ml.psi_targets.shape == (65, 5)
