@@ -23,7 +23,8 @@ does.
 The CPUs go to processes instead: `roomwave benchmark`
 (`experiments.run_sweeps`) runs its Monte-Carlo runs in one process per CPU
 of the process's affinity mask, at most one per run, each process on one
-BLAS thread (spawned children inherit the thread variables). To run them
+BLAS thread (a forked child keeps the BLAS already loaded, a spawned child
+inherits the thread variables). To run them
 serially in one process, give it one CPU: `taskset -c 0 roomwave benchmark
 ...`.
 """

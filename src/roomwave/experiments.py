@@ -33,21 +33,24 @@ values, noise variance); the methods read it from there.
 
 Runs are independent, so the driver spreads them over one process per CPU in
 this process's affinity mask (at most one per run), each on one BLAS thread
-(spawned children inherit the thread variables; see the package docstring).
-This process runs the first share of the runs while the others are mapped
-over spawned children, which start about 0.4 s late (each imports numpy and
-scipy again); this process's share is rounded up for that. Under
-`taskset -c 0`, or with one run, every run happens in this process and no
-child is started. The NMSE values do not depend on which process ran a run.
-Each run holds back its warnings and `roomwave` log records, and the driver
-emits them in run order once the runs are done, so the output matches a
-serial run. Results are read in run order: at the first run that raised, the
-runs not yet started are cancelled and its exception propagates (from a
-child, without the child's traceback; `taskset -c 0` gives the full one). A
-child that dies raises `BrokenProcessPool`. A script that calls `run_sweeps`
-with more than one CPU needs the `if __name__ == "__main__":` guard, since
-spawned children import the main module; a module attribute patched here
-applies to this process's share of the runs only.
+(see the package docstring). This
+process runs the first share of the runs while the others are mapped over
+child processes, and its share is rounded up. The children are forked when
+this process has one OS thread, so that no other thread can hold a lock
+across the fork, and spawned otherwise (or where the count cannot be read):
+a spawned child starts about 0.4 s late, because it imports numpy and scipy
+again. Under `taskset -c 0`, or with one run, every run happens in this
+process and no child is started. The NMSE values do not depend on which
+process ran a run. Each run holds back its warnings and `roomwave` log
+records, and the driver emits them in run order once the runs are done, so
+the output matches a serial run. Results are read in run order: at the first
+run that raised, the runs not yet started are cancelled and its exception
+propagates (from a child, without the child's traceback; `taskset -c 0`
+gives the full one). A child that dies raises `BrokenProcessPool`. A script
+that calls `run_sweeps` with more than one CPU needs the
+`if __name__ == "__main__":` guard, since spawned children import the main
+module. A module attribute patched here reaches forked children but not
+spawned ones.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import logging
 import math
 import multiprocessing
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -104,6 +108,8 @@ _SWEEP_VALUES = {"boundary_count": "boundary_counts",
                  "frequency": "frequencies_hz"}
 
 TRUTH_FLOOR = 1e-15
+# how long `_start_method` waits for joined threads to leave the OS count
+_THREAD_EXIT_S = 0.05
 
 
 def nmse(predictions, truth) -> float:
@@ -462,11 +468,34 @@ def _worker_count(runs: int) -> int:
     return min(runs, cpus)
 
 
+def _start_method() -> str:
+    """`fork` when the OS reports one thread in this process, `spawn` when
+    it reports more (native BLAS threads count too) or cannot be read (no
+    `/proc`). A thread that `threading` has joined stays in the OS count
+    until it has exited, up to 5 ms after a pool's shutdown as measured on
+    a 2-vCPU VM, so while `threading` sees this thread alone the count is
+    read again for up to `_THREAD_EXIT_S`; a process whose other threads
+    are all native waits that long before it spawns."""
+    deadline = time.monotonic() + _THREAD_EXIT_S
+    try:
+        while len(os.listdir("/proc/self/task")) > 1:
+            if threading.active_count() > 1 or time.monotonic() > deadline:
+                return "spawn"
+            time.sleep(0.001)
+    except OSError:
+        return "spawn"
+    return "fork"
+
+
 def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
     """`_one_run`'s result of each run, in run order, up to the first that
     holds an exception. This process runs the first ceil(runs / `workers`)
-    runs; the others go to the `map` of `workers` - 1 spawned children,
-    which start late by their imports. The map is closed at the first
+    runs; the others go to the `map` of `workers` - 1 children, forked or
+    spawned as `_start_method` says. A forked pool forks every child at
+    the map's first submit, before it starts its own threads, so the
+    thread count read just before still holds at the fork. Spawned
+    children start about 0.4 s late by their imports, which is why this
+    process takes the rounded-up share. The map is closed at the first
     failure, so that the runs not yet started are cancelled; a run that
     fails while an earlier one is still going does not stop the children
     until that earlier one is read, so a failing benchmark takes longer,
@@ -477,8 +506,9 @@ def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
     with contextlib.ExitStack() as stack:
         theirs = ()
         if workers > 1:
+            context = multiprocessing.get_context(_start_method())
             pool = stack.enter_context(ProcessPoolExecutor(
-                workers - 1, mp_context=multiprocessing.get_context("spawn")))
+                workers - 1, mp_context=context))
             theirs = stack.enter_context(
                 contextlib.closing(pool.map(one_run, runs[mine:])))
         done = []

@@ -4,7 +4,9 @@ import logging
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -418,7 +420,8 @@ def current_run():
 @dataclasses.dataclass(frozen=True)
 class FailingRoom(RoomSpec):
     """A room that carries a failure into whatever process runs a run,
-    spawned children included, which a monkeypatch does not reach. With
+    spawned children included, which a monkeypatch in this process does not
+    reach (forked children it does). With
     `die`, a child that starts any run ends at once. Otherwise each run
     marks its start with a file under `marks`, named after the run and
     holding the process id; run `first` + 1 fails at once, run `first`
@@ -454,8 +457,18 @@ class FailingRoom(RoomSpec):
         return super().mic_half_center
 
 
+START_METHODS = ("fork", "spawn")
+
+
+def use_start_method(monkeypatch, method):
+    """Start the run pool's children by `method`, whatever the thread count:
+    `_start_method` is patched in this process, where the pool is made."""
+    monkeypatch.setattr(experiments, "_start_method", lambda: method)
+
+
 class TestRunsAcrossProcesses:
-    """Runs mapped over spawned children give what one process gives."""
+    """Runs mapped over child processes give what one process gives, with
+    the children forked and with them spawned."""
 
     @staticmethod
     def outputs(results, out):
@@ -476,24 +489,26 @@ class TestRunsAcrossProcesses:
     def test_pooled_runs_match_in_process_runs(self, room, monkeypatch,
                                                caplog, tmp_path):
         """Three runs of all four sweeps, in this process and then over
-        three processes: the same CSVs and the same log records in the same
-        order, with every lasso fit failing (no noise) and logging its
-        traceback."""
+        three processes, forked and then spawned: the same CSVs and the same
+        log records in the same order, with every lasso fit failing (no
+        noise) and logging its traceback."""
         cfg = tiny_config(room, monte_carlo_runs=3, snr_db=math.inf)
         assert cfg.sweeps == experiments.SWEEPS
         seen = {}
-        for workers in (1, 3):
+        for workers, method in ((1, None), *((3, m) for m in START_METHODS)):
             monkeypatch.setattr(experiments, "_worker_count",
                                 lambda runs, workers=workers: workers)
+            use_start_method(monkeypatch, method)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="roomwave"):
                 results = run_sweeps(cfg)
             records = [(r.name, r.levelno, r.getMessage(), r.exc_text)
                        for r in caplog.records]
-            seen[workers] = (*self.outputs(results, tmp_path / str(workers)),
-                             records)
-        assert seen[3] == seen[1]
-        failed = [r for r in seen[1][2] if "method 'lasso' failed" in r[2]]
+            seen[method] = (*self.outputs(results, tmp_path / str(method)),
+                            records)
+        assert seen["fork"] == seen[None]
+        assert seen["spawn"] == seen[None]
+        failed = [r for r in seen[None][2] if "method 'lasso' failed" in r[2]]
         assert len(failed) == 3 * 3          # runs x distinct lasso fits
         assert all("noise_variance must be positive" in r[3] for r in failed)
         assert [r[2][:6] for r in failed] == [f"run {run}:" for run in
@@ -541,31 +556,113 @@ class TestRunsAcrossProcesses:
     def test_exception_in_a_child_run_propagates(self, monkeypatch,
                                                  tmp_path):
         """Of 12 runs over three processes, this one runs runs 0-3 and two
-        spawned children the others. Run 5 fails at once and run 4 soon
-        after, before any later run ends: run 4's exception propagates, the
-        runs not yet started never start and no child is left."""
+        children, forked and then spawned, the others. Run 5 fails at once
+        and run 4 soon after, before any later run ends: run 4's exception
+        propagates, the runs not yet started never start and no child is
+        left."""
         monkeypatch.setattr(experiments, "_worker_count", lambda runs: 3)
-        cfg = tiny_config(FailingRoom(marks=str(tmp_path), first=4),
-                          methods=("nearest",), monte_carlo_runs=12,
-                          sweeps=("frequency",))
-        with pytest.raises(RuntimeError, match="in run 4"):
-            run_sweeps(cfg)
-        started = {int(p.name): int(p.read_text()) for p in tmp_path.iterdir()}
-        assert set(range(6)) <= set(started) and len(started) < 12
-        assert [run for run, pid in sorted(started.items())
-                if pid == os.getpid()] == [0, 1, 2, 3]
-        assert multiprocessing.active_children() == []
+        for method in START_METHODS:
+            use_start_method(monkeypatch, method)
+            marks = tmp_path / method
+            marks.mkdir()
+            cfg = tiny_config(FailingRoom(marks=str(marks), first=4),
+                              methods=("nearest",), monte_carlo_runs=12,
+                              sweeps=("frequency",))
+            with pytest.raises(RuntimeError, match="in run 4"):
+                run_sweeps(cfg)
+            started = {int(p.name): int(p.read_text())
+                       for p in marks.iterdir()}
+            assert set(range(6)) <= set(started) and len(started) < 12
+            assert [run for run, pid in sorted(started.items())
+                    if pid == os.getpid()] == [0, 1, 2, 3]
+            assert multiprocessing.active_children() == []
 
     def test_killed_child_breaks_the_pool(self, monkeypatch):
-        """A child that dies in a run raises `BrokenProcessPool` instead of
-        hanging, and leaves no child behind."""
+        """A child that dies in a run, forked or spawned, raises
+        `BrokenProcessPool` instead of hanging, and leaves no child
+        behind."""
         monkeypatch.setattr(experiments, "_worker_count", lambda runs: 2)
         cfg = tiny_config(FailingRoom(die=True), methods=("nearest",),
                           monte_carlo_runs=12, sweeps=("frequency",))
-        start = time.monotonic()
-        with pytest.raises(BrokenProcessPool):
-            run_sweeps(cfg)
-        assert time.monotonic() - start < 30
+        for method in START_METHODS:
+            use_start_method(monkeypatch, method)
+            start = time.monotonic()
+            with pytest.raises(BrokenProcessPool):
+                run_sweeps(cfg)
+            assert time.monotonic() - start < 30
+            assert multiprocessing.active_children() == []
+
+
+def start_method_in_new_interpreter(**env) -> list:
+    """[Python's thread count, `_start_method()`] in a fresh interpreter
+    that imports `roomwave.experiments` (numpy and scipy with it) with
+    `env` on top of this environment without its BLAS thread variables."""
+    code = ("import threading\n"
+            "from roomwave import experiments\n"
+            "print(threading.active_count(), experiments._start_method())\n")
+    base = {k: v for k, v in os.environ.items()
+            if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+    base["PYTHONPATH"] = os.path.dirname(os.path.dirname(experiments.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          timeout=120, capture_output=True, text=True,
+                          check=True)
+    return done.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="the OS thread count is read from /proc")
+class TestStartMethod:
+    """The run pool forks only when the OS reports one thread in this
+    process."""
+
+    def test_one_thread_forks(self):
+        assert start_method_in_new_interpreter() == ["1", "fork"]
+
+    def test_native_threads_spawn(self):
+        """Two OpenBLAS threads start a native thread that Python's
+        `threading` does not see, and the pool spawns."""
+        assert start_method_in_new_interpreter(OPENBLAS_NUM_THREADS="2") == [
+            "1", "spawn"]
+
+    def test_a_live_thread_spawns(self):
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(60,))
+        helper.start()
+        try:
+            assert experiments._start_method() == "spawn"
+        finally:
+            release.set()
+            helper.join(timeout=60)
+        assert not helper.is_alive()
+
+    @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
+    def test_unreadable_thread_list_spawns(self, monkeypatch, error):
+        def listdir(path):
+            raise error(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert experiments._start_method() == "spawn"
+
+    def test_consecutive_pools_fork(self, room, monkeypatch):
+        """Two pooled benchmarks in a row both fork: the first pool's
+        threads are gone, from the OS count too, when the second is made."""
+        if len(os.listdir("/proc/self/task")) != 1:
+            pytest.skip("this process runs more than one thread")
+        chosen = []
+        select = experiments._start_method
+
+        def recording():
+            chosen.append(select())
+            return chosen[-1]
+
+        monkeypatch.setattr(experiments, "_start_method", recording)
+        monkeypatch.setattr(experiments, "_worker_count", lambda runs: 2)
+        cfg = tiny_config(room, methods=("nearest",), sweeps=("frequency",))
+        first, second = run_sweeps(cfg), run_sweeps(cfg)
+        assert chosen == ["fork", "fork"]
+        assert [r.nmse_per_run for r in first["frequency"]] == [
+            r.nmse_per_run for r in second["frequency"]]
+        assert threading.active_count() == 1
         assert multiprocessing.active_children() == []
 
 
