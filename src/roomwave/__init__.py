@@ -21,12 +21,12 @@ only when `roomwave` is imported before numpy, as the `roomwave` command
 does.
 
 The CPUs go to processes instead: `roomwave benchmark`
-(`experiments.run_sweeps`) runs its Monte-Carlo runs in one process per CPU
-of the process's affinity mask, at most one per run, each process on one
-BLAS thread (a forked child keeps the BLAS already loaded, a spawned child
-inherits the thread variables). To run them
-serially in one process, give it one CPU: `taskset -c 0 roomwave benchmark
-...`.
+(`experiments.run_sweeps`) spreads the measurements and fits of its
+Monte-Carlo runs over one process per CPU of the process's affinity mask,
+at most one per fit, each process on one BLAS thread (a forked child keeps
+the BLAS already loaded, a spawned child inherits the thread variables). To
+run them serially in one process, give it one CPU: `taskset -c 0 roomwave
+benchmark ...`.
 """
 
 import os as _os

@@ -16,11 +16,12 @@ the microphones it assumes.
 
 Each (sweep, value) is a case: the configured cloud size, cloud
 displacement, microphone displacement and frequency, with the swept one
-replaced, plus the size of the sampled cloud. The driver runs the
-Monte-Carlo runs outermost. Within a run it builds one measurement per
-(frequency, sampled cloud size) and fits each method once per distinct value
-of what that method reads: the whole case for the proposed method, the
-microphone displacement and frequency for the baselines. Cases that agree
+replaced, plus the size of the sampled cloud. In the driver's serial
+order the Monte-Carlo runs are outermost. Within a run it builds one
+measurement per (frequency, sampled cloud size) and fits each method once
+per distinct value of what that method reads: the whole case for the
+proposed method, the microphone displacement and frequency for the
+baselines. Cases that agree
 there, in one sweep or across sweeps, share the fit and its (nmse, seconds)
 pair. A displacement of 0.0 returns the sampled positions bit for bit, so
 every case goes through the same path.
@@ -31,33 +32,37 @@ only, which makes each run identical across sweeps and sweep values. A run
 holds its measurement as one `SimSnapshot` (microphone positions, noisy
 values, noise variance); the methods read it from there.
 
-Runs are independent, so the driver spreads them over one process per CPU in
-this process's affinity mask (at most one per run), each on one BLAS thread
-(see the package docstring). This
-process runs the first share of the runs while the others are mapped over
-child processes, and its share is rounded up. The children are forked when
-this process has one OS thread, so that no other thread can hold a lock
-across the fork, and spawned otherwise (or where the count cannot be read):
-a spawned child starts about 0.4 s late, because it imports numpy and scipy
-again. Under `taskset -c 0`, or with one run, every run happens in this
-process and no child is started. The NMSE values do not depend on which
-process ran a run. Each run holds back its warnings and `roomwave` log
-records, and the driver emits them in run order once the runs are done, so
-the output matches a serial run. Results are read in run order: at the first
-run that raised, the runs not yet started are cancelled and its exception
-propagates (from a child, without the child's traceback; `taskset -c 0`
-gives the full one). A child that dies raises `BrokenProcessPool`. A script
-that calls `run_sweeps` with more than one CPU needs the
-`if __name__ == "__main__":` guard, since spawned children import the main
-module. A module attribute patched here reaches forked children but not
-spawned ones.
+The driver spreads the work over one process per CPU in this process's
+affinity mask, at most one per distinct fit, each on one BLAS thread (see
+the package docstring), in two phases. First it builds every run's
+measurements, each once; then it hands out every distinct fit with its
+measurement, longest first: the proposed method by descending cloud size,
+then the lasso, Tikhonov and nearest, ties in serial order (run, case,
+method). Each task goes to whichever process is free: this process takes
+the next one itself, and each child gets the next one through a thread
+here that submits it and waits for it, so that no child holds more than
+one. The children are forked when this process has one OS thread, so that
+no other thread can hold a lock across the fork, and spawned otherwise (or
+where the count cannot be read): a spawned child starts about 0.4 s late,
+because it imports numpy and scipy again. Under `taskset -c 0` every task
+happens in this process and no child is started. The NMSE values do not
+depend on which process ran a task. Each task holds back its warnings and
+`roomwave` log records, and the driver emits them in serial order once the
+tasks are done, a measurement's just before the first fit that reads it,
+so the output matches a serial run. Once a task has failed, no task after
+it in serial order starts, and the first failure in serial order
+propagates after the records before it (from a child, without the child's
+traceback; `taskset -c 0` gives the full one). A child that dies raises
+`BrokenProcessPool`. A script that calls `run_sweeps` with more than one
+CPU needs the `if __name__ == "__main__":` guard, since spawned children
+import the main module. A module attribute patched here reaches forked
+children but not spawned ones.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
-import functools
-import itertools
 import logging
 import math
 import multiprocessing
@@ -66,6 +71,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -403,8 +409,8 @@ class _EventLog(logging.Handler):
 def _held_back():
     """Hold back every warning and every record of a `roomwave` logger
     emitted inside the block; yields the list that gets them in order.
-    Warnings are recorded whatever the filters, so a run's results do not
-    depend on them; `_replay` applies them."""
+    Warnings are recorded whatever the filters, so a task's results do
+    not depend on them; `_replay` applies them."""
     package = logging.getLogger(__package__)
     with warnings.catch_warnings(record=True) as events:
         warnings.simplefilter("always")
@@ -418,54 +424,64 @@ def _held_back():
             package.propagate = propagate
 
 
-def _replay(event, registry: dict):
-    """Emit a held-back record through its logger, or a held-back warning
-    through this process's warning filters, with `registry` as the record
-    of warnings already shown."""
-    if isinstance(event, logging.LogRecord):
-        logging.getLogger(event.name).handle(event)
-    else:
-        warnings.warn_explicit(event.message, event.category, event.filename,
-                               event.lineno, registry=registry)
-
-
-def _one_run(cfg: ExperimentConfig, cases: list, run: int) -> tuple:
-    """Run `run` of every case: ({fit key: (nmse, seconds)}, the warnings
-    and log records it emitted, in order, and the exception that ended it,
-    or None)."""
-    build = functools.cache(functools.partial(_make_run, cfg, run))
-    fitted = {}
+def _held(function, *args) -> tuple:
+    """(`function(*args)`, or None if it raised, the warnings and
+    `roomwave` log records it emitted, in order, and the exception it
+    raised, or None)."""
     with _held_back() as events:
         try:
-            for case in cases:
-                size, cloud_shift, mic_shift, frequency, sampled = case
-                for method in cfg.methods:
-                    key = _fit_key(method, case)
-                    if key in fitted:
-                        continue
-                    data = build(frequency, sampled)
-                    seeds, cloud = data.seeds, data.cloud.subset(size)
-                    mics = perturb_positions(data.snapshot.mics, mic_shift,
-                                             seeds["mic_perturbation"])
-                    cloud = BoundaryCloud(
-                        perturb_positions(cloud.points, cloud_shift,
-                                          seeds["boundary_perturbation"]),
-                        cloud.normals)
-                    fitted[key] = _timed_nmse(method, data, cfg, mics, cloud,
-                                              mic_shift)
+            return function(*args), events, None
         except Exception as exc:
-            return fitted, events, exc
-    return fitted, events, None
+            return None, events, exc
 
 
-def _worker_count(runs: int) -> int:
-    """Processes to spread `runs` runs over: one per CPU in this process's
-    affinity mask, at most one per run."""
+def _replay(outcome: tuple, registry: dict):
+    """Emit the held-back events of a `_held` outcome, each record through
+    its logger and each warning through this process's warning filters,
+    with `registry` as the record of warnings already shown; then raise its
+    exception, or return its value."""
+    value, events, error = outcome
+    for event in events:
+        if isinstance(event, logging.LogRecord):
+            logging.getLogger(event.name).handle(event)
+        else:
+            warnings.warn_explicit(event.message, event.category,
+                                   event.filename, event.lineno,
+                                   registry=registry)
+    if error is not None:
+        raise error
+    return value
+
+
+def _fit(cfg: ExperimentConfig, method: str, case: tuple,
+         data: _RunData) -> tuple:
+    """(nmse, seconds) of `method` on `case`, from the case's measurement."""
+    size, cloud_shift, mic_shift = case[:3]
+    seeds, cloud = data.seeds, data.cloud.subset(size)
+    mics = perturb_positions(data.snapshot.mics, mic_shift,
+                             seeds["mic_perturbation"])
+    cloud = BoundaryCloud(perturb_positions(cloud.points, cloud_shift,
+                                            seeds["boundary_perturbation"]),
+                          cloud.normals)
+    return _timed_nmse(method, data, cfg, mics, cloud, mic_shift)
+
+
+def _hand_out_key(method: str, case: tuple) -> tuple:
+    """Sort key that hands out the longest fits first: the proposed method
+    by descending cloud size, then the lasso (cross-validated), Tikhonov
+    and nearest."""
+    return (("proposed", "lasso", "tikhonov", "nearest").index(method),
+            -case[0] if method == "proposed" else 0)
+
+
+def _worker_count(tasks: int) -> int:
+    """Processes to spread `tasks` tasks over: one per CPU in this process's
+    affinity mask, at most one per task."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity mask outside Linux
         cpus = os.cpu_count() or 1
-    return min(runs, cpus)
+    return min(tasks, cpus)
 
 
 def _start_method() -> str:
@@ -487,36 +503,97 @@ def _start_method() -> str:
     return "fork"
 
 
-def _run_all(cfg: ExperimentConfig, cases: list, workers: int) -> list:
-    """`_one_run`'s result of each run, in run order, up to the first that
-    holds an exception. This process runs the first ceil(runs / `workers`)
-    runs; the others go to the `map` of `workers` - 1 children, forked or
-    spawned as `_start_method` says. A forked pool forks every child at
-    the map's first submit, before it starts its own threads, so the
-    thread count read just before still holds at the fork. Spawned
-    children start about 0.4 s late by their imports, which is why this
-    process takes the rounded-up share. The map is closed at the first
-    failure, so that the runs not yet started are cancelled; a run that
-    fails while an earlier one is still going does not stop the children
-    until that earlier one is read, so a failing benchmark takes longer,
-    but its outcome is the same."""
-    one_run = functools.partial(_one_run, cfg, cases)
-    runs = range(cfg.monte_carlo_runs)
-    mine = -(-len(runs) // workers)
+def _spread(pool, children: int, tasks: list) -> dict:
+    """{key: `_held(function, *args)`} of `tasks`, a list of (key, serial
+    position, function, args) in the order they are handed out. This
+    process takes the first task and each of `children` children of `pool`
+    one of the next; then each task goes to whichever process is free, to
+    a child through a thread here that submits it, waits for it and takes
+    the next, so that no child holds more than one task. The children's
+    first tasks are submitted before any of those threads starts, so a
+    forked pool forks its children while this thread is the only one. Once
+    a task has failed, no task at or after its serial position starts."""
+    queue, lock, outcomes = collections.deque(tasks), threading.Lock(), {}
+    stop = math.inf
+
+    def take():
+        with lock:
+            while queue:
+                task = queue.popleft()
+                if task[1] < stop:
+                    return task
+        return None
+
+    def finish(task, outcome):
+        nonlocal stop
+        with lock:
+            outcomes[task[0]] = outcome
+            if outcome[2] is not None:
+                stop = min(stop, task[1])
+
+    def feed(task, future):
+        while task is not None:
+            try:
+                outcome = (future or pool.submit(_held, task[2],
+                                                 *task[3])).result()
+            except Exception as exc:    # BrokenProcessPool if a child died
+                outcome = None, [], exc
+            finish(task, outcome)
+            task, future = take(), None
+
+    mine, threads = take(), []
+    while len(threads) < children and (task := take()) is not None:
+        try:
+            future = pool.submit(_held, task[2], *task[3])
+        except BrokenProcessPool as exc:    # a child died in an earlier phase
+            finish(task, (None, [], exc))
+            break
+        threads.append(threading.Thread(target=feed, args=(task, future)))
+    for thread in threads:
+        thread.start()
+    try:
+        while mine is not None:
+            finish(mine, _held(mine[2], *mine[3]))
+            mine = take()
+    finally:
+        with lock:
+            queue.clear()       # on an interrupt here the threads stop too
+        for thread in threads:
+            thread.join()
+    return outcomes
+
+
+def _run_all(cfg: ExperimentConfig, fits: dict, workers: int) -> tuple:
+    """({measurement: outcome}, {fit: outcome}) of the distinct `fits`
+    {(run, fit key): (method, case)}, given in serial order, each outcome
+    as `_held` gives it, over `workers` processes: this one and
+    `workers` - 1 children, forked or spawned as `_start_method` says. The
+    measurements (run, frequency, sampled size) are built first, each once,
+    in serial order; then the fits are handed out longest first
+    (`_hand_out_key`, ties in serial order), each with its measurement. A
+    measurement's serial position is that of the first fit that reads it;
+    once a task has failed, no task at or after its position starts, so
+    every task before the first failure in serial order has its outcome."""
+    measures = {}
+    for position, ((run, _), (_, case)) in enumerate(fits.items()):
+        measures.setdefault((run, *case[3:]), position)
     with contextlib.ExitStack() as stack:
-        theirs = ()
+        pool = None
         if workers > 1:
             context = multiprocessing.get_context(_start_method())
             pool = stack.enter_context(ProcessPoolExecutor(
                 workers - 1, mp_context=context))
-            theirs = stack.enter_context(
-                contextlib.closing(pool.map(one_run, runs[mine:])))
-        done = []
-        for outcome in itertools.chain(map(one_run, runs[:mine]), theirs):
-            done.append(outcome)
-            if outcome[2] is not None:
-                break
-        return done
+        measured = _spread(pool, workers - 1, [
+            (key, position, _make_run, (cfg, *key))
+            for key, position in measures.items()])
+        stop = min((measures[key] for key, (_, _, error) in measured.items()
+                    if error is not None), default=math.inf)
+        tasks = [(fit, position, _fit,
+                  (cfg, method, case, measured[(fit[0], *case[3:])][0]))
+                 for position, (fit, (method, case)) in enumerate(fits.items())
+                 if position < stop]
+        tasks.sort(key=lambda task: _hand_out_key(*task[3][1:3]))
+        return measured, _spread(pool, workers - 1, tasks)
 
 
 def run_sweeps(cfg: ExperimentConfig) -> dict:
@@ -526,12 +603,13 @@ def run_sweeps(cfg: ExperimentConfig) -> dict:
     A case holds one coordinate per sweep, in SWEEPS order (cloud size,
     cloud displacement, microphone displacement, frequency), then the
     sampled cloud size: the largest swept count in the boundary-count sweep,
-    `cfg.boundary_count` elsewhere. Runs are the outer loop, spread over
-    processes as the module docstring says. Within a run, a measurement is
-    built once per (frequency, sampled size), and a method is fit once per
-    distinct value of the coordinates it reads: all of them for the
-    proposed method, the microphone displacement and frequency for the
-    baselines. Every case that shares a fit, in any sweep, records its
+    `cfg.boundary_count` elsewhere. Runs are the outer loop of the serial
+    order. Within a run, a measurement is built once per (frequency,
+    sampled size), and a method is fit once per distinct value of the
+    coordinates it reads: all of them for the proposed method, the
+    microphone displacement and frequency for the baselines. The
+    measurements and fits are spread over processes as the module
+    docstring says. Every case that shares a fit, in any sweep, records its
     (nmse, seconds) pair.
     """
     runs = cfg.monte_carlo_runs
@@ -551,16 +629,20 @@ def run_sweeps(cfg: ExperimentConfig) -> dict:
             case[SWEEPS.index(sweep)] = value
             cases.append((tuple(case), [(m, cells[(value, m)])
                                         for m in cfg.methods]))
-    outcomes = _run_all(cfg, [case for case, _ in cases],
-                        _worker_count(runs))
-    shown = {}      # warnings shown, for the filters' `default` action
-    for run, (fitted, events, error) in enumerate(outcomes):
-        for event in events:
-            _replay(event, shown)
-        if error is not None:
-            raise error
+    fits = {}       # (run, fit key) -> (method, case), in serial order
+    for run in range(runs):
         for case, row in cases:
-            for method, cell in row:
+            for method, _ in row:
+                fits.setdefault((run, _fit_key(method, case)), (method, case))
+    measured, fitted = _run_all(cfg, fits, _worker_count(len(fits)))
+    shown = {}      # warnings shown, for the filters' `default` action
+    for fit, (_, case) in fits.items():
+        if (fit[0], *case[3:]) in measured:
+            _replay(measured.pop((fit[0], *case[3:])), shown)
+        _replay(fitted[fit], shown)
+    for case, row in cases:
+        for method, cell in row:
+            for run in range(runs):
                 cell.nmse_per_run[run], cell.seconds_per_run[run] = (
-                    fitted[_fit_key(method, case)])
+                    fitted[(run, _fit_key(method, case))][0])
     return results

@@ -38,6 +38,7 @@ def complex_instance(rng):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Every Monte-Carlo run in this process, where monkeypatches apply."""
+    """Every measurement and fit in this process, where monkeypatches
+    apply."""
     from roomwave import experiments
-    monkeypatch.setattr(experiments, "_worker_count", lambda runs: 1)
+    monkeypatch.setattr(experiments, "_worker_count", lambda tasks: 1)

@@ -559,7 +559,8 @@ def test_every_traced_target_resolves():
 
 
 def test_sweep_and_reconstruct_share_one_traceable_chain(simulated, tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch,
+                                                         in_process):
     """The benchmark and `roomwave reconstruct` run the proposed method
     through the same chain, looked up on `experiments` where the tracer
     patches it."""

@@ -351,15 +351,17 @@ class TestDriver:
                         == np.asarray(b.nmse_per_run).tobytes()), (name, a)
 
     def test_boundary_count_sweep_takes_prefixes_of_its_largest_cloud(
-            self, room, monkeypatch):
+            self, room, monkeypatch, in_process):
         """The boundary-count sweep fits on prefixes of one cloud sampled
         at its largest count; the other sweeps on the cloud sampled at
-        `boundary_count`, even where the two prior sizes agree."""
-        clouds = []
+        `boundary_count`, even where the two prior sizes agree. The clouds
+        are keyed by size, since the fits are handed out largest first."""
+        clouds = {}
         original = experiments.fit_and_predict
 
         def recording(y, dictionary, mics, cloud, *args):
-            clouds.append(cloud.points)
+            clouds.setdefault(len(cloud.points), []).append(
+                cloud.points.tobytes())
             return original(y, dictionary, mics, cloud, *args)
 
         monkeypatch.setattr(experiments, "fit_and_predict", recording)
@@ -371,8 +373,9 @@ class TestDriver:
         seed = run_seeds(cfg.master_seed, 0)["boundary"]
         largest = sample_boundary(room, 20, seed).points
         own = sample_boundary(room, cfg.boundary_count, seed).points
-        expected = [largest[:0], largest, largest[:12], own]
-        assert [c.tobytes() for c in clouds] == [c.tobytes() for c in expected]
+        expected = {0: [largest[:0]], 20: [largest], 12: [largest[:12], own]}
+        assert clouds == {size: [c.tobytes() for c in points]
+                          for size, points in expected.items()}
         assert largest[:12].tobytes() != own.tobytes()
 
     def test_calls_per_run_on_the_default_layout(self, room, monkeypatch,
@@ -410,28 +413,30 @@ class TestDriver:
 
 
 def current_run():
-    """The run index of the `_one_run` call that this is called under."""
+    """The run index of the `_make_run` call that this is called under."""
     frame = sys._getframe()
-    while frame.f_code is not experiments._one_run.__code__:
+    while frame.f_code is not experiments._make_run.__code__:
         frame = frame.f_back
     return frame.f_locals["run"]
 
 
 @dataclasses.dataclass(frozen=True)
 class FailingRoom(RoomSpec):
-    """A room that carries a failure into whatever process runs a run,
-    spawned children included, which a monkeypatch in this process does not
-    reach (forked children it does). With
-    `die`, a child that starts any run ends at once. Otherwise each run
-    marks its start with a file under `marks`, named after the run and
-    holding the process id; run `first` + 1 fails at once, run `first`
-    fails 0.2 s after run `first` + 1 has started (so that the later run's
-    failure arrives first), every run after them takes 0.5 s longer and
-    the runs before them are untouched."""
+    """A room that carries a failure into whatever process builds a run's
+    measurement, spawned children included, which a monkeypatch in this
+    process does not reach (forked children it does). With `die`, a child
+    that builds any measurement ends at once. Otherwise the first
+    measurement of each run logs "run N measured" and marks its start with
+    a file under `marks`, named after the run and holding the process id;
+    run `first` + 1 fails at once, run `first` fails `delay` s after run
+    `first` + 1 has started (so that the later run's failure arrives
+    first; with no delay it fails at once), every run after them takes
+    0.5 s longer and the runs before them are untouched."""
 
     marks: str = ""
     die: bool = False
     first: int = 0
+    delay: float = 0.2
 
     @property
     def mic_half_center(self):
@@ -443,13 +448,14 @@ class FailingRoom(RoomSpec):
         elif not os.path.exists(mark):
             with open(mark, "w") as handle:
                 handle.write(str(os.getpid()))
+            experiments.logger.warning("run %d measured", run)
             later = os.path.join(self.marks, str(self.first + 1))
-            if run == self.first:
+            if run == self.first and self.delay:
                 deadline = time.monotonic() + 60.0
                 while (not os.path.exists(later)
                        and time.monotonic() < deadline):
                     time.sleep(0.01)
-                time.sleep(0.2)
+                time.sleep(self.delay)
             if run in (self.first, self.first + 1):
                 raise RuntimeError(f"injected failure in run {run}")
             if run > self.first:
@@ -457,18 +463,49 @@ class FailingRoom(RoomSpec):
         return super().mic_half_center
 
 
+@dataclasses.dataclass(frozen=True)
+class DyingRoom(RoomSpec):
+    """A room whose run-2 measurement ends the child that builds it, and
+    whose run-0 measurement takes 0.5 s longer in the main process."""
+
+    @property
+    def mic_half_center(self):
+        run = current_run()
+        if multiprocessing.parent_process() is None:
+            if run == 0:
+                time.sleep(0.25)    # read twice per measurement
+        elif run == 2:
+            os._exit(1)
+        return super().mic_half_center
+
+
 START_METHODS = ("fork", "spawn")
 
 
 def use_start_method(monkeypatch, method):
-    """Start the run pool's children by `method`, whatever the thread count:
+    """Start the pool's children by `method`, whatever the thread count:
     `_start_method` is patched in this process, where the pool is made."""
     monkeypatch.setattr(experiments, "_start_method", lambda: method)
 
 
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "_worker_count",
+                        lambda tasks, workers=workers: workers)
+
+
+# (threading's thread count, the OS's) at each fork of this process while
+# RECORDING is set; a fork hook cannot be unregistered, so one is
+# registered here, once
+FORKS = []
+RECORDING = threading.Event()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=lambda: RECORDING.is_set() and FORKS.append(
+        (threading.active_count(), len(os.listdir("/proc/self/task")))))
+
+
 class TestRunsAcrossProcesses:
-    """Runs mapped over child processes give what one process gives, with
-    the children forked and with them spawned."""
+    """Measurements and fits spread over child processes give what one
+    process gives, with the children forked and with them spawned."""
 
     @staticmethod
     def outputs(results, out):
@@ -486,6 +523,28 @@ class TestRunsAcrossProcesses:
                               for row in csv.DictReader(handle)]
         return aggregate, runs
 
+    def benchmark(self, cfg, caplog, out):
+        """(aggregate CSV bytes, runs CSV rows without `seconds`, the
+        `roomwave` log records) of `run_sweeps(cfg)`, written under
+        `out`."""
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="roomwave"):
+            results = run_sweeps(cfg)
+        records = [(r.name, r.levelno, r.getMessage(), r.exc_text)
+                   for r in caplog.records]
+        return (*self.outputs(results, out), records)
+
+    def by_start_method(self, cfg, workers, monkeypatch, caplog, tmp_path):
+        """{start method: `benchmark` outputs} over `workers` processes,
+        forked and spawned, and {None: outputs} in this process alone."""
+        seen = {}
+        for count, method in ((1, None), *((workers, m)
+                                           for m in START_METHODS)):
+            use_workers(monkeypatch, count)
+            use_start_method(monkeypatch, method)
+            seen[method] = self.benchmark(cfg, caplog, tmp_path / str(method))
+        return seen
+
     def test_pooled_runs_match_in_process_runs(self, room, monkeypatch,
                                                caplog, tmp_path):
         """Three runs of all four sweeps, in this process and then over
@@ -494,18 +553,7 @@ class TestRunsAcrossProcesses:
         noise) and logging its traceback."""
         cfg = tiny_config(room, monte_carlo_runs=3, snr_db=math.inf)
         assert cfg.sweeps == experiments.SWEEPS
-        seen = {}
-        for workers, method in ((1, None), *((3, m) for m in START_METHODS)):
-            monkeypatch.setattr(experiments, "_worker_count",
-                                lambda runs, workers=workers: workers)
-            use_start_method(monkeypatch, method)
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="roomwave"):
-                results = run_sweeps(cfg)
-            records = [(r.name, r.levelno, r.getMessage(), r.exc_text)
-                       for r in caplog.records]
-            seen[method] = (*self.outputs(results, tmp_path / str(method)),
-                            records)
+        seen = self.by_start_method(cfg, 3, monkeypatch, caplog, tmp_path)
         assert seen["fork"] == seen[None]
         assert seen["spawn"] == seen[None]
         failed = [r for r in seen[None][2] if "method 'lasso' failed" in r[2]]
@@ -513,6 +561,48 @@ class TestRunsAcrossProcesses:
         assert all("noise_variance must be positive" in r[3] for r in failed)
         assert [r[2][:6] for r in failed] == [f"run {run}:" for run in
                                               (0, 0, 0, 1, 1, 1, 2, 2, 2)]
+
+    def test_uneven_runs_match_in_process_runs(self, room, monkeypatch,
+                                               caplog, tmp_path):
+        """Three runs over two processes, with proposed fits at two cloud
+        sizes beside every baseline, forked and then spawned: the CSVs and
+        records of one process."""
+        cfg = tiny_config(room, monte_carlo_runs=3, boundary_counts=(6, 12),
+                          mic_perturbations=(0.0, 0.05),
+                          sweeps=("boundary_count", "mic_perturbation"))
+        seen = self.by_start_method(cfg, 2, monkeypatch, caplog, tmp_path)
+        assert seen["fork"] == seen[None]
+        assert seen["spawn"] == seen[None]
+
+    def test_one_run_spreads_over_two_processes(self, room, monkeypatch,
+                                                caplog, tmp_path):
+        """With two CPUs a one-run benchmark makes a pool of one child,
+        which fits part of the run; the CSVs and records are those of this
+        process alone."""
+        cfg = tiny_config(room, monte_carlo_runs=1, snr_db=math.inf)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        use_start_method(monkeypatch, "fork")
+        pools, pids = [], tmp_path / "pids"
+        original_pool = experiments.ProcessPoolExecutor
+        original_fit = experiments._timed_nmse
+
+        def pool(workers, **kwargs):
+            pools.append(workers)
+            return original_pool(workers, **kwargs)
+
+        def fit(*args):
+            with open(pids, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original_fit(*args)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(experiments, "_timed_nmse", fit)
+        pooled = self.benchmark(cfg, caplog, tmp_path / "pooled")
+        assert pools == [1]
+        assert len(set(pids.read_text().split())) == 2
+        use_workers(monkeypatch, 1)
+        assert self.benchmark(cfg, caplog, tmp_path / "alone") == pooled
 
     def test_warnings_come_out_with_the_records_after_the_runs(
             self, room, monkeypatch, caplog, in_process):
@@ -553,28 +643,39 @@ class TestRunsAcrossProcesses:
                 sweep(cfg, "frequency")
         assert calls == [1, 2, 3, 4]
 
-    def test_exception_in_a_child_run_propagates(self, monkeypatch,
+    def test_exception_in_a_child_run_propagates(self, monkeypatch, caplog,
                                                  tmp_path):
-        """Of 12 runs over three processes, this one runs runs 0-3 and two
-        children, forked and then spawned, the others. Run 5 fails at once
-        and run 4 soon after, before any later run ends: run 4's exception
-        propagates, the runs not yet started never start and no child is
-        left."""
-        monkeypatch.setattr(experiments, "_worker_count", lambda runs: 3)
+        """Twelve runs, one measurement and one fit each. In this process
+        alone, run 4's measurement fails and its exception propagates after
+        the records of runs 0-4. Over three processes, forked and then
+        spawned, run 5's measurement fails at once and run 4's 0.2 s later:
+        run 4's exception still propagates, after the same records (run 5's
+        is not among them). Once run 5's failure is known no later run
+        starts, and every later run takes 0.5 s, so at most one of runs
+        6-11 starts, one taken while run 5 failed. No child is left."""
+
+        def records(room):
+            cfg = tiny_config(room, methods=("nearest",), monte_carlo_runs=12,
+                              frequencies_hz=(250.0,), sweeps=("frequency",))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="roomwave"):
+                with pytest.raises(RuntimeError, match="in run 4"):
+                    run_sweeps(cfg)
+            return [r.getMessage() for r in caplog.records]
+
+        (tmp_path / "alone").mkdir()
+        use_workers(monkeypatch, 1)
+        alone = records(FailingRoom(marks=str(tmp_path / "alone"), first=4,
+                                    delay=0.0))
+        assert alone == [f"run {run} measured" for run in range(5)]
+        use_workers(monkeypatch, 3)
         for method in START_METHODS:
             use_start_method(monkeypatch, method)
             marks = tmp_path / method
             marks.mkdir()
-            cfg = tiny_config(FailingRoom(marks=str(marks), first=4),
-                              methods=("nearest",), monte_carlo_runs=12,
-                              sweeps=("frequency",))
-            with pytest.raises(RuntimeError, match="in run 4"):
-                run_sweeps(cfg)
-            started = {int(p.name): int(p.read_text())
-                       for p in marks.iterdir()}
-            assert set(range(6)) <= set(started) and len(started) < 12
-            assert [run for run, pid in sorted(started.items())
-                    if pid == os.getpid()] == [0, 1, 2, 3]
+            assert records(FailingRoom(marks=str(marks), first=4)) == alone
+            started = {int(p.name) for p in marks.iterdir()}
+            assert set(range(6)) <= started <= set(range(7)), started
             assert multiprocessing.active_children() == []
 
     def test_killed_child_breaks_the_pool(self, monkeypatch):
@@ -591,6 +692,60 @@ class TestRunsAcrossProcesses:
                 run_sweeps(cfg)
             assert time.monotonic() - start < 30
             assert multiprocessing.active_children() == []
+
+    def test_pool_broken_while_measuring_fails_in_serial_order(
+            self, monkeypatch, caplog):
+        """A forked child dies at its second measurement (run 2) while this
+        process builds run 0's: the fits of runs 0 and 1 come before the
+        failure, so this process fits run 0, the submission of run 1's fit
+        to the broken pool fails that fit, and `BrokenProcessPool`
+        propagates after run 0's fit has logged."""
+        use_workers(monkeypatch, 2)
+        use_start_method(monkeypatch, "fork")
+        original = experiments.nearest_neighbor
+
+        def logging_fit(mics, y, targets):
+            experiments.logger.warning("fitted in %s", os.getpid())
+            return original(mics, y, targets)
+
+        monkeypatch.setattr(experiments, "nearest_neighbor", logging_fit)
+        cfg = tiny_config(DyingRoom(), methods=("nearest",),
+                          monte_carlo_runs=4, frequencies_hz=(250.0,),
+                          sweeps=("frequency",))
+        with caplog.at_level(logging.WARNING, logger="roomwave"):
+            with pytest.raises(BrokenProcessPool):
+                run_sweeps(cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"fitted in {os.getpid()}"]
+        assert multiprocessing.active_children() == []
+
+    def test_fits_are_handed_out_longest_first(self, room, monkeypatch,
+                                               in_process):
+        """In one process the fits run in the order they are handed out:
+        the proposed method by descending cloud size, then lasso, Tikhonov
+        and nearest, ties in serial order (run, then case)."""
+        order = []
+        original = experiments._timed_nmse
+
+        def recording(method, data, cfg, mics, cloud, mic_shift):
+            order.append((method, data.run,
+                          len(cloud.points) if method == "proposed" else None,
+                          mic_shift))
+            return original(method, data, cfg, mics, cloud, mic_shift)
+
+        monkeypatch.setattr(experiments, "_timed_nmse", recording)
+        cfg = tiny_config(room, boundary_counts=(6, 12, 0),
+                          mic_perturbations=(0.0, 0.05), max_line_searches=2,
+                          sweeps=("boundary_count", "mic_perturbation"))
+        run_sweeps(cfg)
+        runs = range(cfg.monte_carlo_runs)
+        assert order == (
+            [("proposed", run, 12, shift) for run in runs
+             for shift in (0.0, 0.05)]
+            + [("proposed", run, size, 0.0) for size in (6, 0) for run in runs]
+            + [(method, run, None, shift)
+               for method in ("lasso", "tikhonov", "nearest") for run in runs
+               for shift in (0.0, 0.05)])
 
 
 def start_method_in_new_interpreter(**env) -> list:
@@ -665,13 +820,47 @@ class TestStartMethod:
         assert threading.active_count() == 1
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("runs", [3, 1])
+    def test_every_fork_sees_one_thread(self, room, monkeypatch, runs):
+        """A forked pool forks both its children while this process has
+        one thread, by `threading`'s count and by the OS's, whether its
+        first task is a measurement (three runs) or a fit (one run, whose
+        one measurement this process builds); afterwards no thread or
+        child is left."""
+        if len(os.listdir("/proc/self/task")) != 1:
+            pytest.skip("this process runs more than one thread")
+        use_start_method(monkeypatch, "fork")
+        use_workers(monkeypatch, 3)
+        cfg = tiny_config(room, monte_carlo_runs=runs, boundary_counts=(6, 12),
+                          methods=("proposed", "nearest"),
+                          sweeps=("boundary_count",))
+        FORKS.clear()
+        RECORDING.set()
+        try:
+            run_sweeps(cfg)
+        finally:
+            RECORDING.clear()
+        assert FORKS == [(1, 1), (1, 1)]
+        assert threading.active_count() == 1
+        assert multiprocessing.active_children() == []
+
 
 class TestWorkerCount:
-    def test_one_per_cpu_at_most_one_per_run(self, monkeypatch):
+    def test_one_per_cpu_at_most_one_per_task(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
-        assert [experiments._worker_count(runs) for runs in (1, 2, 3, 10)] == [
-            1, 2, 3, 3]
+        assert [experiments._worker_count(tasks)
+                for tasks in (1, 2, 3, 10)] == [1, 2, 3, 3]
+
+    def test_capped_by_the_fits_not_the_runs(self, room, monkeypatch):
+        """`run_sweeps` asks for at most one process per distinct fit, the
+        larger of its two phases: two runs of the four sweeps with nearest
+        alone make two measurements and three fits per run."""
+        asked = []
+        monkeypatch.setattr(experiments, "_worker_count",
+                            lambda tasks: asked.append(tasks) or 1)
+        run_sweeps(tiny_config(room, methods=("nearest",)))
+        assert asked == [6]
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
         """Without `os.sched_getaffinity` (outside Linux) every CPU counts,
