@@ -466,14 +466,14 @@ class FailingRoom(RoomSpec):
 @dataclasses.dataclass(frozen=True)
 class DyingRoom(RoomSpec):
     """A room whose run-2 measurement ends the child that builds it, and
-    whose run-0 measurement takes 0.5 s longer in the main process."""
+    whose run-0 measurement takes 1 s longer in the main process."""
 
     @property
     def mic_half_center(self):
         run = current_run()
         if multiprocessing.parent_process() is None:
             if run == 0:
-                time.sleep(0.25)    # read twice per measurement
+                time.sleep(0.5)     # read twice per measurement
         elif run == 2:
             os._exit(1)
         return super().mic_half_center
@@ -696,10 +696,10 @@ class TestRunsAcrossProcesses:
     def test_pool_broken_while_measuring_fails_in_serial_order(
             self, monkeypatch, caplog):
         """A forked child dies at its second measurement (run 2) while this
-        process builds run 0's: the fits of runs 0 and 1 come before the
-        failure, so this process fits run 0, the submission of run 1's fit
-        to the broken pool fails that fit, and `BrokenProcessPool`
-        propagates after run 0's fit has logged."""
+        process builds run 0's, which takes 1 s: the fits of runs 0 and 1
+        come before the failure, so this process fits run 0, the submission
+        of run 1's fit to the broken pool fails that fit, and
+        `BrokenProcessPool` propagates after run 0's fit has logged."""
         use_workers(monkeypatch, 2)
         use_start_method(monkeypatch, "fork")
         original = experiments.nearest_neighbor
