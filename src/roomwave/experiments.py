@@ -36,27 +36,28 @@ The driver spreads the work over one process per CPU in this process's
 affinity mask, at most one per distinct fit, each on one BLAS thread (see
 the package docstring), in two phases. First it builds every run's
 measurements, each once; then it hands out every distinct fit with its
-measurement, longest first: the proposed method by descending cloud size,
-then the lasso, Tikhonov and nearest, ties in serial order (run, case,
-method). Each task goes to whichever process is free: this process takes
-the next one itself, and each child gets the next one through a thread
-here that submits it and waits for it, so that no child holds more than
-one. The children are forked when this process has one OS thread, so that
-no other thread can hold a lock across the fork, and spawned otherwise (or
-where the count cannot be read): a spawned child starts about 0.4 s late,
-because it imports numpy and scipy again. Under `taskset -c 0` every task
-happens in this process and no child is started. The NMSE values do not
-depend on which process ran a task. Each task holds back its warnings and
-`roomwave` log records, and the driver emits them in serial order once the
-tasks are done, a measurement's just before the first fit that reads it,
-so the output matches a serial run. Once a task has failed, no task after
-it in serial order starts, and the first failure in serial order
-propagates after the records before it (from a child, without the child's
-traceback; `taskset -c 0` gives the full one). A child that dies raises
-`BrokenProcessPool`. A script that calls `run_sweeps` with more than one
-CPU needs the `if __name__ == "__main__":` guard, since spawned children
-import the main module. A module attribute patched here reaches forked
-children but not spawned ones.
+measurement, longest first: the proposed method at the largest cloud size,
+the lasso, the other proposed fits by descending cloud size, Tikhonov and
+nearest, ties in serial order (run, case, method). This process first fits
+the first of each method handed out; after that each task goes to whichever
+process is free: this process takes the next one itself, and each child
+gets the next one through a thread here that submits it and waits for it,
+so that no child holds more than one. The children are forked when this
+process has one OS thread, so that no other thread can hold a lock across
+the fork, and spawned otherwise (or where the count cannot be read): a
+spawned child starts about 0.4 s late, because it imports numpy and scipy
+again. Under `taskset -c 0` every task happens in this process and no child
+is started. The NMSE values do not depend on which process ran a task. Each
+task holds back its warnings and `roomwave` log records, and the driver
+emits them in serial order once the tasks are done, a measurement's just
+before the first fit that reads it, so the output matches a serial run.
+Once a task has failed, no task after it in serial order starts, and the
+first failure in serial order propagates after the records before it (from
+a child, without the child's traceback; `taskset -c 0` gives the full one).
+A child that dies raises `BrokenProcessPool`. A script that calls
+`run_sweeps` with more than one CPU needs the `if __name__ == "__main__":`
+guard, since spawned children import the main module. A module attribute
+patched here reaches forked children but not spawned ones.
 """
 
 from __future__ import annotations
@@ -466,12 +467,17 @@ def _fit(cfg: ExperimentConfig, method: str, case: tuple,
     return _timed_nmse(method, data, cfg, mics, cloud, mic_shift)
 
 
-def _hand_out_key(method: str, case: tuple) -> tuple:
+def _hand_out_key(method: str, case: tuple, largest: int) -> tuple:
     """Sort key that hands out the longest fits first: the proposed method
-    by descending cloud size, then the lasso (cross-validated), Tikhonov
-    and nearest."""
-    return (("proposed", "lasso", "tikhonov", "nearest").index(method),
-            -case[0] if method == "proposed" else 0)
+    at the `largest` cloud size, then the lasso (cross-validated), the
+    other proposed fits by descending cloud size, then Tikhonov and
+    nearest. Measured per fit on one CPU, one run of configs/default.yaml:
+    proposed at B = 1000 8.9-24.0 s, lasso 2.1-17.9 s, proposed at
+    B = 300 1.2 s and B <= 100 at most 0.15 s, Tikhonov at most 0.07 s,
+    nearest under 5 ms."""
+    if method == "proposed":
+        return (0 if case[0] == largest else 2, -case[0])
+    return ({"lasso": 1, "tikhonov": 3, "nearest": 4}[method], 0)
 
 
 def _worker_count(tasks: int) -> int:
@@ -503,23 +509,26 @@ def _start_method() -> str:
     return "fork"
 
 
-def _spread(pool, children: int, tasks: list) -> dict:
+def _spread(pool, children: int, tasks: list, own: int = 1) -> dict:
     """{key: `_held(function, *args)`} of `tasks`, a list of (key, serial
     position, function, args) in the order they are handed out. This
-    process takes the first task and each of `children` children of `pool`
-    one of the next; then each task goes to whichever process is free, to
-    a child through a thread here that submits it, waits for it and takes
-    the next, so that no child holds more than one task. The children's
-    first tasks are submitted before any of those threads starts, so a
-    forked pool forks its children while this thread is the only one. Once
-    a task has failed, no task at or after its serial position starts."""
-    queue, lock, outcomes = collections.deque(tasks), threading.Lock(), {}
-    stop = math.inf
+    process takes the first `own` tasks, in order, and each of `children`
+    children of `pool` one of the next; then each task goes to whichever
+    process is free, to a child through a thread here that submits it,
+    waits for it and takes the next, so that no child holds more than one
+    task. The children's first tasks are submitted before any of those
+    threads starts, so a forked pool forks its children while this thread
+    is the only one. Once a task has failed, no task at or after its serial
+    position starts. A child's task that raises outside `_held` (a dead
+    child's `BrokenProcessPool`, or a `KeyboardInterrupt` or `SystemExit`
+    in the child) fails with that exception."""
+    queue, lock, outcomes = collections.deque(tasks[own:]), threading.Lock(), {}
+    reserved, stop = collections.deque(tasks[:own]), math.inf
 
-    def take():
+    def take(source=queue):
         with lock:
-            while queue:
-                task = queue.popleft()
+            while source:
+                task = source.popleft()
                 if task[1] < stop:
                     return task
         return None
@@ -536,12 +545,12 @@ def _spread(pool, children: int, tasks: list) -> dict:
             try:
                 outcome = (future or pool.submit(_held, task[2],
                                                  *task[3])).result()
-            except Exception as exc:    # BrokenProcessPool if a child died
+            except BaseException as exc:
                 outcome = None, [], exc
             finish(task, outcome)
             task, future = take(), None
 
-    mine, threads = take(), []
+    mine, threads = take(reserved), []
     while len(threads) < children and (task := take()) is not None:
         try:
             future = pool.submit(_held, task[2], *task[3])
@@ -554,7 +563,7 @@ def _spread(pool, children: int, tasks: list) -> dict:
     try:
         while mine is not None:
             finish(mine, _held(mine[2], *mine[3]))
-            mine = take()
+            mine = take(reserved) or take()
     finally:
         with lock:
             queue.clear()       # on an interrupt here the threads stop too
@@ -570,13 +579,19 @@ def _run_all(cfg: ExperimentConfig, fits: dict, workers: int) -> tuple:
     `workers` - 1 children, forked or spawned as `_start_method` says. The
     measurements (run, frequency, sampled size) are built first, each once,
     in serial order; then the fits are handed out longest first
-    (`_hand_out_key`, ties in serial order), each with its measurement. A
-    measurement's serial position is that of the first fit that reads it;
-    once a task has failed, no task at or after its position starts, so
-    every task before the first failure in serial order has its outcome."""
+    (`_hand_out_key`, ties in serial order), each with its measurement.
+    This process takes the first fit handed out of each method itself,
+    before any other, so that what is measured of this process alone (its
+    peak RSS, a profile of it) covers the largest proposed fit and every
+    method. A measurement's serial position is that of the first fit that
+    reads it; once a task has failed, no task at or after its position
+    starts, so every task before the first failure in serial order has its
+    outcome."""
     measures = {}
     for position, ((run, _), (_, case)) in enumerate(fits.items()):
         measures.setdefault((run, *case[3:]), position)
+    largest = max((case[0] for method, case in fits.values()
+                   if method == "proposed"), default=0)
     with contextlib.ExitStack() as stack:
         pool = None
         if workers > 1:
@@ -592,8 +607,13 @@ def _run_all(cfg: ExperimentConfig, fits: dict, workers: int) -> tuple:
                   (cfg, method, case, measured[(fit[0], *case[3:])][0]))
                  for position, (fit, (method, case)) in enumerate(fits.items())
                  if position < stop]
-        tasks.sort(key=lambda task: _hand_out_key(*task[3][1:3]))
-        return measured, _spread(pool, workers - 1, tasks)
+        tasks.sort(key=lambda task: _hand_out_key(*task[3][1:3], largest))
+        firsts = {}     # method -> its first fit handed out
+        for task in tasks:
+            firsts.setdefault(task[3][1], task)
+        tasks = [*firsts.values(),
+                 *(task for task in tasks if firsts[task[3][1]] is not task)]
+        return measured, _spread(pool, workers - 1, tasks, len(firsts))
 
 
 def run_sweeps(cfg: ExperimentConfig) -> dict:

@@ -722,8 +722,10 @@ class TestRunsAcrossProcesses:
     def test_fits_are_handed_out_longest_first(self, room, monkeypatch,
                                                in_process):
         """In one process the fits run in the order they are handed out:
-        the proposed method by descending cloud size, then lasso, Tikhonov
-        and nearest, ties in serial order (run, then case)."""
+        first the first of each method, then the proposed method at the
+        largest cloud size, the lasso, the other proposed fits by
+        descending cloud size, Tikhonov and nearest, ties in serial order
+        (run, then case)."""
         order = []
         original = experiments._timed_nmse
 
@@ -739,13 +741,71 @@ class TestRunsAcrossProcesses:
                           sweeps=("boundary_count", "mic_perturbation"))
         run_sweeps(cfg)
         runs = range(cfg.monte_carlo_runs)
+        later = [(run, shift) for run in runs for shift in (0.0, 0.05)][1:]
         assert order == (
-            [("proposed", run, 12, shift) for run in runs
-             for shift in (0.0, 0.05)]
+            [("proposed", 0, 12, 0.0), ("lasso", 0, None, 0.0),
+             ("tikhonov", 0, None, 0.0), ("nearest", 0, None, 0.0)]
+            + [("proposed", run, 12, shift) for run, shift in later]
+            + [("lasso", run, None, shift) for run, shift in later]
             + [("proposed", run, size, 0.0) for size in (6, 0) for run in runs]
-            + [(method, run, None, shift)
-               for method in ("lasso", "tikhonov", "nearest") for run in runs
-               for shift in (0.0, 0.05)])
+            + [(method, run, None, shift) for method in ("tikhonov", "nearest")
+               for run, shift in later])
+
+    def test_this_process_fits_every_method_first(self, room, monkeypatch,
+                                                  tmp_path):
+        """With more children than fits to hand out, this process still
+        fits the largest proposed fit and the first fit of every baseline,
+        before any other fit; the children fit the rest."""
+        use_workers(monkeypatch, 9)
+        use_start_method(monkeypatch, "fork")
+        log = tmp_path / "fits"
+        original = experiments._timed_nmse
+
+        def recording(method, data, cfg, mics, cloud, mic_shift):
+            with open(log, "a", encoding="utf-8") as handle:
+                size = len(cloud.points) if method == "proposed" else "-"
+                handle.write(f"{os.getpid()} {method} {size} {mic_shift}\n")
+            return original(method, data, cfg, mics, cloud, mic_shift)
+
+        monkeypatch.setattr(experiments, "_timed_nmse", recording)
+        cfg = tiny_config(room, monte_carlo_runs=1, boundary_counts=(6, 12),
+                          sweeps=("boundary_count", "mic_perturbation"))
+        run_sweeps(cfg)
+        fits = [line.split() for line in log.read_text().splitlines()]
+        mine = [fit[1:] for fit in fits if fit[0] == str(os.getpid())]
+        assert mine[:4] == [["proposed", "12", "0.0"], ["lasso", "-", "0.0"],
+                            ["tikhonov", "-", "0.0"], ["nearest", "-", "0.0"]]
+        assert len(fits) == 9 and len({fit[0] for fit in fits}) > 1
+        assert multiprocessing.active_children() == []
+
+    def test_system_exit_in_a_child_fails_its_fit(self, monkeypatch, caplog):
+        """A `SystemExit` raised in a forked child's fit comes back through
+        the thread that fed that child, as the fit's failure: it propagates
+        in serial order, after the records of the fits before it, and no
+        thread dies of it."""
+        use_workers(monkeypatch, 2)
+        use_start_method(monkeypatch, "fork")
+        original = experiments.nearest_neighbor
+
+        def exiting(mics, y, targets):
+            if multiprocessing.parent_process() is not None:
+                raise SystemExit("child fit exits")
+            experiments.logger.warning("fitted in %s", os.getpid())
+            return original(mics, y, targets)
+
+        monkeypatch.setattr(experiments, "nearest_neighbor", exiting)
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        cfg = tiny_config(RoomSpec(), methods=("nearest",), monte_carlo_runs=2,
+                          sweeps=("frequency",))
+        with caplog.at_level(logging.WARNING, logger="roomwave"):
+            with pytest.raises(SystemExit, match="child fit exits"):
+                run_sweeps(cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"fitted in {os.getpid()}"]
+        assert died == []
+        assert threading.active_count() == 1
+        assert multiprocessing.active_children() == []
 
 
 def start_method_in_new_interpreter(**env) -> list:
