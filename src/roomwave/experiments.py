@@ -522,8 +522,9 @@ def _spread(pool, children: int, tasks: list, own: int = 1) -> dict:
     position starts. A child's task that raises outside `_held` (a dead
     child's `BrokenProcessPool`, or a `KeyboardInterrupt` or `SystemExit`
     in the child) fails with that exception."""
-    queue, lock, outcomes = collections.deque(tasks[own:]), threading.Lock(), {}
-    reserved, stop = collections.deque(tasks[:own]), math.inf
+    reserved, queue = (collections.deque(tasks[:own]),
+                       collections.deque(tasks[own:]))
+    lock, outcomes, stop = threading.Lock(), {}, math.inf
 
     def take(source=queue):
         with lock:
