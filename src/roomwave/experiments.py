@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import logging
 import math
 import multiprocessing
@@ -406,12 +407,12 @@ class _EventLog(logging.Handler):
         self.events.append(record)
 
 
-@contextlib.contextmanager
-def _held_back():
-    """Hold back every warning and every record of a `roomwave` logger
-    emitted inside the block; yields the list that gets them in order.
-    Warnings are recorded whatever the filters, so a task's results do
-    not depend on them; `_replay` applies them."""
+def _held(function, *args) -> tuple:
+    """(`function(*args)`, or None if it raised, every warning and every
+    record of a `roomwave` logger that it emitted, in order, and the
+    exception it raised, or None). Warnings are recorded whatever the
+    filters, so a task's results do not depend on them; `_replay` applies
+    them."""
     package = logging.getLogger(__package__)
     with warnings.catch_warnings(record=True) as events:
         warnings.simplefilter("always")
@@ -419,21 +420,12 @@ def _held_back():
         package.addHandler(handler)
         propagate, package.propagate = package.propagate, False
         try:
-            yield events
-        finally:
-            package.removeHandler(handler)
-            package.propagate = propagate
-
-
-def _held(function, *args) -> tuple:
-    """(`function(*args)`, or None if it raised, the warnings and
-    `roomwave` log records it emitted, in order, and the exception it
-    raised, or None)."""
-    with _held_back() as events:
-        try:
             return function(*args), events, None
         except Exception as exc:
             return None, events, exc
+        finally:
+            package.removeHandler(handler)
+            package.propagate = propagate
 
 
 def _replay(outcome: tuple, registry: dict):
@@ -522,14 +514,13 @@ def _spread(pool, children: int, tasks: list, own: int = 1) -> dict:
     position starts. A child's task that raises outside `_held` (a dead
     child's `BrokenProcessPool`, or a `KeyboardInterrupt` or `SystemExit`
     in the child) fails with that exception."""
-    reserved, queue = (collections.deque(tasks[:own]),
-                       collections.deque(tasks[own:]))
+    queue = collections.deque(tasks[own:])
     lock, outcomes, stop = threading.Lock(), {}, math.inf
 
-    def take(source=queue):
+    def take():
         with lock:
-            while source:
-                task = source.popleft()
+            while queue:
+                task = queue.popleft()
                 if task[1] < stop:
                     return task
         return None
@@ -551,7 +542,7 @@ def _spread(pool, children: int, tasks: list, own: int = 1) -> dict:
             finish(task, outcome)
             task, future = take(), None
 
-    mine, threads = take(reserved), []
+    threads = []
     while len(threads) < children and (task := take()) is not None:
         try:
             future = pool.submit(_held, task[2], *task[3])
@@ -562,9 +553,9 @@ def _spread(pool, children: int, tasks: list, own: int = 1) -> dict:
     for thread in threads:
         thread.start()
     try:
-        while mine is not None:
-            finish(mine, _held(mine[2], *mine[3]))
-            mine = take(reserved) or take()
+        for task in itertools.chain(tasks[:own], iter(take, None)):
+            if task[1] < stop:
+                finish(task, _held(task[2], *task[3]))
     finally:
         with lock:
             queue.clear()       # on an interrupt here the threads stop too
@@ -593,12 +584,10 @@ def _run_all(cfg: ExperimentConfig, fits: dict, workers: int) -> tuple:
         measures.setdefault((run, *case[3:]), position)
     largest = max((case[0] for method, case in fits.values()
                    if method == "proposed"), default=0)
-    with contextlib.ExitStack() as stack:
-        pool = None
-        if workers > 1:
-            context = multiprocessing.get_context(_start_method())
-            pool = stack.enter_context(ProcessPoolExecutor(
-                workers - 1, mp_context=context))
+    with (ProcessPoolExecutor(
+            workers - 1,
+            mp_context=multiprocessing.get_context(_start_method()))
+          if workers > 1 else contextlib.nullcontext()) as pool:
         measured = _spread(pool, workers - 1, [
             (key, position, _make_run, (cfg, *key))
             for key, position in measures.items()])
@@ -608,12 +597,11 @@ def _run_all(cfg: ExperimentConfig, fits: dict, workers: int) -> tuple:
                   (cfg, method, case, measured[(fit[0], *case[3:])][0]))
                  for position, (fit, (method, case)) in enumerate(fits.items())
                  if position < stop]
-        tasks.sort(key=lambda task: _hand_out_key(*task[3][1:3], largest))
-        firsts = {}     # method -> its first fit handed out
-        for task in tasks:
-            firsts.setdefault(task[3][1], task)
-        tasks = [*firsts.values(),
-                 *(task for task in tasks if firsts[task[3][1]] is not task)]
+        order = {task[0]: _hand_out_key(*task[3][1:3], largest)
+                 for task in tasks}
+        firsts = {min((t[0] for t in tasks if t[3][1] == method), key=order.get)
+                  for method in {task[3][1] for task in tasks}}
+        tasks.sort(key=lambda task: (task[0] not in firsts, order[task[0]]))
         return measured, _spread(pool, workers - 1, tasks, len(firsts))
 
 

@@ -43,27 +43,29 @@ factorized, L and V once w = L^{-H} V is formed, and Psi G^H once it is
 multiplied, so besides the Grams it holds at most two B x B matrices, and
 two only while L is being factorized.
 
-The precompute writes the Grams in place, in two passes over column
-blocks of GRAM_BLOCK. The first fills a preallocated (4, B, B) stack with
-C, A and the raw cross term X = Psi PhiTilde^H by `np.matmul(..., out=)`,
-each block from the conjugate of that block's rows of Psi or PhiTilde
-alone, so the largest temporary is one (GRAM_BLOCK + 1, P) copy instead of
-a conjugated (B, P) matrix. The second visits each tile pair once and,
-from the old values of both tiles, writes S = (X - X^H) * 0.5 and replaces
-C, A and X by their Hermitian parts (Y + Y^H) * 0.5, so no conjugated
-B x B copy is made either; Phi Phi^H goes through the same routine. The
-stack is bit-identical to stacking the one-shot expressions, and it has to
-be: a truncated fit (the benchmark's `max_line_searches` cap) can end
-0.13-0.41 dB elsewhere in NMSE when one input moves by one ulp, so a
-rounding change in a Gram can move reported cells. Two block rules keep it
-so on OpenBLAS: every block starts at a multiple of GRAM_BLOCK (splits that
-start off a multiple of 4 round differently), and a trailing one-column
-block joins the one before it (a one-column product takes the gemv path,
-which rounds differently). Writing a tile's mirror as the conjugate
-transpose of the new tile instead would turn the +0.0 imaginary parts on
-the diagonal into -0.0. tests/test_marglik.py checks the stack, the cross
-products and value_and_gradient against the direct expressions by bytes,
-at block edges included.
+The precompute writes the Grams in place, into a preallocated (4, B, B)
+stack. Each raw product, C = PhiTilde PhiTilde^H, then A = Psi Psi^H, then
+X = Psi PhiTilde^H, is written into the S slot by `np.matmul(..., out=)` a
+column block of GRAM_BLOCK at a time, each block from the conjugate of that
+block's rows of Psi or PhiTilde alone, so the largest temporary is one
+(GRAM_BLOCK + 1, P) copy instead of a conjugated (B, P) matrix. The
+product's conjugate transpose then goes into its own slot by
+`np.conjugate(..., out=)`; C and A are finished there in place as
+(Y^H + Y) * 0.5, and H = (X + X^H) * 0.5 and S = (X - X^H) * 0.5 one row
+block at a time from a copy of that block of X, so no B x B temporary is
+made either. Phi Phi^H is the one-shot (Y + Y^H) * 0.5. Each step is the
+one-shot expression's own element-wise operation, and IEEE addition is
+commutative, so the stack is bit-identical to stacking the one-shot
+expressions, and it has to be: a truncated fit (the benchmark's
+`max_line_searches` cap) can end 0.13-0.41 dB elsewhere in NMSE when one
+input moves by one ulp, so a rounding change in a Gram can move reported
+cells. Two block rules keep the column-blocked products so on OpenBLAS:
+every block starts at a multiple of GRAM_BLOCK (splits that start off a
+multiple of 4 round differently), and a trailing one-column block joins the
+one before it (a one-column product takes the gemv path, which rounds
+differently). tests/test_marglik.py checks the stack, the cross products
+and value_and_gradient against the direct expressions by bytes, at block
+edges included.
 
 Psi and PhiTilde are (B, P), the largest arrays of the fit, and nothing after
 the precompute reads them: the evaluator keeps only the Grams, the two
@@ -133,27 +135,6 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
 
 
-def _hermitize_in_place(*matrices: np.ndarray,
-                        anti: np.ndarray | None = None) -> None:
-    """Each x <- (x + x^H) * 0.5, and anti <- (x - x^H) * 0.5 of the first
-    x before it changes, one tile pair of `_blocks` at a time; both tiles of
-    a pair are computed from the old values, so they round as the one-shot
-    expressions do."""
-    first = matrices[0]
-    blocks = _blocks(len(first))
-    for i, rows in enumerate(blocks):
-        for cols in blocks[i:]:
-            tiles = ([(rows, cols)] if rows == cols
-                     else [(rows, cols), (cols, rows)])
-            if anti is not None:
-                for r, c in tiles:
-                    anti[r, c] = (first[r, c] - first[c, r].conj().T) * 0.5
-            for x in matrices:
-                new = [(x[r, c] + x[c, r].conj().T) * 0.5 for r, c in tiles]
-                for (r, c), tile in zip(tiles, new):
-                    x[r, c] = tile
-
-
 class MarginalLikelihood:
     """Evaluator bound to one dataset (y, Phi, Psi, PhiTilde) and the rows
     of the prediction points (none by default).
@@ -179,7 +160,7 @@ class MarginalLikelihood:
         self.y = y
         self.num_boundary = b = psi.shape[0]
         phi_h = phi.conj().T
-        self._phi_gram = phi @ phi_h
+        g = phi @ phi_h
         self._psi_phi = psi @ phi_h                        # (B, M)
         self._pt_phi = phi_tilde @ phi_h                   # (B, M)
         # the prediction points' products, which only the posterior reads
@@ -190,18 +171,31 @@ class MarginalLikelihood:
         self.pt_targets = phi_tilde @ targets_h            # (B, J)
         self.target_power = np.sum(np.abs(targets) ** 2, axis=1)
         del targets_h
-        _hermitize_in_place(self._phi_gram)
+        # after Phi^H is released, so that its temporaries do not sit on it
+        self._phi_gram = (g + g.conj().T) * 0.5
+        del g
         # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
-        # anti-Hermitian parts H, S of Psi PhiTilde^H = H + S, written into
-        # one stack a column block at a time (module docstring)
+        # anti-Hermitian parts H, S of X = Psi PhiTilde^H = H + S: each raw
+        # product goes into S's slot a column block at a time, its
+        # conjugate transpose into its own slot (module docstring)
         self._grams = grams = np.empty((4, b, b), dtype=complex)
         c, a, h, s = grams
-        products = ((c, phi_tilde, phi_tilde), (a, psi, psi),
-                    (h, psi, phi_tilde))
-        for cols in _blocks(b):
-            for gram, left, right in products:
-                np.matmul(left, right[cols].conj().T, out=gram[:, cols])
-        _hermitize_in_place(h, c, a, anti=s)
+        blocks = _blocks(b)
+        for gram, left, right in ((c, phi_tilde, phi_tilde), (a, psi, psi),
+                                  (h, psi, phi_tilde)):
+            for cols in blocks:
+                np.matmul(left, right[cols].conj().T, out=s[:, cols])
+            np.conjugate(s.T, out=gram)
+            if gram is not h:
+                gram += s
+                gram *= 0.5
+        for rows in blocks:
+            x = s[rows].copy()
+            s[rows] -= h[rows]
+            s[rows] *= 0.5
+            h[rows] += x
+            h[rows] *= 0.5
+            del x       # before the next block's copy is made
 
     def value(self, hp: Hyperparameters) -> float:
         return self._evaluate(hp, cap=-math.inf)[0]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
 MODULE = '''"""Module docstring,
@@ -53,3 +55,18 @@ def test_counts_a_synthetic_module(tmp_path):
         f"{0:6d} {tmp_path / 'empty.py'}",
         f"{EXPECTED:6d} {module}",
         f"{EXPECTED:6d} total"]
+
+
+@pytest.mark.parametrize("name", ["missing.py", "missing", "--help"])
+def test_a_path_that_is_not_there_exits_2(tmp_path, name):
+    """A missing file or directory, or an option the tool does not take,
+    ends with one line naming it on stderr, exit status 2 and nothing
+    counted on stdout, even after a path that exists."""
+    (tmp_path / "present.py").write_text("x = 1\n", encoding="utf-8")
+    missing = name if name.startswith("-") else str(tmp_path / name)
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path), missing],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"code_lines.py: no such file or directory: {missing}"]

@@ -824,6 +824,18 @@ def start_method_in_new_interpreter(**env) -> list:
     return done.stdout.split()
 
 
+def wait_for_one_os_thread(seconds=1.0):
+    """Wait, while `threading` sees this thread alone, for up to `seconds`
+    for the OS thread count to fall to one, as `_start_method` does: an
+    earlier test's pool threads stay in it until they have exited. Skip the
+    test if the count stays above one."""
+    deadline = time.monotonic() + seconds
+    while len(os.listdir("/proc/self/task")) > 1:
+        if threading.active_count() > 1 or time.monotonic() > deadline:
+            pytest.skip("this process runs more than one thread")
+        time.sleep(0.001)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="the OS thread count is read from /proc")
 class TestStartMethod:
@@ -861,8 +873,7 @@ class TestStartMethod:
     def test_consecutive_pools_fork(self, room, monkeypatch):
         """Two pooled benchmarks in a row both fork: the first pool's
         threads are gone, from the OS count too, when the second is made."""
-        if len(os.listdir("/proc/self/task")) != 1:
-            pytest.skip("this process runs more than one thread")
+        wait_for_one_os_thread()
         chosen = []
         select = experiments._start_method
 
@@ -887,8 +898,7 @@ class TestStartMethod:
         first task is a measurement (three runs) or a fit (one run, whose
         one measurement this process builds); afterwards no thread or
         child is left."""
-        if len(os.listdir("/proc/self/task")) != 1:
-            pytest.skip("this process runs more than one thread")
+        wait_for_one_os_thread()
         use_start_method(monkeypatch, "fork")
         use_workers(monkeypatch, 3)
         cfg = tiny_config(room, monte_carlo_runs=runs, boundary_counts=(6, 12),

@@ -25,7 +25,7 @@ THETA0 = np.array([-1.0, 0.5, -0.3, 0.2, -0.4])
 
 
 def hermitized(x):
-    """The one-shot Hermitian part, the oracle of the tiled precompute."""
+    """The one-shot Hermitian part, the oracle of the in-place precompute."""
     return 0.5 * (x + x.conj().T)
 
 
@@ -120,8 +120,10 @@ def boundary_instance(m, p, b, seed=0):
 
 
 class TestInPlacePrecompute:
-    """The Grams are written in place, a column block at a time; truncated
-    fits move by tenths of a dB when an input moves by one ulp, so they must
+    """The Grams are written in place: each raw product a column block at
+    a time into the stack's last slot, its conjugate transpose into its own
+    slot, and the cross term split one row block at a time; truncated fits
+    move by tenths of a dB when an input moves by one ulp, so they must
     equal the direct expressions byte for byte (signed zeros included)."""
 
     # B at and beside the 64-column block edges: 65 and 129 end in a
@@ -179,32 +181,10 @@ class TestInPlacePrecompute:
         assert self._peak(
             lambda: ml.value_and_gradient(hp)) <= 1.05 * evaluation
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 128, 129, 300])
-    def test_tiled_hermitization_is_hermitize(self, n):
-        """Tile pairs round as the one-shot (X + X^H) * 0.5 and
-        (X - X^H) * 0.5, for one matrix alone and for three in one pass
-        with the anti-Hermitian part of the first; each result is Hermitian,
-        and its diagonal keeps the one-shot +0.0 imaginary parts (writing a
-        tile's mirror as its conjugate transpose would make them -0.0)."""
-        rng = np.random.default_rng(n)
-        xs = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-              for _ in range(3)]
-        expected = [hermitized(x) for x in xs]
-        expected_anti = 0.5 * (xs[0] - xs[0].conj().T)
-        alone = xs[0].copy()
-        marglik._hermitize_in_place(alone)
-        anti = np.empty((n, n), dtype=complex)
-        marglik._hermitize_in_place(*xs, anti=anti)
-        assert anti.tobytes() == expected_anti.tobytes()
-        for x, want in zip([alone, *xs], [expected[0], *expected]):
-            assert x.tobytes() == want.tobytes()
-            assert np.array_equal(x, x.conj().T)
-            assert not np.any(np.signbit(np.diagonal(x).imag))
-
     @pytest.mark.parametrize("m", [64, 65, 100, 129])
     def test_phi_gram_bit_identical(self, m):
-        """Phi Phi^H is finished by the tiled routine too; M = 100 is the
-        workloads' microphone count and spans two tiles."""
+        """Phi Phi^H is the one-shot Hermitian part of its product, byte
+        for byte; M = 100 is the workloads' microphone count."""
         y, phi, psi, phi_tilde = boundary_instance(m, 1000, 7, seed=m)
         phi_gram = MarginalLikelihood(y, phi, psi, phi_tilde)._phi_gram
         assert phi_gram.tobytes() == hermitized(phi @ phi.conj().T).tobytes()

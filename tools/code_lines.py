@@ -4,7 +4,9 @@
 
 With no argument it counts `src/roomwave/*.py` under the repository root.
 A directory stands for its `*.py` files. Prints one `count path` line per
-file and a `count total` line.
+file and a `count total` line. A path that is neither a file nor a
+directory (an option such as `--help` too) prints one line naming it to
+stderr and exits with status 2, before anything is counted.
 
 A line counts when a token other than a comment starts on it or runs over
 it and the line is not blank, so each non-blank line of a multi-line string
@@ -59,8 +61,14 @@ def python_files(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
+    files = python_files(argv)
+    for path in files:
+        if not path.is_file():
+            print(f"code_lines.py: no such file or directory: {path}",
+                  file=sys.stderr)
+            return 2
     total = 0
-    for path in python_files(argv):
+    for path in files:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d} {path}")
