@@ -232,6 +232,8 @@ class RunResult:
     method: str
     value: float
     nmse_per_run: list = field(default_factory=list)
+    # a fit that several cells share records its one time under each of
+    # them, so a sum over cells overstates the compute spent
     seconds_per_run: list = field(default_factory=list)
 
     @property
@@ -317,9 +319,8 @@ def fit_and_predict(y, dictionary: PlaneWaveDictionary, mics: np.ndarray,
     fitted theta (see `bayes`).
 
     One call peaks in the marginal-likelihood precompute, which holds Phi,
-    Psi, PhiTilde, one conjugated block of `marglik.GRAM_BLOCK` rows, the
-    (4, B, B) Gram stack (64 MB at default size), the two (B, M) cross
-    products and the two (B, J) target products.
+    Psi, PhiTilde, the (4, B, B) Gram stack (64 MB at default size), the
+    two (B, M) cross products and the two (B, J) target products.
     """
     phi = build_phi(dictionary, mics)
     fit, ml = fit_hyperparameters(y, phi, build_psi(dictionary, cloud),

@@ -219,7 +219,12 @@ def write_trace_csv(path, values, points) -> None:
 
 
 def write_runs_csv(path, results) -> None:
-    """Per-run rows `sweep,method,value,run,nmse_linear,nmse_db,seconds`."""
+    """Per-run rows `sweep,method,value,run,nmse_linear,nmse_db,seconds`.
+
+    `seconds` is the time of the fit behind the row. A fit that several
+    cells share (a baseline under every boundary count, say) records its one
+    time under each of them, so summing `seconds` over cells overstates the
+    compute spent; count each distinct fit once instead."""
     _write_csv(path, ["sweep", "method", "value", "run", "nmse_linear",
                       "nmse_db", "seconds"],
                ([result.sweep, result.method, _fmt(result.value), run,

@@ -45,27 +45,26 @@ two only while L is being factorized.
 
 The precompute writes the Grams in place, into a preallocated (4, B, B)
 stack. Each raw product, C = PhiTilde PhiTilde^H, then A = Psi Psi^H, then
-X = Psi PhiTilde^H, is written into the S slot by `np.matmul(..., out=)` a
-column block of GRAM_BLOCK at a time, each block from the conjugate of that
-block's rows of Psi or PhiTilde alone, so the largest temporary is one
-(GRAM_BLOCK + 1, P) copy instead of a conjugated (B, P) matrix. The
-product's conjugate transpose then goes into its own slot by
+X = Psi PhiTilde^H, is written into the S slot by `_times_h`, one zgemm
+call that reads its right operand through BLAS's conjugate-transpose flag,
+so no conjugated copy of Psi, PhiTilde, Phi or the prediction rows is made.
+The product's conjugate transpose then goes into its own slot by
 `np.conjugate(..., out=)`; C and A are finished there in place as
-(Y^H + Y) * 0.5, and H = (X + X^H) * 0.5 and S = (X - X^H) * 0.5 one row
-block at a time from a copy of that block of X, so no B x B temporary is
-made either. Phi Phi^H is the one-shot (Y + Y^H) * 0.5. Each step is the
-one-shot expression's own element-wise operation, and IEEE addition is
-commutative, so the stack is bit-identical to stacking the one-shot
-expressions, and it has to be: a truncated fit (the benchmark's
+(Y^H + Y) * 0.5, and H = (X + X^H) * 0.5 and S = (X - X^H) * 0.5 one block
+of GRAM_BLOCK rows at a time from a copy of that block of X, so no B x B
+temporary is made either. Phi Phi^H is the one-shot (Y + Y^H) * 0.5. Each
+step is the one-shot expression's own element-wise operation, IEEE addition
+is commutative, and the flagged zgemm gives the bytes of
+`left @ right.conj().T`, so the stack is bit-identical to stacking the
+one-shot expressions, and it has to be: a truncated fit (the benchmark's
 `max_line_searches` cap) can end 0.13-0.41 dB elsewhere in NMSE when one
 input moves by one ulp, so a rounding change in a Gram can move reported
-cells. Two block rules keep the column-blocked products so on OpenBLAS:
-every block starts at a multiple of GRAM_BLOCK (splits that start off a
-multiple of 4 round differently), and a trailing one-column block joins the
-one before it (a one-column product takes the gemv path, which rounds
-differently). tests/test_marglik.py checks the stack, the cross products
-and value_and_gradient against the direct expressions by bytes, at block
-edges included.
+cells. Where a dimension of a product is below 2, `_times_h` takes
+`np.matmul` on the conjugated copy instead: numpy then takes its gemv or
+dot path, which rounds differently from zgemm. tests/test_marglik.py
+checks the stack, the cross products, the target products and
+value_and_gradient against the direct expressions by bytes, at those
+small dimensions included.
 
 Psi and PhiTilde are (B, P), the largest arrays of the fit, and nothing after
 the precompute reads them: the evaluator keeps only the Grams, the two
@@ -83,6 +82,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from ._linalg import FactorizationError, chol_factor
 from .bayes import Hyperparameters, build_posterior
@@ -99,7 +99,7 @@ __all__ = [
 
 GRADCHECK_SHAPE = (20, 50, 30)   # M, P, B of each gradient_check instance
 GRADCHECK_STEP = 1e-6            # its central-difference step
-GRAM_BLOCK = 64                  # columns per block of the Gram precompute
+GRAM_BLOCK = 64                  # rows per block of the H/S split
 
 
 def to_hyperparameters(theta) -> Hyperparameters:
@@ -126,13 +126,16 @@ def to_hyperparameters(theta) -> Hyperparameters:
     return Hyperparameters(s2, sa2, mu, complex(beta))
 
 
-def _blocks(n: int) -> list[slice]:
-    """Slices of GRAM_BLOCK indices from 0 covering range(n); a trailing
-    one-index block joins the block before it."""
-    starts = list(range(0, n, GRAM_BLOCK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
+def _times_h(left: np.ndarray, right: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """left @ right^H into `out` (a new array by default): one zgemm call
+    on the conjugate-transpose flag, written into out.T in place. Below 2
+    in any dimension it is `np.matmul` on the conjugated copy, whose bytes
+    there are numpy's gemv or dot path's."""
+    if min(left.shape[0], right.shape[0], left.shape[1]) < 2:
+        return np.matmul(left, right.conj().T, out=out)
+    return zgemm(1.0, right.T, left.T, trans_a=2, overwrite_c=True,
+                 c=None if out is None else out.T).T
 
 
 class MarginalLikelihood:
@@ -159,37 +162,31 @@ class MarginalLikelihood:
             raise ValueError("prediction rows inconsistent with Phi")
         self.y = y
         self.num_boundary = b = psi.shape[0]
-        phi_h = phi.conj().T
-        g = phi @ phi_h
-        self._psi_phi = psi @ phi_h                        # (B, M)
-        self._pt_phi = phi_tilde @ phi_h                   # (B, M)
-        # the prediction points' products, which only the posterior reads
-        self.targets_phi = targets @ phi_h                 # (J, M)
-        del phi_h
-        targets_h = targets.conj().T
-        self.psi_targets = psi @ targets_h                 # (B, J)
-        self.pt_targets = phi_tilde @ targets_h            # (B, J)
-        self.target_power = np.sum(np.abs(targets) ** 2, axis=1)
-        del targets_h
-        # after Phi^H is released, so that its temporaries do not sit on it
+        g = _times_h(phi, phi)
         self._phi_gram = (g + g.conj().T) * 0.5
         del g
+        self._psi_phi = _times_h(psi, phi)                 # (B, M)
+        self._pt_phi = _times_h(phi_tilde, phi)            # (B, M)
+        # the prediction points' products, which only the posterior reads
+        self.targets_phi = _times_h(targets, phi)          # (J, M)
+        self.psi_targets = _times_h(psi, targets)          # (B, J)
+        self.pt_targets = _times_h(phi_tilde, targets)     # (B, J)
+        self.target_power = np.sum(np.abs(targets) ** 2, axis=1)
         # C = PhiTilde PhiTilde^H, A = Psi Psi^H and the Hermitian and
         # anti-Hermitian parts H, S of X = Psi PhiTilde^H = H + S: each raw
-        # product goes into S's slot a column block at a time, its
-        # conjugate transpose into its own slot (module docstring)
+        # product goes into S's slot, its conjugate transpose into its own
+        # slot (module docstring)
         self._grams = grams = np.empty((4, b, b), dtype=complex)
         c, a, h, s = grams
-        blocks = _blocks(b)
         for gram, left, right in ((c, phi_tilde, phi_tilde), (a, psi, psi),
                                   (h, psi, phi_tilde)):
-            for cols in blocks:
-                np.matmul(left, right[cols].conj().T, out=s[:, cols])
+            _times_h(left, right, out=s)
             np.conjugate(s.T, out=gram)
             if gram is not h:
                 gram += s
                 gram *= 0.5
-        for rows in blocks:
+        for i in range(0, b, GRAM_BLOCK):
+            rows = slice(i, i + GRAM_BLOCK)
             x = s[rows].copy()
             s[rows] -= h[rows]
             s[rows] *= 0.5
@@ -309,12 +306,9 @@ def initial_theta(y, num_plane_waves: int, psi: np.ndarray,
     """
     power = float(np.mean(np.abs(np.asarray(y)) ** 2))
     power = max(power, 1e-30)
-    # |Psi + PhiTilde|^2 filled in row blocks, then summed as one reduction
-    # over the whole array: a blockwise sum would round differently
-    squares = np.empty(psi.shape)
-    for rows in _blocks(psi.shape[0]):
-        squares[rows] = np.abs(psi[rows] + phi_tilde[rows]) ** 2
-    gram_trace = float(np.sum(squares))
+    # one reduction over the whole array: a blockwise sum would round
+    # differently
+    gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
     log_weight = math.log(psi.shape[0] / gram_trace) if gram_trace > 0 else 0.0
     return np.array([math.log(0.1 * power), math.log(power / num_plane_waves),
                      log_weight, 0.0, 0.0])

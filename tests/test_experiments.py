@@ -1035,18 +1035,17 @@ class TestFitAndPredictLifetimes:
     def test_peak_within_the_precompute_arrays(self, room):
         """(M, P, B) = (100, 1000, 300) with 3 line searches peaks within
         5 % of what the marginal-likelihood precompute itself holds: Phi,
-        Psi, PhiTilde, one conjugated block of GRAM_BLOCK rows, the
-        (4, B, B) Gram stack, the two (B, M) cross products and the two
-        (B, J) target products (19.1 MB). A conjugated (B, P) copy in place
-        of the block peaks at 22.9 MB and breaks the budget, and so would
-        the start theta's (B, P) temporaries computed with the Gram stack
-        alive (25.9 MB)."""
+        Psi, PhiTilde, the (4, B, B) Gram stack, the two (B, M) cross
+        products and the two (B, J) target products (18.0 MB; 18.5 MB
+        measured). Products from conjugated (B, P) copies instead of
+        zgemm's conjugate-transpose flag peak at 23.0 MB and break the
+        budget, and so would the start theta's (B, P) temporaries computed
+        with the Gram stack alive (25.4 MB)."""
         m, p, b = 100, 1000, 300
         cfg, data = self.run_data(room, b, mic_count=m, plane_wave_count=p,
                                   max_line_searches=3)
         j = cfg.validation_count
-        budget = 16 * (m * p + 2 * b * p + marglik.GRAM_BLOCK * p
-                       + 4 * b * b + 2 * b * m + 2 * b * j)
+        budget = 16 * (m * p + 2 * b * p + 4 * b * b + 2 * b * m + 2 * b * j)
         tracemalloc.start()
         try:
             self.call(cfg, data)

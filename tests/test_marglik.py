@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -91,7 +92,7 @@ class DirectPrecompute(MarginalLikelihood):
     """Oracle: the precompute as the direct expressions, each Gram a
     separately hermitized product and the four stacked by np.stack."""
 
-    def __init__(self, y, phi, psi, phi_tilde):
+    def __init__(self, y, phi, psi, phi_tilde, targets):
         self.y = np.asarray(y, dtype=complex)
         self.num_boundary = psi.shape[0]
         self._phi_gram = hermitized(phi @ phi.conj().T)
@@ -104,6 +105,10 @@ class DirectPrecompute(MarginalLikelihood):
             hermitized(cross),
             0.5 * (cross - cross.conj().T),
         ])
+        self.targets_phi = targets @ phi.conj().T
+        self.psi_targets = psi @ targets.conj().T
+        self.pt_targets = phi_tilde @ targets.conj().T
+        self.target_power = np.sum(np.abs(targets) ** 2, axis=1)
 
 
 def boundary_instance(m, p, b, seed=0):
@@ -120,33 +125,40 @@ def boundary_instance(m, p, b, seed=0):
 
 
 class TestInPlacePrecompute:
-    """The Grams are written in place: each raw product a column block at
-    a time into the stack's last slot, its conjugate transpose into its own
-    slot, and the cross term split one row block at a time; truncated fits
-    move by tenths of a dB when an input moves by one ulp, so they must
-    equal the direct expressions byte for byte (signed zeros included)."""
+    """The Grams are written in place: each raw product into the stack's
+    last slot, its conjugate transpose into its own slot, and the cross
+    term split one row block at a time; truncated fits move by tenths of a
+    dB when an input moves by one ulp, so they must equal the direct
+    expressions byte for byte (signed zeros included)."""
 
-    # B at and beside the 64-column block edges: 65 and 129 end in a
-    # one-column block, which joins the block before it
-    @pytest.mark.parametrize("p", [50, 200, 1000])
+    # B at and beside the 64-row blocks of the H/S split; a B, M, P or J
+    # below 2 takes `_times_h`'s matmul path, every other product zgemm's
+    @pytest.mark.parametrize("p", [1, 50, 200, 1000])
     @pytest.mark.parametrize("b", [0, 1, 2, 7, 63, 64, 65, 100, 128, 129, 300])
     def test_bit_identical_to_direct_expressions(self, b, p):
         y, phi, psi, phi_tilde = boundary_instance(30, p, b, seed=b)
-        ml = MarginalLikelihood(y, phi, psi, phi_tilde)
-        oracle = DirectPrecompute(y, phi, psi, phi_tilde)
-        for name in ("_phi_gram", "_grams", "_psi_phi", "_pt_phi"):
-            assert getattr(ml, name).tobytes() == \
-                getattr(oracle, name).tobytes(), name
+        rng = np.random.default_rng(b)
+        rows = rng.standard_normal((5, p)) + 1j * rng.standard_normal((5, p))
         start = initial_theta(y, p, psi, phi_tilde)
         mu_zero = start + np.array([0.0, 0.0, -800.0, 0.0, 0.0])
         assert to_hyperparameters(mu_zero).boundary_weight == 0.0
-        for theta in (start, start + np.array([0.5, -0.5, 1.0, 0.3, -0.2]),
-                      mu_zero):
-            hp = to_hyperparameters(theta)
-            value, grad = ml.value_and_gradient(hp)
-            oracle_value, oracle_grad = oracle.value_and_gradient(hp)
-            assert value == oracle_value
-            assert np.array_equal(grad, oracle_grad)
+        for m, j in itertools.product([1, 2, 30], [0, 1, 5]):
+            args = y[:m], phi[:m], psi, phi_tilde, rows[:j]
+            ml = MarginalLikelihood(*args)
+            oracle = DirectPrecompute(*args)
+            for name in ("_phi_gram", "_grams", "_psi_phi", "_pt_phi",
+                         "targets_phi", "psi_targets", "pt_targets",
+                         "target_power"):
+                assert getattr(ml, name).tobytes() == \
+                    getattr(oracle, name).tobytes(), (name, m, j)
+            for theta in (start,
+                          start + np.array([0.5, -0.5, 1.0, 0.3, -0.2]),
+                          mu_zero):
+                hp = to_hyperparameters(theta)
+                value, grad = ml.value_and_gradient(hp)
+                oracle_value, oracle_grad = oracle.value_and_gradient(hp)
+                assert value == oracle_value, (m, j)
+                assert np.array_equal(grad, oracle_grad), (m, j)
 
     def _peak(self, fn):
         tracemalloc.start()
@@ -161,8 +173,8 @@ class TestInPlacePrecompute:
         budget is the arrays named below, in bytes, with 5 % slack.
 
         The precompute holds the (4, B, B) Gram stack, the two (B, M) cross
-        products, Phi Phi^H and one conjugated block of GRAM_BLOCK rows:
-        7.9 MB (15.7 MB for the direct expressions, 11.7 MB with one
+        products, Phi Phi^H and the H/S split's copy of GRAM_BLOCK rows of
+        X: 7.2 MB (15.7 MB for the direct expressions, 11.7 MB with one
         conjugated (B, P) copy). An evaluation holds two B x B matrices
         while it factorizes I + mu G G^H, three (B, M) and four (M, M) work
         arrays: 3.5 MB (7.85 MB keeping I + mu G G^H and Psi G^H alive to
@@ -171,7 +183,7 @@ class TestInPlacePrecompute:
         m, p, b = 100, 1000, 300
         y, phi, psi, phi_tilde = boundary_instance(m, p, b)
         precompute = 16 * (4 * b * b + 2 * b * m + m * m
-                           + marglik.GRAM_BLOCK * p)
+                           + marglik.GRAM_BLOCK * b)
         assert self._peak(lambda: MarginalLikelihood(
             y, phi, psi, phi_tilde)) <= 1.05 * precompute
         ml = MarginalLikelihood(y, phi, psi, phi_tilde)
@@ -188,13 +200,6 @@ class TestInPlacePrecompute:
         y, phi, psi, phi_tilde = boundary_instance(m, 1000, 7, seed=m)
         phi_gram = MarginalLikelihood(y, phi, psi, phi_tilde)._phi_gram
         assert phi_gram.tobytes() == hermitized(phi @ phi.conj().T).tobytes()
-
-    @pytest.mark.parametrize("n, stops", [
-        (0, []), (1, [1]), (64, [64]), (65, [65]), (66, [64, 66]),
-        (129, [64, 129]), (300, [64, 128, 192, 256, 300])])
-    def test_blocks_start_at_multiples_of_the_block_width(self, n, stops):
-        assert marglik._blocks(n) == [
-            slice(i, j) for i, j in zip([0] + stops, stops)]
 
 
 class TestThetaVector:
@@ -500,8 +505,8 @@ class TestInitialTheta:
 
     @pytest.mark.parametrize("b", [0, 1, 63, 64, 65, 129, 300])
     def test_bit_identical_to_one_line_form(self, b):
-        """The start theta fills |Psi + PhiTilde|^2 in row blocks but sums it
-        as one reduction, so it equals the one-line form exactly."""
+        """The start theta sums |Psi + PhiTilde|^2 as one reduction, the
+        one-line form's, so the two are equal exactly."""
         y, phi, psi, phi_tilde = boundary_instance(20, 200, b, seed=b)
         gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
         log_weight = math.log(b / gram_trace) if b else 0.0
