@@ -57,9 +57,8 @@ def compare(parent: Path, change: Path, config: Path, seed: int) -> str:
             after = aggregates(change, config, seed, Path(tmp, "change"))
         except RuntimeError as exc:
             return f"DIFFERS: {exc}"
-    if before.keys() != after.keys():
-        return f"DIFFERS: files {sorted(before)} against {sorted(after)}"
-    differing = [name for name in before if before[name] != after[name]]
+    differing = sorted(name for name in before.keys() | after.keys()
+                       if before.get(name) != after.get(name))
     if differing:
         return f"DIFFERS: {', '.join(differing)}"
     return f"same ({len(before)} aggregate CSVs)"
