@@ -188,7 +188,9 @@ def write_reconstruction(path, points, mean, std) -> None:
 
 def write_theta_json(path, fit) -> None:
     """Fitted hyperparameters of a `fit_hyperparameters` result in both
-    coordinate systems, with its objective and convergence message."""
+    coordinate systems, with its objective, convergence message, number of
+    objective evaluations and number of accepted line searches (the rows of
+    its trace after the first)."""
     hp = to_hyperparameters(fit.x)
     a, b, d, re_eta, im_eta = (float(v) for v in fit.x)
     payload = {
@@ -205,6 +207,8 @@ def write_theta_json(path, fit) -> None:
         "objective": fit.value,
         "converged": fit.converged,
         "message": fit.message,
+        "evaluations": fit.n_evaluations,
+        "line_searches": len(fit.trace) - 1,
     }
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2)

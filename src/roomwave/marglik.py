@@ -99,7 +99,7 @@ __all__ = [
 
 GRADCHECK_SHAPE = (20, 50, 30)   # M, P, B of each gradient_check instance
 GRADCHECK_STEP = 1e-6            # its central-difference step
-GRAM_BLOCK = 64                  # rows per block of the H/S split
+GRAM_BLOCK = 64                  # rows per block: H/S split, start theta
 
 
 def to_hyperparameters(theta) -> Hyperparameters:
@@ -306,9 +306,14 @@ def initial_theta(y, num_plane_waves: int, psi: np.ndarray,
     """
     power = float(np.mean(np.abs(np.asarray(y)) ** 2))
     power = max(power, 1e-30)
-    # one reduction over the whole array: a blockwise sum would round
-    # differently
-    gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
+    # |Psi + PhiTilde|^2 filled into one real (B, P) array a block of
+    # GRAM_BLOCK rows at a time, then summed as one reduction over the
+    # whole array: a blockwise sum would round differently
+    squares = np.empty(psi.shape)
+    for i in range(0, psi.shape[0], GRAM_BLOCK):
+        rows = slice(i, i + GRAM_BLOCK)
+        squares[rows] = np.abs(psi[rows] + phi_tilde[rows]) ** 2
+    gram_trace = float(np.sum(squares))
     log_weight = math.log(psi.shape[0] / gram_trace) if gram_trace > 0 else 0.0
     return np.array([math.log(0.1 * power), math.log(power / num_plane_waves),
                      log_weight, 0.0, 0.0])
@@ -328,8 +333,8 @@ def fit_hyperparameters(y, phi, psi, phi_tilde, max_line_searches: int = 100,
     starting value.
 
     Psi and PhiTilde are read only before the loop: the start theta first,
-    so its (B, P) temporaries do not sit on top of the Gram stack, then the
-    precompute. This function then drops its references to both, so the
+    which holds one real (B, P) array plus a block of GRAM_BLOCK rows and
+    so does not sit on top of the Gram stack, then the precompute. This function then drops its references to both, so the
     loop holds no (B, P) matrix unless the caller keeps one.
     """
     theta0 = initial_theta(y, phi.shape[1], psi, phi_tilde)

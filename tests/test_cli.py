@@ -106,8 +106,9 @@ def test_reconstruct_after_simulate(simulated, tmp_path):
 
 
 def test_reconstruct_theta_matches_trace(simulated, tmp_path):
-    """theta.json holds the last trace.csv iterate, its objective, and the
-    constrained parameters as exponentials of the logs."""
+    """theta.json holds the last trace.csv iterate, its objective, the
+    constrained parameters as exponentials of the logs, one line search per
+    trace row after the first, and at least one evaluation per row."""
     config, data = simulated
     out = tmp_path / "out"
     assert main(["reconstruct", str(data / "snapshot.txt"),
@@ -128,6 +129,8 @@ def test_reconstruct_theta_matches_trace(simulated, tmp_path):
                                theta["log_impedance_im"]))
     assert theta["impedance_re"] == impedance.real
     assert theta["impedance_im"] == impedance.imag
+    assert theta["line_searches"] == len(rows) - 1
+    assert theta["evaluations"] >= len(rows)
 
 
 def test_reconstruct_at_repeated_points(simulated, tmp_path):

@@ -505,13 +505,30 @@ class TestInitialTheta:
 
     @pytest.mark.parametrize("b", [0, 1, 63, 64, 65, 129, 300])
     def test_bit_identical_to_one_line_form(self, b):
-        """The start theta sums |Psi + PhiTilde|^2 as one reduction, the
-        one-line form's, so the two are equal exactly."""
+        """The start theta fills |Psi + PhiTilde|^2 in row blocks and sums
+        it as one reduction, the one-line form's, so the two are equal
+        exactly, at the block boundaries included."""
         y, phi, psi, phi_tilde = boundary_instance(20, 200, b, seed=b)
         gram_trace = float(np.sum(np.abs(psi + phi_tilde) ** 2))
         log_weight = math.log(b / gram_trace) if b else 0.0
         theta = initial_theta(y, 200, psi, phi_tilde)
         assert theta[2] == log_weight
+
+    def test_peak_memory_bounded(self):
+        """At (B, P) = (300, 1000) the start theta allocates one real (B, P)
+        array and the temporaries of one block of GRAM_BLOCK rows (3.9 MB
+        measured). The one-line form's complex sum, modulus and square peak
+        at 7.2 MB and break the budget."""
+        b, p = 300, 1000
+        y, _, psi, phi_tilde = boundary_instance(20, p, b, seed=3)
+        budget = 8 * b * p + 2 * 16 * marglik.GRAM_BLOCK * p
+        tracemalloc.start()
+        try:
+            initial_theta(y, p, psi, phi_tilde)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * budget, (peak, budget)
 
     def test_without_boundary(self, complex_instance):
         y, phi, psi, phi_tilde = complex_instance(seed=14)

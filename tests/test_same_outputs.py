@@ -1,5 +1,5 @@
-"""tools/same_outputs.py, the byte-identity check of two source trees'
-aggregate CSVs."""
+"""tools/same_outputs.py, the identity check of two source trees' aggregate
+CSVs (byte for byte) and runs CSVs (apart from `seconds`)."""
 
 import shutil
 import subprocess
@@ -18,28 +18,53 @@ def same_outputs(*args):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_a_tree_against_itself_is_the_same():
-    done = same_outputs(ROOT, ROOT, TINY, 0)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["seed 0: same (2 aggregate CSVs)"]
-
-
-def test_a_changed_decibel_scale_differs(tmp_path):
-    """A copy whose `to_db` scale is altered writes other aggregate bytes."""
+def altered_copy(tmp_path, module_name, line, replacement):
+    """A copy of src/roomwave under tmp_path with `line` of one module
+    replaced."""
     source = tmp_path / "src" / "roomwave"
     shutil.copytree(ROOT / "src" / "roomwave", source,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    module = source / "experiments.py"
+    module = source / module_name
     text = module.read_text(encoding="utf-8")
-    line = "return 10.0 * float(np.log10(value))"
     assert line in text
-    module.write_text(text.replace(line, line.replace("10.0", "20.0")),
-                      encoding="utf-8")
-    done = same_outputs(ROOT, tmp_path, TINY, 0)
+    module.write_text(text.replace(line, replacement), encoding="utf-8")
+    return tmp_path
+
+
+def test_a_tree_against_itself_is_the_same():
+    """Two runs of one tree time their fits differently; the runs CSVs
+    match apart from `seconds`."""
+    done = same_outputs(ROOT, ROOT, TINY, 0)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "seed 0: same (2 aggregate CSVs, 2 runs CSVs)"]
+
+
+def test_a_changed_decibel_scale_differs(tmp_path):
+    """A copy whose `to_db` scale is altered writes other aggregate bytes
+    and other `nmse_db` columns."""
+    line = "return 10.0 * float(np.log10(value))"
+    copy = altered_copy(tmp_path, "experiments.py", line,
+                        line.replace("10.0", "20.0"))
+    done = same_outputs(ROOT, copy, TINY, 0)
     assert done.returncode == 1, done.stderr
     assert done.stdout.splitlines() == [
         "seed 0: DIFFERS: boundary_count_aggregate.csv, "
-        "mic_perturbation_aggregate.csv"]
+        "boundary_count_runs.csv, mic_perturbation_aggregate.csv, "
+        "mic_perturbation_runs.csv"]
+
+
+def test_a_changed_run_column_differs(tmp_path):
+    """A copy that numbers its runs from 1 writes the same aggregate CSVs;
+    its runs CSVs differ."""
+    line = "_fmt(result.value), run,"
+    copy = altered_copy(tmp_path, "fileio.py", line,
+                        "_fmt(result.value), run + 1,")
+    done = same_outputs(ROOT, copy, TINY, 0)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines() == [
+        "seed 0: DIFFERS: boundary_count_runs.csv, "
+        "mic_perturbation_runs.csv"]
 
 
 @pytest.mark.parametrize("args", [

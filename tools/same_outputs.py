@@ -1,4 +1,4 @@
-"""Check that two source trees write the same aggregate CSVs.
+"""Check that two source trees write the same benchmark CSVs.
 
     python tools/same_outputs.py PARENT_ROOT CHANGE_ROOT CONFIG SEED [SEED ...]
 
@@ -6,18 +6,23 @@ For each seed, runs `roomwave benchmark CONFIG OUT --set seed=SEED` once
 with PARENT_ROOT/src and once with CHANGE_ROOT/src on PYTHONPATH, each in a
 fresh interpreter with the five standard BLAS thread variables removed from
 its environment, as `perfbench/run.py` runs its workers, and compares every
-`*_aggregate.csv` of the two runs byte for byte. CONFIG is read as given
-(a `perfbench/workloads/*.yaml` file, say) and is the same file for both
-trees; nothing is written outside a temporary directory.
+`*_aggregate.csv` of the two runs byte for byte and every `*_runs.csv` with
+its `seconds` column dropped, the one column that differs between two runs
+of one tree. Standard error is not compared: warnings carry each tree's
+file paths. CONFIG is read as given (a `perfbench/workloads/*.yaml` file,
+say) and is the same file for both trees; nothing is written outside a
+temporary directory.
 
-Prints one line per seed, `seed N: same (K aggregate CSVs)` or
-`seed N: DIFFERS: ...`, and exits with 0 when every seed matches, 1 when a
-seed differs or a run fails (or writes no aggregate CSV), and 2 on a usage
-error, before anything runs.
+Prints one line per seed, `seed N: same (K aggregate CSVs, K runs CSVs)` or
+`seed N: DIFFERS: ...` naming the files that differ, and exits with 0 when
+every seed matches, 1 when a seed differs or a run fails (or writes no
+aggregate CSV), and 2 on a usage error, before anything runs.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -30,9 +35,18 @@ RUN = "import sys; from roomwave.cli import main; sys.exit(main(sys.argv[1:]))"
 USAGE = "usage: same_outputs.py PARENT_ROOT CHANGE_ROOT CONFIG SEED [SEED ...]"
 
 
-def aggregates(root: Path, config: Path, seed: int, out: Path) -> dict:
-    """{file name: bytes} of the aggregate CSVs that `root`'s benchmark
-    writes at `seed`; raises RuntimeError when the run fails."""
+def without_seconds(data: bytes) -> list:
+    """The rows of a runs CSV, header included, without its `seconds`
+    column."""
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    keep = [i for i, name in enumerate(rows[0]) if name != "seconds"]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def outputs(root: Path, config: Path, seed: int, out: Path) -> dict:
+    """{file name: contents} of the CSVs that `root`'s benchmark writes at
+    `seed`: each aggregate CSV's bytes and each runs CSV's rows without
+    `seconds`; raises RuntimeError when the run fails."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = str(root / "src")
     proc = subprocess.run(
@@ -42,26 +56,29 @@ def aggregates(root: Path, config: Path, seed: int, out: Path) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{root} exited with {proc.returncode}: "
                            f"{proc.stderr.strip().splitlines()[-1:]}")
-    found = {p.name: p.read_bytes() for p in sorted(out.glob("*_aggregate.csv"))}
+    found = {p.name: p.read_bytes() for p in out.glob("*_aggregate.csv")}
     if not found:
         raise RuntimeError(f"{root} wrote no aggregate CSV")
+    found.update((p.name, without_seconds(p.read_bytes()))
+                 for p in out.glob("*_runs.csv"))
     return found
 
 
 def compare(parent: Path, change: Path, config: Path, seed: int) -> str:
-    """One seed's report line; it starts with 'same' when every aggregate
-    CSV matches."""
+    """One seed's report line; it starts with 'same' when every CSV
+    matches."""
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         try:
-            before = aggregates(parent, config, seed, Path(tmp, "parent"))
-            after = aggregates(change, config, seed, Path(tmp, "change"))
+            before = outputs(parent, config, seed, Path(tmp, "parent"))
+            after = outputs(change, config, seed, Path(tmp, "change"))
         except RuntimeError as exc:
             return f"DIFFERS: {exc}"
     differing = sorted(name for name in before.keys() | after.keys()
                        if before.get(name) != after.get(name))
     if differing:
         return f"DIFFERS: {', '.join(differing)}"
-    return f"same ({len(before)} aggregate CSVs)"
+    runs = sum(name.endswith("_runs.csv") for name in before)
+    return f"same ({len(before) - runs} aggregate CSVs, {runs} runs CSVs)"
 
 
 def parse(argv: list[str]):
