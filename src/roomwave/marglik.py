@@ -334,8 +334,9 @@ def fit_hyperparameters(y, phi, psi, phi_tilde, max_line_searches: int = 100,
 
     Psi and PhiTilde are read only before the loop: the start theta first,
     which holds one real (B, P) array plus a block of GRAM_BLOCK rows and
-    so does not sit on top of the Gram stack, then the precompute. This function then drops its references to both, so the
-    loop holds no (B, P) matrix unless the caller keeps one.
+    so does not sit on top of the Gram stack, then the precompute. This
+    function then drops its references to both, so the loop holds no
+    (B, P) matrix unless the caller keeps one.
     """
     theta0 = initial_theta(y, phi.shape[1], psi, phi_tilde)
     ml = MarginalLikelihood(y, phi, psi, phi_tilde, targets)

@@ -1039,8 +1039,8 @@ class TestFitAndPredictLifetimes:
         products and the two (B, J) target products (18.0 MB; 18.5 MB
         measured). Products from conjugated (B, P) copies instead of
         zgemm's conjugate-transpose flag peak at 23.0 MB and break the
-        budget, and so would the start theta's (B, P) temporaries computed
-        with the Gram stack alive (25.4 MB)."""
+        budget, and so would the start theta's real (B, P) array computed
+        with the Gram stack alive (22.2 MB)."""
         m, p, b = 100, 1000, 300
         cfg, data = self.run_data(room, b, mic_count=m, plane_wave_count=p,
                                   max_line_searches=3)
