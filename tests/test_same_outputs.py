@@ -1,5 +1,6 @@
 """tools/same_outputs.py, the identity check of two source trees' aggregate
-CSVs (byte for byte) and runs CSVs (apart from `seconds`)."""
+CSVs (byte for byte), runs CSVs (apart from `seconds`) and simulate files
+(byte for byte)."""
 
 import shutil
 import subprocess
@@ -37,7 +38,7 @@ def test_a_tree_against_itself_is_the_same():
     done = same_outputs(ROOT, ROOT, TINY, 0)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "seed 0: same (2 aggregate CSVs, 2 runs CSVs)"]
+        "seed 0: same (2 aggregate CSVs, 2 runs CSVs, 3 simulate files)"]
 
 
 def test_a_changed_decibel_scale_differs(tmp_path):
@@ -65,6 +66,17 @@ def test_a_changed_run_column_differs(tmp_path):
     assert done.stdout.splitlines() == [
         "seed 0: DIFFERS: boundary_count_runs.csv, "
         "mic_perturbation_runs.csv"]
+
+
+def test_a_changed_snapshot_header_differs(tmp_path):
+    """A copy whose snapshot file records seed + 1 writes the same CSVs;
+    its snapshot.txt differs."""
+    line = 'f"seed {int(snapshot.seed)}",'
+    copy = altered_copy(tmp_path, "fileio.py", line,
+                        'f"seed {int(snapshot.seed) + 1}",')
+    done = same_outputs(ROOT, copy, TINY, 0)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines() == ["seed 0: DIFFERS: snapshot.txt"]
 
 
 @pytest.mark.parametrize("args", [

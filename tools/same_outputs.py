@@ -1,22 +1,25 @@
-"""Check that two source trees write the same benchmark CSVs.
+"""Check that two source trees write the same benchmark and simulate files.
 
     python tools/same_outputs.py PARENT_ROOT CHANGE_ROOT CONFIG SEED [SEED ...]
 
-For each seed, runs `roomwave benchmark CONFIG OUT --set seed=SEED` once
-with PARENT_ROOT/src and once with CHANGE_ROOT/src on PYTHONPATH, each in a
-fresh interpreter with the five standard BLAS thread variables removed from
-its environment, as `perfbench/run.py` runs its workers, and compares every
-`*_aggregate.csv` of the two runs byte for byte and every `*_runs.csv` with
-its `seconds` column dropped, the one column that differs between two runs
-of one tree. Standard error is not compared: warnings carry each tree's
-file paths. CONFIG is read as given (a `perfbench/workloads/*.yaml` file,
-say) and is the same file for both trees; nothing is written outside a
-temporary directory.
+For each seed, runs `roomwave benchmark CONFIG OUT --set seed=SEED` and
+`roomwave simulate CONFIG OUT --set seed=SEED` once with PARENT_ROOT/src and
+once with CHANGE_ROOT/src on PYTHONPATH, each in a fresh interpreter with
+the five standard BLAS thread variables removed from its environment, as
+`perfbench/run.py` runs its workers. It compares every `*_aggregate.csv` of
+the two benchmark runs byte for byte, every `*_runs.csv` with its `seconds`
+column dropped, the one column that differs between two runs of one tree,
+and the simulate run's snapshot.txt, microphones.txt and boundary.txt byte
+for byte. Standard error is not compared: warnings carry each tree's file
+paths. CONFIG is read as given (a `perfbench/workloads/*.yaml` file, say)
+and is the same file for both trees; nothing is written outside a temporary
+directory.
 
-Prints one line per seed, `seed N: same (K aggregate CSVs, K runs CSVs)` or
-`seed N: DIFFERS: ...` naming the files that differ, and exits with 0 when
-every seed matches, 1 when a seed differs or a run fails (or writes no
-aggregate CSV), and 2 on a usage error, before anything runs.
+Prints one line per seed, `seed N: same (K aggregate CSVs, K runs CSVs, 3
+simulate files)` or `seed N: DIFFERS: ...` naming the files that differ,
+and exits with 0 when every seed matches, 1 when a seed differs or a run
+fails (or writes no aggregate CSV or misses a simulate file), and 2 on a
+usage error, before anything runs.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 RUN = "import sys; from roomwave.cli import main; sys.exit(main(sys.argv[1:]))"
+SIMULATED = ("snapshot.txt", "microphones.txt", "boundary.txt")
 USAGE = "usage: same_outputs.py PARENT_ROOT CHANGE_ROOT CONFIG SEED [SEED ...]"
 
 
@@ -43,24 +47,37 @@ def without_seconds(data: bytes) -> list:
     return [[row[i] for i in keep] for row in rows]
 
 
-def outputs(root: Path, config: Path, seed: int, out: Path) -> dict:
-    """{file name: contents} of the CSVs that `root`'s benchmark writes at
-    `seed`: each aggregate CSV's bytes and each runs CSV's rows without
-    `seconds`; raises RuntimeError when the run fails."""
+def run(root: Path, command: str, config: Path, seed: int, out: Path):
+    """Run `roomwave COMMAND CONFIG OUT --set seed=SEED` from `root`'s src/;
+    raises RuntimeError when it fails."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = str(root / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", RUN, "benchmark", str(config), str(out),
+        [sys.executable, "-c", RUN, command, str(config), str(out),
          "--set", f"seed={seed}"],
         env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{root} exited with {proc.returncode}: "
+        raise RuntimeError(f"{root} {command} exited with {proc.returncode}: "
                            f"{proc.stderr.strip().splitlines()[-1:]}")
-    found = {p.name: p.read_bytes() for p in out.glob("*_aggregate.csv")}
+
+
+def outputs(root: Path, config: Path, seed: int, out: Path) -> dict:
+    """{file name: contents} of what `root` writes at `seed`: each aggregate
+    CSV's bytes, each runs CSV's rows without `seconds` and the bytes of
+    each simulate file; raises RuntimeError when a run fails."""
+    run(root, "benchmark", config, seed, out / "benchmark")
+    found = {p.name: p.read_bytes()
+             for p in (out / "benchmark").glob("*_aggregate.csv")}
     if not found:
         raise RuntimeError(f"{root} wrote no aggregate CSV")
     found.update((p.name, without_seconds(p.read_bytes()))
-                 for p in out.glob("*_runs.csv"))
+                 for p in (out / "benchmark").glob("*_runs.csv"))
+    run(root, "simulate", config, seed, out / "simulate")
+    for name in SIMULATED:
+        path = out / "simulate" / name
+        if not path.is_file():
+            raise RuntimeError(f"{root} simulate wrote no {name}")
+        found[name] = path.read_bytes()
     return found
 
 
@@ -78,7 +95,9 @@ def compare(parent: Path, change: Path, config: Path, seed: int) -> str:
     if differing:
         return f"DIFFERS: {', '.join(differing)}"
     runs = sum(name.endswith("_runs.csv") for name in before)
-    return f"same ({len(before) - runs} aggregate CSVs, {runs} runs CSVs)"
+    aggregates = len(before) - runs - len(SIMULATED)
+    return (f"same ({aggregates} aggregate CSVs, {runs} runs CSVs, "
+            f"{len(SIMULATED)} simulate files)")
 
 
 def parse(argv: list[str]):
