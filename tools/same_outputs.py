@@ -65,16 +65,16 @@ def outputs(root: Path, config: Path, seed: int, out: Path) -> dict:
     """{file name: contents} of what `root` writes at `seed`: each aggregate
     CSV's bytes, each runs CSV's rows without `seconds` and the bytes of
     each simulate file; raises RuntimeError when a run fails."""
-    run(root, "benchmark", config, seed, out / "benchmark")
-    found = {p.name: p.read_bytes()
-             for p in (out / "benchmark").glob("*_aggregate.csv")}
+    bench, sim = out / "benchmark", out / "simulate"
+    run(root, "benchmark", config, seed, bench)
+    found = {p.name: p.read_bytes() for p in bench.glob("*_aggregate.csv")}
     if not found:
         raise RuntimeError(f"{root} wrote no aggregate CSV")
     found.update((p.name, without_seconds(p.read_bytes()))
-                 for p in (out / "benchmark").glob("*_runs.csv"))
-    run(root, "simulate", config, seed, out / "simulate")
+                 for p in bench.glob("*_runs.csv"))
+    run(root, "simulate", config, seed, sim)
     for name in SIMULATED:
-        path = out / "simulate" / name
+        path = sim / name
         if not path.is_file():
             raise RuntimeError(f"{root} simulate wrote no {name}")
         found[name] = path.read_bytes()
