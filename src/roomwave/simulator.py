@@ -6,23 +6,21 @@ with amplitude rho^order for uniform wall reflection coefficient rho. The
 sum is evaluated directly at the target wavenumber; no time-domain synthesis
 is involved.
 
-`field_at_points` sums over blocks of receiver rows, sized so that a block
-holds about PAIR_BUDGET receiver-image pairs (at least one row, whatever the
-image count), so memory stays flat in the receiver count and no (receivers,
-images, 3) difference array is formed. Each block is computed as the direct
-expression
+`field_at_points` sums over one receiver row at a time, each row as the
+direct expression
 
     d = sqrt(((bx - x)^2 + (by - y)^2) + (bz - z)^2)
-    (amplitudes * np.exp(1j*k*d) / (4*pi*d)).sum(axis=1)
+    (amplitudes * np.exp(1j*k*d) / (4*pi*d)).sum()
 
 over the image coordinates x, y, z. The squared differences are added in
-the order np.linalg.norm(axis=-1) adds them, so d has the bytes of
-np.linalg.norm(receivers[:, None] - images[None], axis=2). Blocks split
-receivers, never images, so each row is one sum(axis=1) over all images and
-keeps numpy's pairwise-summation tree. The bytes matter: some benchmark
-cells (truncated marginal-likelihood fits) move by 0.13-0.41 dB when the
-snapshot moves by one ulp, and tests/test_simulator.py checks the sum
-against that direct expression bit for bit.
+the order np.linalg.norm(axis=-1) adds them, (dx^2 + dy^2) + dz^2, so d has
+the bytes of np.linalg.norm(receivers[:, None] - images[None], axis=2), and
+each row is one sum over all images, so it keeps numpy's pairwise-summation
+tree. The bytes matter: some benchmark cells (truncated marginal-likelihood
+fits) move by 0.13-0.41 dB when the snapshot moves by one ulp, and
+tests/test_simulator.py checks the sum against that direct expression bit
+for bit. The transient memory is one row's temporaries, whatever the
+receiver count, so no block size has to be tuned.
 """
 
 from __future__ import annotations
@@ -44,9 +42,6 @@ __all__ = [
 ]
 
 MIN_SOURCE_DISTANCE = 1e-9
-# receivers per block times image sources: a peak of about 2.8 MB at
-# order 20 (100 receivers, traced)
-PAIR_BUDGET = 65_536
 
 
 def _axis_images(source: float, length: float, max_order: int):
@@ -117,15 +112,12 @@ def field_at_points(room: RoomSpec, receivers, k: float, max_order: int = 80) ->
     positions, orders = image_lattice(room, max_order)
     amplitudes = room.reflection_coefficient ** orders.astype(float)
     x, y, z = np.ascontiguousarray(positions.T)
-    rows = max(1, PAIR_BUDGET // len(amplitudes))
     out = np.empty(len(recv), dtype=complex)
-    for start in range(0, len(recv), rows):
-        bx, by, bz = recv[start:start + rows].T[:, :, None]
+    for i, (bx, by, bz) in enumerate(recv):
         d = np.sqrt(((bx - x) ** 2 + (by - y) ** 2) + (bz - z) ** 2)
         if np.min(d) < MIN_SOURCE_DISTANCE:
             raise ValueError("receiver coincides with an image source")
-        out[start:start + rows] = (amplitudes * np.exp(1j * k * d)
-                                   / (4.0 * np.pi * d)).sum(axis=1)
+        out[i] = (amplitudes * np.exp(1j * k * d) / (4.0 * np.pi * d)).sum()
     return out
 
 
