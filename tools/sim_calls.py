@@ -5,7 +5,7 @@
 Runs the `roomwave` that PYTHONPATH points at on the default room (RoomSpec's
 defaults, the room of configs/default.yaml) and 100 receivers drawn
 uniformly from the inner 90 % of the room (`default_rng(0)`). For each image
-order it builds the image lattice and makes one warm-up call; then, at 300
+order it makes one warm-up call, which builds the image lattice; then, at 300
 and at 800 Hz (speed of sound 343 m/s), it times N calls (default 9) with
 `time.perf_counter` and one more call under tracemalloc, and prints
 
@@ -28,38 +28,30 @@ import numpy as np
 
 from roomwave.geometry import RoomSpec
 from roomwave.planewaves import wavenumber
-from roomwave.simulator import field_at_points, image_lattice
+from roomwave.simulator import field_at_points
 
 FREQUENCIES_HZ = (300.0, 800.0)
 SPEED_OF_SOUND = 343.0
 RECEIVERS = 100
 
 
-def count(minimum: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise ValueError(text)
-        return value
-    parse.__name__ = f"integer >= {minimum}"
-    return parse
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="sim_calls.py",
         description="Time simulator.field_at_points per call and frequency.")
-    parser.add_argument("--calls", type=count(1), default=9,
+    parser.add_argument("--calls", type=int, default=9, metavar="N",
                         help="timed calls per order and frequency")
-    parser.add_argument("orders", metavar="ORDER", type=count(0), nargs="+",
+    parser.add_argument("orders", metavar="ORDER", type=int, nargs="+",
                         help="image order")
     args = parser.parse_args(argv)
+    if args.calls < 1 or min(args.orders) < 0:
+        parser.error("ORDER must be >= 0 and N >= 1")
 
     room = RoomSpec()
     receivers = np.random.default_rng(0).uniform(
         0.05, 0.95, (RECEIVERS, 3)) * room.dimensions
     for order in args.orders:
-        image_lattice(room, order)
+        # the warm-up call builds and caches the image lattice
         field_at_points(room, receivers, wavenumber(300.0, SPEED_OF_SOUND),
                         order)
         for frequency in FREQUENCIES_HZ:
